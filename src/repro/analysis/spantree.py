@@ -48,19 +48,14 @@ def render_plan_trace(
                 + ", ".join(f"{k}={v}" for k, v in counters.items())
             )
     if device is not None and report is not None:
-        precision = (
-            report.options.precision
-            if report.options is not None and report.options.precision
-            else "fp32"
-        )
-        blocks = report.schedule.block_works(report.batch, precision=precision)
+        launch = report.kernel_launch()
         sections.append("")
         sections.append("simulated schedule timeline:")
         sections.append(
             render_timeline(
                 device,
-                blocks,
-                float(report.batch.compulsory_ab_bytes),
+                launch.blocks,
+                launch.compulsory_ab_bytes,
                 width=width,
                 max_slots=max_slots,
             )

@@ -73,6 +73,26 @@ class PlanReport:
     heuristic_used: str
     options: Optional[PlanOptions] = None
 
+    def kernel_launch(self) -> KernelLaunch:
+        """The fused kernel this plan launches, as the simulator prices it.
+
+        The plan is priced at its resolved storage precision (fp32 when
+        the report carries no options).  The blocks come from
+        :meth:`BatchSchedule.block_works` at that width, and the
+        batch's unique A/B footprint, stated at fp32 width, is rescaled
+        to it (half the bytes at fp16/bf16).  Simulation, the cost
+        breakdown and the timeline all price this one launch.
+        """
+        precision = self.options.precision if self.options is not None else None
+        prec = Precision.coerce(precision or "fp32")
+        return KernelLaunch(
+            name="coordinated",
+            blocks=self.schedule.block_works(self.batch, precision=prec),
+            compulsory_ab_bytes=(
+                float(self.batch.compulsory_ab_bytes) * prec.storage_bytes / 4.0
+            ),
+        )
+
     def summary(self) -> str:
         """Human-readable one-paragraph description of the plan."""
         lines = [
@@ -309,9 +329,8 @@ class CoordinatedFramework:
         from repro.gpu.occupancy import occupancy
         from repro.gpu.simulator import _converge_kernel
 
-        blocks = report.schedule.block_works(
-            report.batch, precision=self._plan_precision(report)
-        )
+        launch = report.kernel_launch()
+        blocks = launch.blocks
         occ = occupancy(
             self.device,
             blocks[0].threads,
@@ -319,10 +338,7 @@ class CoordinatedFramework:
             blocks[0].shared_memory_bytes,
         )
         durations, makespan, concurrency, ctx = _converge_kernel(
-            self.device,
-            blocks,
-            occ.blocks_per_sm,
-            float(report.batch.compulsory_ab_bytes),
+            self.device, blocks, occ.blocks_per_sm, launch.compulsory_ab_bytes
         )
         order = sorted(range(len(durations)), key=lambda i: -durations[i])
         lines = [
@@ -345,11 +361,6 @@ class CoordinatedFramework:
 
     # -- timing ------------------------------------------------------
 
-    def _plan_precision(self, report: PlanReport) -> str:
-        if report.options is not None and report.options.precision is not None:
-            return report.options.precision
-        return self.precision
-
     def simulate_plan(self, report: PlanReport) -> SimulationResult:
         """Execution time of an existing plan on the device model.
 
@@ -357,23 +368,13 @@ class CoordinatedFramework:
         :class:`SimulationResult` carries the ``simulate`` span (with
         the kernel-level child span) in its ``trace`` field.
         """
-        precision = Precision.coerce(self._plan_precision(report))
-        # compulsory_ab_bytes is stated at fp32 width; rescale to the
-        # storage precision (half the unique footprint at fp16/bf16).
-        compulsory = (
-            float(report.batch.compulsory_ab_bytes) * precision.storage_bytes / 4.0
-        )
         tracer = get_tracer()
         with tracer.span(
             "simulate",
             blocks=report.schedule.num_blocks,
             heuristic=report.heuristic_used,
         ) as span:
-            launch = KernelLaunch(
-                name="coordinated",
-                blocks=report.schedule.block_works(report.batch, precision=precision),
-                compulsory_ab_bytes=compulsory,
-            )
+            launch = report.kernel_launch()
             result = simulate_kernel(self.device, launch)
             if span.enabled:
                 span.set_attr("time_ms", result.time_ms)

@@ -167,29 +167,34 @@ class BatchSchedule:
 
         prec = Precision.coerce(precision)
         smem = self.shared_memory_bytes * prec.storage_bytes // 4
+        offsets = self.tile_offsets.tolist()
+        slots = list(zip(self.strategy_ids.tolist(), self._slot_k.tolist()))
+        # One TileWork per distinct (strategy, K) and one BlockWork per
+        # distinct slot sequence: a ragged batch's ~100 blocks hold a
+        # handful of distinct compositions, and equal blocks share one
+        # object.
+        tiles: dict[tuple[int, int], TileWork] = {}
+        blocks: dict[tuple[tuple[int, int], ...], BlockWork] = {}
         works = []
-        for b in range(self.num_blocks):
-            tiles = []
-            begin = int(self.tile_offsets[b])
-            end = int(self.tile_offsets[b + 1])
-            for slot in range(begin, end):
-                strat = strategy_by_index(int(self.strategy_ids[slot]))
-                tiles.append(
-                    TileWork(
-                        strategy=strat,
-                        k=self._tile_k(slot),
-                        active_threads=self.threads_per_block,
-                        precision=prec,
-                    )
-                )
-            works.append(
-                BlockWork(
+        for begin, end in zip(offsets[:-1], offsets[1:]):
+            key = tuple(slots[begin:end])
+            work = blocks.get(key)
+            if work is None:
+                for sk in key:
+                    if sk not in tiles:
+                        tiles[sk] = TileWork(
+                            strategy=strategy_by_index(sk[0]),
+                            k=sk[1],
+                            active_threads=self.threads_per_block,
+                            precision=prec,
+                        )
+                work = blocks[key] = BlockWork(
                     threads=self.threads_per_block,
                     registers_per_thread=self.registers_per_thread,
                     shared_memory_bytes=smem,
-                    tiles=tuple(tiles),
+                    tiles=tuple(tiles[sk] for sk in key),
                 )
-            )
+            works.append(work)
         return tuple(works)
 
 
@@ -237,36 +242,49 @@ def _build_schedule(
     decision: TilingDecision,
     batching: BatchingResult,
 ) -> BatchSchedule:
-    expected = {
-        (t.gemm_index, t.y, t.x): t for t in enumerate_tiles(batch, decision)
-    }
-    seen: set[tuple[int, int, int]] = set()
+    flat = [tile for block in batching.blocks for tile in block]
+    offsets = np.zeros(batching.num_blocks + 1, dtype=np.int32)
+    np.cumsum([len(block) for block in batching.blocks], out=offsets[1:])
+    slots = np.array(
+        [(t.gemm_index, t.strategy_index, t.y, t.x, t.k) for t in flat],
+        dtype=np.int64,
+    ).reshape(-1, 5)
+    gemm_ids, strategy_ids, ys, xs, ks = slots.T
 
-    offsets = [0]
-    gemm_ids: list[int] = []
-    strategy_ids: list[int] = []
-    ys: list[int] = []
-    xs: list[int] = []
-    ks: list[int] = []
-    for block in batching.blocks:
-        for tile in block:
-            key = (tile.gemm_index, tile.y, tile.x)
-            if key not in expected:
-                raise ValueError(f"batching refers to a tile not produced by tiling: {tile}")
-            if key in seen:
-                raise ValueError(f"batching assigns tile {tile} to more than one block")
-            seen.add(key)
-            gemm_ids.append(tile.gemm_index)
-            strategy_ids.append(tile.strategy_index)
-            ys.append(tile.y)
-            xs.append(tile.x)
-            ks.append(tile.k)
-        offsets.append(len(gemm_ids))
-    if len(seen) != len(expected):
-        missing = len(expected) - len(seen)
+    # The tile grid the decision induces: GEMM g owns the linear tile
+    # ids [first[g], first[g + 1]), row-major over its rows x cols grid.
+    want_strategy = np.array([s.index for s in decision.strategies], dtype=np.int64)
+    want_k = np.array([g.k for g in batch], dtype=np.int64)
+    rows, cols = np.array(
+        [s.tiles_for(g) for g, s in zip(batch, decision.strategies)], dtype=np.int64
+    ).reshape(-1, 2).T
+    first = np.concatenate(([0], np.cumsum(rows * cols)))
+
+    # Tile itself rejects negative GEMM ids and coordinates.
+    in_batch = gemm_ids < len(batch)
+    g = np.where(in_batch, gemm_ids, 0)
+    produced = (
+        in_batch
+        & (strategy_ids == want_strategy[g])
+        & (ks == want_k[g])
+        & (ys < rows[g])
+        & (xs < cols[g])
+    )
+    if not produced.all():
+        bad = flat[int(np.argmin(produced))]
+        raise ValueError(f"batching refers to a tile not produced by tiling: {bad}")
+    tile_ids = first[gemm_ids] + ys * cols[gemm_ids] + xs
+    counts = np.bincount(tile_ids, minlength=int(first[-1]))
+    if (counts > 1).any():
+        first_seen = np.zeros(len(flat), dtype=bool)
+        first_seen[np.unique(tile_ids, return_index=True)[1]] = True
+        bad = flat[int(np.argmin(first_seen))]
+        raise ValueError(f"batching assigns tile {bad} to more than one block")
+    missing = int(np.count_nonzero(counts == 0))
+    if missing:
         raise ValueError(f"batching leaves {missing} tiles unassigned")
 
-    strategies = [strategy_by_index(s) for s in set(strategy_ids)]
+    strategies = [strategy_by_index(s) for s in set(strategy_ids.tolist())]
     threads = decision.threads
     for s in strategies:
         if s.threads != threads:
@@ -278,14 +296,14 @@ def _build_schedule(
     regs = max(s.registers_per_thread for s in strategies)
 
     schedule = BatchSchedule(
-        tile_offsets=np.asarray(offsets, dtype=np.int32),
-        gemm_ids=np.asarray(gemm_ids, dtype=np.int32),
-        strategy_ids=np.asarray(strategy_ids, dtype=np.int32),
-        y_coords=np.asarray(ys, dtype=np.int32),
-        x_coords=np.asarray(xs, dtype=np.int32),
+        tile_offsets=offsets,
+        gemm_ids=gemm_ids.astype(np.int32),
+        strategy_ids=strategy_ids.astype(np.int32),
+        y_coords=ys.astype(np.int32),
+        x_coords=xs.astype(np.int32),
         threads_per_block=threads,
         shared_memory_bytes=smem,
         registers_per_thread=regs,
     )
-    object.__setattr__(schedule, "_slot_k", np.asarray(ks, dtype=np.int64))
+    object.__setattr__(schedule, "_slot_k", ks.copy())
     return schedule

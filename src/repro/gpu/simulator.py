@@ -10,7 +10,11 @@ Given the thread blocks of one kernel launch, the simulator:
    durations.  Three or four rounds converge for every launch shape,
    including badly imbalanced ones (a few monster blocks next to many
    minnows);
-3. prices every block with :func:`repro.gpu.costmodel.block_cycles`;
+3. prices every *distinct* block once per round with
+   :func:`repro.gpu.costmodel.block_cycles` -- a block's price depends
+   only on its value and the round's context, so equal blocks cost the
+   same -- and expands the prices back to one duration per block in
+   issue order;
 4. list-schedules blocks onto SM residency slots in issue order (the
    GigaThread engine's behaviour) and reports the makespan.
 
@@ -24,6 +28,7 @@ stream interface does, with a per-launch host-side serialization gap
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -121,12 +126,28 @@ def _converge_kernel(
     blocks_per_sm: int,
     compulsory_ab_bytes: float | None = None,
 ) -> tuple[list[float], float, float, SmContext]:
-    """Fixed-point estimate of (durations, makespan, concurrency, ctx)."""
+    """Fixed-point estimate of (durations, makespan, concurrency, ctx).
+
+    ``durations`` has one entry per block, in issue order.  Each round
+    prices every distinct block once; the durations, their sum and the
+    makespan are then formed from the expanded per-block list exactly
+    as if every block had been priced on its own.
+    """
     n = len(blocks)
     slots = device.num_sms * blocks_per_sm
     concurrency = float(min(slots, n))
+    # Distinct blocks (by value) in first-issue order, and each block's
+    # index into them.
+    index: dict[BlockWork, int] = {}
+    class_of = [index.setdefault(b, len(index)) for b in blocks]
+    classes = list(index)
+    multiplicity = Counter(class_of)
     traffic_ab = float(
-        sum(t.bytes_per_iteration * t.n_iterations for b in blocks for t in b.tiles)
+        sum(
+            multiplicity[c] * t.bytes_per_iteration * t.n_iterations
+            for c, b in enumerate(classes)
+            for t in b.tiles
+        )
     )
     hit = l2_hit_fraction(device, compulsory_ab_bytes, traffic_ab)
     l2_total = device.l2_bandwidth_gbps / device.clock_ghz
@@ -141,7 +162,8 @@ def _converge_kernel(
             l2_bw_bytes_per_cycle=l2_total / max(1.0, concurrency),
             l2_hit_fraction=hit,
         )
-        durations = [block_cycles(device, b, ctx) for b in blocks]
+        prices = [block_cycles(device, b, ctx) for b in classes]
+        durations = [prices[c] for c in class_of]
         makespan = _schedule(durations, slots)
         if makespan <= 0:
             break

@@ -123,8 +123,9 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     Block boundaries are irrelevant to the numerical result (blocks
     only matter to the performance model), so the lowering flattens
     them away and sorts slots by ``(gemm, strategy, interior)``.
-    Raises ``IndexError`` for out-of-range GEMM or strategy ids, like
-    the reference walk would on the offending slot.
+    Raises ``IndexError`` for out-of-range GEMM or strategy ids, and
+    ``ValueError`` for a tile origin outside its matrix, like the
+    reference walk would on the offending slot.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -142,25 +143,36 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
 def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     gemm_ids = schedule.gemm_ids.astype(np.int64)
     strat_ids = schedule.strategy_ids.astype(np.int64)
-    n_strats = len(ALL_BATCHED_STRATEGIES)
-
-    if gemm_ids.size and (gemm_ids.min() < 0 or gemm_ids.max() >= len(batch)):
-        bad = int(gemm_ids[(gemm_ids < 0) | (gemm_ids >= len(batch))][0])
-        raise IndexError(f"gemm id {bad} out of range 0-{len(batch) - 1}")
-    if strat_ids.size and (strat_ids.min() < 0 or strat_ids.max() >= n_strats):
-        bad = int(strat_ids[(strat_ids < 0) | (strat_ids >= n_strats)][0])
-        strategy_by_index(bad)  # raises the canonical IndexError
+    n_gemms, n_strats = len(batch), len(ALL_BATCHED_STRATEGIES)
 
     by_tab = np.array([s.by for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
     bx_tab = np.array([s.bx for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
-    ms = np.array([g.m for g in batch], dtype=np.int64)
-    ns = np.array([g.n for g in batch], dtype=np.int64)
+    # A trailing 0x0 matrix stands in for out-of-range GEMM ids.
+    ms = np.array([g.m for g in batch] + [0], dtype=np.int64)
+    ns = np.array([g.n for g in batch] + [0], dtype=np.int64)
 
-    y0 = schedule.y_coords.astype(np.int64) * by_tab[strat_ids]
-    x0 = schedule.x_coords.astype(np.int64) * bx_tab[strat_ids]
-    interior = (y0 + by_tab[strat_ids] <= ms[gemm_ids]) & (
-        x0 + bx_tab[strat_ids] <= ns[gemm_ids]
-    )
+    bad_gemm = (gemm_ids < 0) | (gemm_ids >= n_gemms)
+    bad_strat = (strat_ids < 0) | (strat_ids >= n_strats)
+    safe_g = np.where(bad_gemm, n_gemms, gemm_ids)
+    safe_s = np.where(bad_strat, 0, strat_ids)
+    y0 = schedule.y_coords.astype(np.int64) * by_tab[safe_s]
+    x0 = schedule.x_coords.astype(np.int64) * bx_tab[safe_s]
+    m_of, n_of = ms[safe_g], ns[safe_g]
+    negative = (y0 < 0) | (x0 < 0)
+    bad = bad_gemm | bad_strat | negative | (y0 >= m_of) | (x0 >= n_of)
+    if bad.any():
+        # The reference walk's checks, for the first offending slot.
+        i = int(np.argmax(bad))
+        if bad_gemm[i]:
+            raise IndexError(f"gemm id {gemm_ids[i]} out of range 0-{n_gemms - 1}")
+        if bad_strat[i]:
+            strategy_by_index(int(strat_ids[i]))  # raises the canonical IndexError
+        if negative[i]:
+            raise ValueError("tile origin must be non-negative")
+        raise ValueError(
+            f"tile origin ({y0[i]},{x0[i]}) outside matrix {m_of[i]}x{n_of[i]}"
+        )
+    interior = (y0 + by_tab[strat_ids] <= m_of) & (x0 + bx_tab[strat_ids] <= n_of)
 
     # Composite bucket key; stable sort keeps slot order within a group.
     key = (gemm_ids * n_strats + strat_ids) * 2 + interior
@@ -351,26 +363,41 @@ def _epilogue_group(
 def _check_coverage(plan: GroupedPlan, batch: GemmBatch) -> None:
     """Validate exactly-once output coverage, one pass per GEMM.
 
-    Uses the 2-D difference-array trick: +1/-1 at the four corners of
-    every tile rectangle, then a double cumulative sum reconstructs
-    the per-element coverage counts without a Python loop over tiles.
+    Tile origins were checked to lie inside their matrices when the
+    plan was lowered.  Coverage is counted with the 2-D
+    difference-array trick on the grid of distinct tile edges rather
+    than of elements: +1/-1 at the four corners of every tile
+    rectangle, then a double cumulative sum gives each grid cell's
+    coverage count.  A cell's area weights it in the error message,
+    which counts elements.
     """
+    rects: dict[int, list[np.ndarray]] = {}
+    for group in plan.groups:
+        strat = strategy_by_index(group.strategy_index)
+        rects.setdefault(group.gemm_index, []).append(
+            np.stack((group.y0, group.x0, group.y0 + strat.by, group.x0 + strat.bx))
+        )
+    no_tiles = [np.zeros((4, 0), dtype=np.int64)]
     for gi, gemm in enumerate(batch):
-        diff = np.zeros((gemm.m + 1, gemm.n + 1), dtype=np.int64)
-        for group in plan.groups:
-            if group.gemm_index != gi:
-                continue
-            strat = strategy_by_index(group.strategy_index)
-            y_hi = np.minimum(group.y0 + strat.by, gemm.m)
-            x_hi = np.minimum(group.x0 + strat.bx, gemm.n)
-            np.add.at(diff, (group.y0, group.x0), 1)
-            np.add.at(diff, (y_hi, group.x0), -1)
-            np.add.at(diff, (group.y0, x_hi), -1)
-            np.add.at(diff, (y_hi, x_hi), 1)
-        cov = diff.cumsum(axis=0).cumsum(axis=1)[: gemm.m, : gemm.n]
+        m, n = gemm.m, gemm.n
+        y0, x0, y1, x1 = np.concatenate(rects.get(gi, no_tiles), axis=1)
+        y1 = np.minimum(y1, m)
+        x1 = np.minimum(x1, n)
+        ys = np.array(sorted({0, m, *y0.tolist(), *y1.tolist()}))
+        xs = np.array(sorted({0, n, *x0.tolist(), *x1.tolist()}))
+        r0, r1 = np.searchsorted(ys, y0), np.searchsorted(ys, y1)
+        c0, c1 = np.searchsorted(xs, x0), np.searchsorted(xs, x1)
+        diff = np.zeros((len(ys), len(xs)), dtype=np.int64)
+        np.add.at(diff, (r0, c0), 1)
+        np.add.at(diff, (r1, c0), -1)
+        np.add.at(diff, (r0, c1), -1)
+        np.add.at(diff, (r1, c1), 1)
+        # Cell (i, j) spans rows [ys[i], ys[i+1]) and columns [xs[j], xs[j+1]).
+        cov = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
         if not np.all(cov == 1):
-            uncovered = int(np.sum(cov == 0))
-            duplicated = int(np.sum(cov > 1))
+            area = np.outer(np.diff(ys), np.diff(xs))
+            uncovered = int(area[cov == 0].sum())
+            duplicated = int(area[cov > 1].sum())
             raise ValueError(
                 f"schedule does not tile GEMM {gi} exactly once: "
                 f"{uncovered} elements uncovered, {duplicated} covered repeatedly"

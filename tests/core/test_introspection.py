@@ -72,3 +72,29 @@ class TestExplainPlan:
             if "-> " in line
         ]
         assert costs == sorted(costs, reverse=True)
+
+    @pytest.mark.parametrize("keep_options", [True, False])
+    @pytest.mark.parametrize("precision", ["fp32", "fp16", "bf16"])
+    def test_makespan_matches_simulation(self, precision, keep_options):
+        """explain_plan and the span-tree timeline price the simulated launch.
+
+        A report that carries no options is priced at fp32 by all three,
+        whatever the framework's own precision.
+        """
+        from dataclasses import replace
+
+        from repro.analysis import render_plan_trace
+        from repro.core.framework import CoordinatedFramework
+        from repro.core.options import Heuristic
+        from repro.nn.googlenet import GOOGLENET_INCEPTIONS, inception_branch_batch
+        from repro.telemetry import tracing
+
+        fw = CoordinatedFramework(precision=precision)
+        batch = inception_branch_batch(GOOGLENET_INCEPTIONS[0])
+        with tracing() as tracer:
+            report = fw.plan(batch, Heuristic.THRESHOLD)
+        if not keep_options:
+            report = replace(report, options=None)
+        us = fw.device.cycles_to_ms(fw.simulate_plan(report).cycles) * 1e3
+        assert f"makespan {us:.1f} us" in fw.explain_plan(report)
+        assert f"makespan {us:.1f} us" in render_plan_trace(tracer, fw.device, report)

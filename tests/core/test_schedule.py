@@ -1,12 +1,14 @@
 """Tests for the auxiliary-array schedule (Section 6 / Figure 6)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.batching import batch_tiles, BatchingResult
 from repro.core.problem import Gemm, GemmBatch, Tile
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
-from repro.core.tiling import select_tiling, strategy_by_index
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling, strategy_by_index
 
 
 def plan(batch, heuristic="one-per-block", threshold=65536):
@@ -121,6 +123,38 @@ class TestBuildScheduleValidation:
         tiles = enumerate_tiles(uniform_batch, decision)
         alien = Tile(gemm_index=0, y=99, x=99, strategy_index=tiles[0].strategy_index, k=64)
         bad = BatchingResult(blocks=tuple((t,) for t in tiles) + ((alien,),), heuristic="x", theta=1)
+        with pytest.raises(ValueError, match="not produced by tiling"):
+            build_schedule(uniform_batch, decision, bad)
+
+    @staticmethod
+    def _swap_first(batch, **changes):
+        decision = select_tiling(batch, 65536)
+        tiles = enumerate_tiles(batch, decision)
+        tiles[0] = replace(tiles[0], **changes)
+        return decision, BatchingResult(
+            blocks=tuple((t,) for t in tiles), heuristic="x", theta=1
+        )
+
+    def test_tile_with_wrong_k_rejected(self, uniform_batch):
+        # Same (gemm, y, x) as a real tile, but 64x deeper than its GEMM:
+        # accepting it would price a K=4096 tile into the schedule.
+        decision, bad = self._swap_first(uniform_batch, k=4096)
+        with pytest.raises(ValueError, match="not produced by tiling"):
+            build_schedule(uniform_batch, decision, bad)
+
+    def test_tile_with_wrong_strategy_rejected(self, uniform_batch):
+        chosen = select_tiling(uniform_batch, 65536).strategies[0]
+        other = next(
+            s
+            for s in ALL_BATCHED_STRATEGIES
+            if s.threads == chosen.threads and s.index != chosen.index
+        )
+        decision, bad = self._swap_first(uniform_batch, strategy_index=other.index)
+        with pytest.raises(ValueError, match="not produced by tiling"):
+            build_schedule(uniform_batch, decision, bad)
+
+    def test_tile_of_unknown_gemm_rejected(self, uniform_batch):
+        decision, bad = self._swap_first(uniform_batch, gemm_index=len(uniform_batch))
         with pytest.raises(ValueError, match="not produced by tiling"):
             build_schedule(uniform_batch, decision, bad)
 

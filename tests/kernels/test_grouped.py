@@ -155,6 +155,18 @@ class TestExecuteGroupedContract:
         with pytest.raises(ValueError, match="exactly once"):
             execute_grouped(sched, small_batch, ops)
 
+    def test_coverage_error_counts_elements(self, small_batch, rng):
+        """The edge-grid check reports the reference walk's element counts."""
+        ops = small_batch.random_operands(rng)
+        sched = make_schedule(small_batch, "one-per-block")
+        sched.y_coords[1] = sched.y_coords[0]
+        sched.x_coords[1] = sched.x_coords[0]
+        with pytest.raises(ValueError) as want:
+            execute_schedule(sched, small_batch, ops)
+        with pytest.raises(ValueError) as got:
+            execute_grouped(sched, small_batch, ops)
+        assert str(got.value) == str(want.value)
+
     def test_out_of_range_ids_rejected(self, small_batch, rng):
         ops = small_batch.random_operands(rng)
         sched = make_schedule(small_batch)
@@ -179,6 +191,78 @@ class TestExecuteGroupedContract:
         for op, saved in zip(ops, copies):
             for arr, keep in zip(op, saved):
                 assert np.array_equal(arr, keep)
+
+
+class TestOutOfMatrixTiles:
+    """Hand-built tiles whose origin lies outside their matrix.
+
+    The reference walk rejects the first such slot when it reaches it,
+    before it counts coverage.  Every other engine must raise the same
+    error rather than clip the tile to zero area (origin at row ``m``),
+    fail on an index (origin beyond row ``m``), report the first bad
+    tile in another order, or report a coverage error instead.
+    """
+
+    # Strategy 1 is 32x32, so tile (y, x) starts at element (32y, 32x)
+    # and one tile covers a 32x32 GEMM.
+    STRATEGY = ALL_BATCHED_STRATEGIES[1]
+    # name: (number of 32x32x32 GEMMs, (gemm, y, x) per slot, error)
+    CASES = {
+        "row m": (1, [(0, 0, 0), (0, 1, 0)], "tile origin (32,0) outside matrix 32x32"),
+        "beyond row m": (
+            1,
+            [(0, 0, 0), (0, 2, 0)],
+            "tile origin (64,0) outside matrix 32x32",
+        ),
+        "negative": (1, [(0, 0, 0), (0, -1, 0)], "tile origin must be non-negative"),
+        # GEMM 0 has no tile at all, but the outside origin is reported.
+        "after an uncovered GEMM": (
+            2,
+            [(1, 0, 0), (1, 1, 0)],
+            "tile origin (32,0) outside matrix 32x32",
+        ),
+        # Grouping sorts GEMM 0 first; the walk meets GEMM 1's slot first.
+        "first in slot order": (
+            2,
+            [(1, 1, 0), (0, 0, 1), (0, 0, 0)],
+            "tile origin (32,0) outside matrix 32x32",
+        ),
+    }
+
+    @classmethod
+    def schedule(cls, slots) -> BatchSchedule:
+        return BatchSchedule.from_dict(
+            {
+                "tile_offsets": list(range(len(slots) + 1)),
+                "gemm_ids": [g for g, _, _ in slots],
+                "strategy_ids": [cls.STRATEGY.index] * len(slots),
+                "y_coords": [y for _, y, _ in slots],
+                "x_coords": [x for _, _, x in slots],
+                "threads_per_block": cls.STRATEGY.threads,
+                "shared_memory_bytes": cls.STRATEGY.shared_memory_bytes,
+                "registers_per_thread": cls.STRATEGY.registers_per_thread,
+                "slot_k": [32] * len(slots),
+            }
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "grouped", "compiled", "parallel"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_by_every_engine(self, engine, case, rng):
+        from repro.kernels.compiled import execute_compiled
+        from repro.kernels.parallel import execute_parallel
+
+        run = {
+            "reference": execute_schedule,
+            "grouped": execute_grouped,
+            "compiled": execute_compiled,
+            "parallel": lambda s, b, o: execute_parallel(s, b, o, workers=2),
+        }[engine]
+        n_gemms, slots, message = self.CASES[case]
+        batch = GemmBatch.from_shapes([(32, 32, 32)] * n_gemms)
+        ops = batch.random_operands(rng)
+        with pytest.raises(ValueError) as err:
+            run(self.schedule(slots), batch, ops)
+        assert str(err.value) == message
 
 
 class TestLowering:

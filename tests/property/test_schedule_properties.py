@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batching import batch_tiles
 from repro.core.problem import Gemm, GemmBatch
-from repro.core.schedule import build_schedule, enumerate_tiles
-from repro.core.tiling import select_tiling, strategy_by_index
+from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling, strategy_by_index
+from repro.kernels.grouped import _check_coverage, lower_schedule
+from repro.kernels.persistent import execute_schedule
 
 gemm_st = st.builds(
     Gemm,
@@ -73,3 +75,70 @@ def test_block_works_preserve_totals(batch, heuristic):
         k = batch[int(sched.gemm_ids[slot])].k
         expected += -(-k // strat.bk)
     assert total_iters == expected
+
+
+@st.composite
+def tile_cover_st(draw):
+    """One to three GEMMs with hand-built tile lists: full covers, then damaged.
+
+    Tiles are dropped, repeated, or added with another strategy or an
+    origin before, on or past the matrix edge, and the slots of all
+    GEMMs are shuffled together, so every outcome of the checks (exact,
+    uncovered, overlapping, negative, outside) is drawn, in any GEMM
+    and in any slot order.
+    """
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 150), st.integers(1, 150)), min_size=1, max_size=3)
+    )
+    slots = []
+    for gi, (m, n) in enumerate(shapes):
+        strat = draw(st.sampled_from(ALL_BATCHED_STRATEGIES))
+        rows, cols = strat.tiles_for(Gemm(m, n, 8))
+        tiles = [(gi, strat.index, y, x) for y in range(rows) for x in range(cols)]
+        for _ in range(draw(st.integers(0, 2))):
+            action = draw(st.sampled_from(["drop", "repeat", "add"]))
+            if action == "drop" and len(tiles) > 1:
+                tiles.pop(draw(st.integers(0, len(tiles) - 1)))
+            elif action == "repeat":
+                tiles.append(tiles[draw(st.integers(0, len(tiles) - 1))])
+            else:
+                other = draw(st.sampled_from(ALL_BATCHED_STRATEGIES))
+                r, c = other.tiles_for(Gemm(m, n, 8))
+                y, x = draw(st.integers(-1, r)), draw(st.integers(-1, c))
+                tiles.append((gi, other.index, y, x))
+        slots += tiles
+    return shapes, draw(st.permutations(slots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tile_cover_st())
+def test_lowering_and_coverage_check_match_reference_walk(case):
+    """Lowering plus the edge-grid check raise what the reference walk raises.
+
+    The walk counts coverage per element, so equal messages also mean
+    the cell-area weighting counts the same elements.
+    """
+    shapes, slots = case
+    batch = GemmBatch([Gemm(m, n, 8) for m, n in shapes])
+    sched = BatchSchedule(
+        tile_offsets=np.array([0, len(slots)], dtype=np.int32),
+        gemm_ids=np.array([t[0] for t in slots], dtype=np.int32),
+        strategy_ids=np.array([t[1] for t in slots], dtype=np.int32),
+        y_coords=np.array([t[2] for t in slots], dtype=np.int32),
+        x_coords=np.array([t[3] for t in slots], dtype=np.int32),
+        threads_per_block=256,
+        shared_memory_bytes=0,
+        registers_per_thread=32,
+    )
+    ops = batch.random_operands(np.random.default_rng(0))
+
+    def error_of(check):
+        try:
+            check()
+        except ValueError as err:
+            return str(err)
+        return None
+
+    want = error_of(lambda: execute_schedule(sched, batch, ops))
+    got = error_of(lambda: _check_coverage(lower_schedule(sched, batch), batch))
+    assert got == want

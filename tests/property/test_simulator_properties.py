@@ -1,10 +1,19 @@
 """Property-based tests for the kernel simulator."""
 
+import heapq
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tiling import BATCHED_STRATEGIES_256
-from repro.gpu.costmodel import BlockWork, TileWork
-from repro.gpu.simulator import KernelLaunch, simulate_kernel
+from repro.gpu.costmodel import (
+    BlockWork,
+    SmContext,
+    TileWork,
+    block_cycles,
+    l2_hit_fraction,
+)
+from repro.gpu.occupancy import occupancy
+from repro.gpu.simulator import KernelLaunch, _converge_kernel, simulate_kernel
 from repro.gpu.specs import VOLTA_V100 as V100
 
 strategy_st = st.sampled_from(BATCHED_STRATEGIES_256)
@@ -81,3 +90,96 @@ def test_deeper_tiles_never_faster(launch, extra_k):
         V100, KernelLaunch(name="deep", blocks=deeper_blocks), include_launch_overhead=False
     ).cycles
     assert deeper >= base - 1e-6
+
+
+@st.composite
+def mixed_launch_st(draw):
+    """A fused launch mixing a few distinct block compositions.
+
+    Some blocks repeat one object and some are fresh but equal objects,
+    so classes must be formed by value, not identity.  Repeating the
+    issue order up to 120 times gives launches of one wave and of many.
+    """
+    pool = draw(st.lists(strategy_st, min_size=1, max_size=3))
+    footprint = dict(
+        threads=256,
+        registers_per_thread=max(s.registers_per_thread for s in pool),
+        shared_memory_bytes=max(s.shared_memory_bytes for s in pool),
+    )
+    shapes = draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(pool), st.integers(1, 512)),
+                min_size=0,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    order = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(shapes) - 1), st.booleans()),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    repeats = draw(st.integers(1, 120))
+    shared = [
+        BlockWork(tiles=tuple(TileWork(s, k=k) for s, k in shape), **footprint)
+        for shape in shapes
+    ]
+    blocks = tuple(
+        BlockWork(tiles=tuple(TileWork(s, k=k) for s, k in shapes[i]), **footprint)
+        if fresh
+        else shared[i]
+        for i, fresh in order * repeats
+    )
+    compulsory = draw(st.one_of(st.none(), st.floats(1.0, 1e8)))
+    return KernelLaunch(name="mixed", blocks=blocks, compulsory_ab_bytes=compulsory)
+
+
+def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
+    """The fixed point with every block priced on its own, round by round."""
+    slots = device.num_sms * blocks_per_sm
+    concurrency = float(min(slots, len(blocks)))
+    traffic = float(
+        sum(t.bytes_per_iteration * t.n_iterations for b in blocks for t in b.tiles)
+    )
+    hit = l2_hit_fraction(device, compulsory_ab_bytes, traffic)
+    l2_total = device.l2_bandwidth_gbps / device.clock_ghz
+    for _ in range(4):
+        share = round(concurrency / device.num_sms + 0.499)
+        resident = max(1, min(blocks_per_sm, share))
+        ctx = SmContext(
+            resident_blocks=resident,
+            bw_bytes_per_cycle=device.bytes_per_cycle_per_device / max(1.0, concurrency),
+            l2_bw_bytes_per_cycle=l2_total / max(1.0, concurrency),
+            l2_hit_fraction=hit,
+        )
+        durations = [block_cycles(device, b, ctx) for b in blocks]
+        heap = [0.0] * slots
+        makespan = 0.0
+        for d in durations:
+            end = heapq.heappop(heap) + d
+            makespan = max(makespan, end)
+            heapq.heappush(heap, end)
+        new_concurrency = min(float(slots), max(1.0, sum(durations) / makespan))
+        if abs(new_concurrency - concurrency) < 0.5:
+            concurrency = new_concurrency
+            break
+        concurrency = new_concurrency
+    return durations, makespan, concurrency, ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(launch=mixed_launch_st())
+def test_class_pricing_matches_per_block_pricing(launch):
+    """Pricing distinct blocks once changes no number, to the last bit."""
+    first = launch.blocks[0]
+    bps = occupancy(
+        V100, first.threads, first.registers_per_thread, first.shared_memory_bytes
+    ).blocks_per_sm
+    got = _converge_kernel(V100, launch.blocks, bps, launch.compulsory_ab_bytes)
+    want = _per_block_converge(V100, launch.blocks, bps, launch.compulsory_ab_bytes)
+    assert got == want
