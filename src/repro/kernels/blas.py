@@ -1,0 +1,199 @@
+"""The BK main loop, run inside the BLAS NumPy itself loaded.
+
+Every engine multiplies a GEMM the way the tile kernel of Figure 2 does
+(lines 12-24): the K dimension is walked in ascending ``BK``-deep
+chunks, and each chunk's product is added to a float64 accumulator that
+starts at zero.  This module owns that loop, so one place decides how a
+chunk is multiplied and accumulated.
+
+**The BLAS path.**  At import the module looks for a CBLAS ``dgemm`` in
+the BLAS library NumPy loaded: it scans the shared objects mapped into
+this process (``/proc/self/maps``) whose file name contains ``blas``,
+for the 64-bit-integer entry points in :data:`_CANDIDATES`.  NumPy's
+own wheels bundle scipy-openblas64, which exports
+``scipy_cblas_dgemm64_`` -- the routine ``np.matmul`` itself calls.
+Each chunk is then one row-major ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
+call with alpha = beta = 1, so the kernel adds its register sum to the
+accumulator in the same pass that computes it.  :class:`ChunkLoop`
+builds the ctypes arguments of every call once, so a repeated run
+(a compiled artifact's) only issues the calls.  ctypes releases the GIL
+for the call, as ``np.matmul`` does.
+
+**The fallback.**  When NumPy's BLAS exports none of those entry points
+(an Accelerate build, an LP64-only CBLAS, a platform without
+``/proc``), each chunk is one ``np.matmul`` into a scratch buffer plus
+one ``np.add`` into the accumulator.  :data:`DGEMM_SYMBOL` reports the
+resolved entry point, or ``None`` on the fallback; the choice is made
+once, at import.
+
+**Bit-exactness.**  Both paths give the reference walk's bits:
+
+* a dgemm kernel forms each output element's chunk sum in registers as
+  the same ascending-``k`` FMA sequence over that element's row and
+  column, whatever the surrounding matrix shape -- so the full-width
+  chunk product equals the reference walk's per-tile (zero-padded)
+  products element for element;
+* with beta = 1 the kernel stores ``fl(acc + sum)``, and alpha = 1
+  multiplies the sum exactly, so ``acc += A @ B`` rounds exactly like
+  ``tmp = A @ B; acc += tmp``.
+
+``np.matmul`` does *not* always reach dgemm: it routes a one-row or
+one-column product to gemv, which rounds differently from the gemm the
+reference walk runs on its padded tiles (``docs/performance.md``).  A
+direct dgemm call has no such routing, which is why the fallback is
+exact only for GEMMs with at least two rows and two columns.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+__all__ = ["DGEMM_SYMBOL", "ChunkLoop", "chunk_ranges"]
+
+#: CBLAS dgemm entry points with 64-bit integer arguments, in lookup
+#: order: the scipy-openblas64 build NumPy's wheels bundle, then a plain
+#: ILP64 OpenBLAS.
+_CANDIDATES = ("scipy_cblas_dgemm64_", "cblas_dgemm64_")
+
+# The arguments every call shares, built once (ctypes passes them as is).
+_ROW_MAJOR = ctypes.c_int(101)
+_NO_TRANS = ctypes.c_int(111)
+_ONE = ctypes.c_double(1.0)
+
+
+def _mapped_blas_libraries() -> list[str]:
+    """Paths of the mapped shared objects whose file name names BLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and f[5].startswith("/")}
+    return sorted(p for p in paths if "blas" in p.rsplit("/", 1)[-1].lower())
+
+
+def _resolve() -> tuple[Optional[Callable[..., None]], Optional[str]]:
+    """The first candidate entry point any mapped BLAS library exports."""
+    libraries = _mapped_blas_libraries()
+    for symbol in _CANDIDATES:
+        for path in libraries:
+            try:
+                fn = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+            # order, transa, transb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc
+            fn.argtypes = (
+                enum, enum, enum, i64, i64, i64, f64, ptr, i64, ptr, i64, f64, ptr, i64
+            )
+            fn.restype = None
+            return fn, symbol
+    return None, None
+
+
+#: ``_DGEMM`` is the resolved ctypes function and ``DGEMM_SYMBOL`` its
+#: name; both are ``None`` when the chunk loops fall back to NumPy.
+_DGEMM, DGEMM_SYMBOL = _resolve()
+
+
+def chunk_ranges(
+    k: int, bk: int, lo: int = 0, hi: Optional[int] = None
+) -> tuple[tuple[int, int], ...]:
+    """The ``(k0, k_hi)`` ranges of BK chunks ``lo`` to ``hi`` (exclusive).
+
+    With the defaults, every chunk of a depth-``k`` reduction, ascending.
+    """
+    if hi is None:
+        hi = -(-k // bk)
+    starts = range(lo * bk, hi * bk, bk)
+    return tuple(zip(starts, [*starts[1:], min(hi * bk, k)]))
+
+
+class ChunkLoop:
+    """One accumulator's BK main loop over fixed buffers, bound once.
+
+    :meth:`run` overwrites ``acc`` (``m x n``) with
+    ``sum(a[:, k0:k_hi] @ b[k0:k_hi, :] for k0, k_hi in chunks)``,
+    added in the given order to a zeroed accumulator.  ``a`` is the
+    ``m x k`` and ``b`` the ``k x n`` operand; all three must be
+    C-contiguous 2-D float64 arrays, and ``acc`` writeable.  The checks
+    run here, once, and raise ``ValueError``.  The loop keeps references
+    to the arrays its call arguments point into, so they live as long
+    as it does.  A loop is not thread-safe: its owner serializes
+    :meth:`run`.
+    """
+
+    __slots__ = ("chunks", "_arrays", "_dgemm", "_calls", "_tmp")
+
+    def __init__(
+        self,
+        acc: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        chunks: Sequence[tuple[int, int]],
+    ) -> None:
+        for name, arr in (("acc", acc), ("a", a), ("b", b)):
+            if not (
+                isinstance(arr, np.ndarray)
+                and arr.dtype == np.float64
+                and arr.ndim == 2
+                and arr.flags.c_contiguous
+            ):
+                raise ValueError(f"{name} must be a C-contiguous 2-D float64 array")
+        (m, n), k = acc.shape, a.shape[1]
+        if a.shape != (m, k) or b.shape != (k, n):
+            raise ValueError(
+                f"shapes do not chain: acc {acc.shape}, a {a.shape}, b {b.shape}"
+            )
+        if not acc.flags.writeable:
+            raise ValueError("acc must be writeable")
+        self.chunks = tuple((int(k0), int(k_hi)) for k0, k_hi in chunks)
+        for k0, k_hi in self.chunks:
+            if not 0 <= k0 < k_hi <= k:
+                raise ValueError(f"chunk ({k0}, {k_hi}) outside 0..{k}")
+        self._arrays = (acc, a, b)
+        self._dgemm = _DGEMM
+        if self._dgemm is None:
+            self._calls = ()
+            self._tmp = np.empty((m, n), dtype=np.float64)
+            return
+        self._tmp = None
+        rows, cols, ld_a = ctypes.c_int64(m), ctypes.c_int64(n), ctypes.c_int64(k)
+        c_ptr = ctypes.c_void_p(acc.ctypes.data)
+        depth = {w: ctypes.c_int64(w) for w in {k_hi - k0 for k0, k_hi in self.chunks}}
+        a_ptr, b_ptr, item = a.ctypes.data, b.ctypes.data, a.itemsize
+        # Row-major C[m, n] += A[:, k0:k_hi] @ B[k0:k_hi, :]: the slices
+        # start k0 elements (A) and k0 rows (B) in, with the full rows
+        # of a and b as leading dimensions.  The two slice addresses are
+        # plain ints, which ctypes converts as fast as prebuilt pointers.
+        self._calls = tuple(
+            (
+                _ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cols, depth[k_hi - k0],
+                _ONE, a_ptr + item * k0, ld_a, b_ptr + item * k0 * n, cols,
+                _ONE, c_ptr, cols,
+            )
+            for k0, k_hi in self.chunks
+        )
+
+    @property
+    def scratch_bytes(self) -> int:
+        """Bytes of scratch the loop holds beyond its caller's arrays."""
+        return 0 if self._tmp is None else self._tmp.nbytes
+
+    def run(self) -> None:
+        """Overwrite the accumulator with the chunk-accumulated product."""
+        acc, a, b = self._arrays
+        acc.fill(0.0)
+        dgemm = self._dgemm
+        if dgemm is not None:
+            for args in self._calls:
+                dgemm(*args)
+            return
+        tmp = self._tmp
+        for k0, k_hi in self.chunks:
+            np.matmul(a[:, k0:k_hi], b[k0:k_hi, :], out=tmp)
+            np.add(acc, tmp, out=acc)
+

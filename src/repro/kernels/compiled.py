@@ -26,15 +26,23 @@ interpreter loop.  Compilation:
   cover (with a single BK -- every Table-2 strategy -- the epilogue
   collapses to one full-matrix vectorized expression and no index
   arrays are materialized);
-* preallocates every scratch buffer the interpreter needs (float64
-  operand copies, the chunk-product accumulator and temporary, the
-  epilogue staging buffers).
+* preallocates every buffer the interpreter needs (float64 operand
+  copies, the chunk-product accumulator, the epilogue staging buffers)
+  and binds each accumulator's BK main loop over them
+  (:class:`~repro.kernels.blas.ChunkLoop`): one BLAS call per chunk,
+  its arguments built once.
 
-Execution (:meth:`CompiledPlan.run`) is then a fixed sequence of
-``np.copyto`` / ``np.matmul`` / ``np.multiply`` / ``np.add`` calls over
-those buffers: **zero Python plan-walking and zero per-call
-allocation** except the returned output arrays themselves (callers own
-the results, so they must be fresh).
+Execution (:meth:`CompiledPlan.run`) is then a fixed sequence: copy the
+operands in, make the bound calls, run the epilogue's ``np.multiply``
+/ ``np.add`` over the staging buffers -- **zero Python plan-walking and
+zero per-call allocation** except the returned output arrays
+themselves (callers own the results, so they must be fresh).  Where
+NumPy's BLAS exports a CBLAS dgemm (:data:`repro.kernels.blas.DGEMM_SYMBOL`
+names it), each call is one ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
+dgemm with alpha = beta = 1: the chunk product is added to the
+accumulator inside BLAS, with no temporary and no second pass.
+Otherwise the loop falls back to ``np.matmul`` into a scratch buffer
+plus ``np.add``.
 
 **Bit-exactness contract.**  ``execute_compiled`` is bit-identical to
 :func:`repro.kernels.grouped.execute_grouped` (and therefore to the
@@ -44,9 +52,10 @@ reference walk):
   produces the same values and layout as the grouped engine's
   ``np.ascontiguousarray(..., dtype=np.float64)`` copies, so BLAS sees
   identical inputs;
-* the K reduction issues the *same full-width per-chunk matmuls* in the
-  same ascending order, accumulated in float64 by the same
-  ``np.add``;
+* the K reduction runs through the same :mod:`repro.kernels.blas`
+  loop as the grouped engine: the same full-width per-chunk products,
+  accumulated in float64 in the same ascending order (that module
+  explains why ``acc += A @ B`` rounds like ``tmp = A @ B; acc += tmp``);
 * the alpha/beta epilogue is elementwise, so evaluating it over the
   full matrix (or through flat index gathers) performs the identical
   float64 FMA-and-round per element as the grouped engine's per-window
@@ -82,6 +91,7 @@ import numpy as np
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import strategy_by_index
+from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.grouped import (
     _batch_token,
     _check_coverage,
@@ -106,29 +116,29 @@ __all__ = [
 class ChunkProgram:
     """One BK depth's precompiled work for one GEMM.
 
-    ``chunks`` holds the ascending ``(k0, k_hi)`` ranges of the K main
-    loop (plain ints -- the interpreter slices with them directly).
     ``scatter`` is ``None`` when this program's tiles cover the whole
     output matrix (the single-BK fast path); otherwise it is the flat
     int64 element-index array, into the row-major ``(m * n)`` output,
     of exactly the elements this BK's tiles cover.  ``acc`` is the
-    preallocated float64 chunk-product accumulator.
+    preallocated float64 accumulator, and ``loop`` the BK main loop
+    bound over it and the GEMM's staged operands: one BLAS call per
+    ascending ``(k0, k_hi)`` range in ``loop.chunks``.
     """
 
     bk: int
-    chunks: tuple[tuple[int, int], ...]
     scatter: Optional[np.ndarray]
     acc: np.ndarray = field(repr=False)
+    loop: ChunkLoop = field(repr=False)
 
 
 @dataclass(frozen=True)
 class CompiledGemm:
     """One GEMM's compiled programs plus its preallocated scratch.
 
-    ``a64`` / ``b64`` stage the float64 ``op(A)`` / ``op(B)`` copies;
-    ``tmp`` holds one chunk product; ``c64`` and ``e64`` stage the
-    epilogue.  All are reused across calls -- :meth:`CompiledPlan.run`
-    never allocates them.
+    ``a64`` / ``b64`` stage the float64 ``op(A)`` / ``op(B)`` copies
+    the programs' loops read; ``c64`` and ``e64`` stage the epilogue.
+    All are reused across calls -- :meth:`CompiledPlan.run` never
+    allocates them.
     """
 
     gemm_index: int
@@ -138,7 +148,6 @@ class CompiledGemm:
     programs: tuple[ChunkProgram, ...]
     a64: np.ndarray = field(repr=False)
     b64: np.ndarray = field(repr=False)
-    tmp: np.ndarray = field(repr=False)
     c64: np.ndarray = field(repr=False)
     e64: np.ndarray = field(repr=False)
 
@@ -162,18 +171,18 @@ class CompiledPlan:
 
     @property
     def num_chunks(self) -> int:
-        """Total BK chunk-product matmuls one execution issues."""
-        return sum(len(p.chunks) for g in self.gemms for p in g.programs)
+        """Total BK chunk-product BLAS calls one execution issues."""
+        return sum(len(p.loop.chunks) for g in self.gemms for p in g.programs)
 
     @property
     def scratch_bytes(self) -> int:
         """Bytes of preallocated scratch the artifact holds."""
         total = 0
         for g in self.gemms:
-            for buf in (g.a64, g.b64, g.tmp, g.c64, g.e64):
+            for buf in (g.a64, g.b64, g.c64, g.e64):
                 total += buf.nbytes
             for p in g.programs:
-                total += p.acc.nbytes
+                total += p.acc.nbytes + p.loop.scratch_bytes
                 if p.scatter is not None:
                     total += p.scatter.nbytes
         return total
@@ -210,10 +219,7 @@ class CompiledPlan:
                 out: Optional[np.ndarray] = None
                 for prog in cg.programs:
                     acc = prog.acc
-                    acc.fill(0.0)
-                    for k0, k_hi in prog.chunks:
-                        np.matmul(cg.a64[:, k0:k_hi], cg.b64[k0:k_hi, :], out=cg.tmp)
-                        np.add(acc, cg.tmp, out=acc)
+                    prog.loop.run()
                     # Elementwise alpha/beta epilogue in float64; the
                     # per-element arithmetic and the final cast match
                     # the grouped engine bit for bit.
@@ -252,10 +258,9 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
         bk_groups = by_gemm.get(gi, {})
         programs: list[ChunkProgram] = []
         single_bk = len(bk_groups) == 1
+        a64 = np.empty((m, k), dtype=np.float64)
+        b64 = np.empty((k, n), dtype=np.float64)
         for bk in sorted(bk_groups):
-            chunks = tuple(
-                (k0, min(k0 + bk, k)) for k0 in range(0, k, bk)
-            )
             scatter: Optional[np.ndarray] = None
             if not single_bk:
                 # Flat element indices of every output element covered
@@ -275,12 +280,13 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
                 scatter = np.concatenate(idx_parts) if idx_parts else np.empty(
                     0, dtype=np.int64
                 )
+            acc = np.zeros((m, n), dtype=np.float64)
             programs.append(
                 ChunkProgram(
                     bk=bk,
-                    chunks=chunks,
                     scatter=scatter,
-                    acc=np.zeros((m, n), dtype=np.float64),
+                    acc=acc,
+                    loop=ChunkLoop(acc, a64, b64, chunk_ranges(k, bk)),
                 )
             )
         compiled.append(
@@ -290,9 +296,8 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
                 n=n,
                 k=k,
                 programs=tuple(programs),
-                a64=np.empty((m, k), dtype=np.float64),
-                b64=np.empty((k, n), dtype=np.float64),
-                tmp=np.empty((m, n), dtype=np.float64),
+                a64=a64,
+                b64=b64,
                 c64=np.empty((m, n), dtype=np.float64),
                 e64=np.empty((m, n), dtype=np.float64),
             )

@@ -15,8 +15,8 @@ operations.  A :class:`BatchSchedule` is *lowered* once into a
 a GEMM's groups jointly tile its whole C matrix, the per-tile
 ``(by, chunk, bx)`` products of every group collapse onto *windows of
 one shared chunk-accumulated full product* ``sum_c A[:,c] @ B[c,:]``
-(one ``np.matmul`` per ``BK`` chunk per GEMM, instead of one per tile
-slot per chunk).  Each group then gathers its windows into a
+(one BLAS call per ``BK`` chunk per GEMM, instead of one matmul per
+tile slot per chunk).  Each group then gathers its windows into a
 ``(G, by, bx)`` stack, applies the alpha/beta epilogue as one
 vectorized expression, and scatters the results back; output coverage
 is validated with one difference-array pass per GEMM instead of a
@@ -26,17 +26,21 @@ per-element counter walk.
 are bit-identical to :func:`repro.kernels.persistent.execute_schedule`.
 Two properties make this possible:
 
-* the K reduction keeps the reference's chunk order -- one matmul per
+* the K reduction keeps the reference's chunk order -- one product per
   ``BK`` chunk, accumulated in float64 in ascending ``k0`` order (a
   single full-K matmul would associate the sum differently and drift
   in the last bits);
-* within one ``BK`` chunk, BLAS computes every output element as the
-  same ascending-``k`` FMA sequence over its row/column operands,
-  independent of the surrounding matrix shape -- so the full-operand
-  chunk product agrees element-for-element with the reference's staged
-  per-tile products, interior and (zero-padded) edge tiles alike.
+* each chunk product is a dgemm, and a dgemm kernel computes every
+  output element as the same ascending-``k`` FMA sequence over its
+  row/column operands, whatever the surrounding matrix shape -- so the
+  full-operand chunk product agrees element-for-element with the
+  reference's staged per-tile products, interior and (zero-padded)
+  edge tiles alike.  The loop lives in :mod:`repro.kernels.blas`,
+  which calls dgemm directly: ``np.matmul`` would send a one-row or
+  one-column product to gemv, which rounds differently.
   The equivalence test suite pins this property bitwise across all
-  twelve Table-2 strategies, transposed operands, and ragged edges.
+  twelve Table-2 strategies, transposed operands, ragged edges, and
+  one-row and one-column float64 GEMMs.
 
 The lowered plan depends only on the schedule and the batch *shapes*
 (never on operand data), so it is memoized per schedule in a bounded
@@ -64,6 +68,7 @@ import numpy as np
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, strategy_by_index
+from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.memo import PlanMemo
 from repro.telemetry import get_tracer
 
@@ -318,17 +323,12 @@ def _chunk_product(a64: np.ndarray, b64: np.ndarray, bk: int) -> np.ndarray:
     """``op(A) @ op(B)`` accumulated one BK chunk at a time.
 
     This is the K main loop of Figure 2 hoisted from per-tile staging
-    buffers to the full operands: one matmul per BK chunk, accumulated
-    in float64 in ascending chunk order.
+    buffers to the full operands: one BLAS call per BK chunk,
+    accumulated in float64 in ascending chunk order
+    (:mod:`repro.kernels.blas`).
     """
-    m, k = a64.shape
-    n = b64.shape[1]
-    acc = np.zeros((m, n), dtype=np.float64)
-    tmp = np.empty((m, n), dtype=np.float64)
-    for k0 in range(0, k, bk):
-        k_hi = min(k0 + bk, k)
-        np.matmul(a64[:, k0:k_hi], b64[k0:k_hi, :], out=tmp)
-        np.add(acc, tmp, out=acc)
+    acc = np.empty((a64.shape[0], b64.shape[1]), dtype=np.float64)
+    ChunkLoop(acc, a64, b64, chunk_ranges(a64.shape[1], bk)).run()
     return acc
 
 

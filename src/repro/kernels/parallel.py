@@ -31,13 +31,11 @@ processes: the matmuls drop the GIL, operands are shared zero-copy).
 reference walk) at every worker count.  Floating-point addition is not
 associative, so a shard must **not** pre-accumulate its chunk products
 into a private partial sum -- ``(c0+c1)+(c2+c3)`` rounds differently
-from ``((c0+c1)+c2)+c3``, and on this library's BLAS even row-slicing
-a ``(m, BK) @ (BK, n)`` product changes last-bit results (the kernel
-selected depends on the operand shape).  Three rules keep the engine
-exact:
+from ``((c0+c1)+c2)+c3``.  Three rules keep the engine exact:
 
-* a product shard issues the *same full-width per-chunk matmuls* the
-  grouped engine issues -- never a reshaped or sliced variant;
+* a product shard computes the *same full-width per-chunk products*
+  the grouped engine computes, through the same
+  :mod:`repro.kernels.blas` loop;
 * a split product's chunk products are merged into the shared
   accumulator by the coordinating thread in ascending chunk order
   (deterministic shard-merge order), replaying the grouped engine's
@@ -76,6 +74,7 @@ import numpy as np
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import strategy_by_index
+from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.grouped import (
     GroupedPlan,
     TileGroup,
@@ -376,7 +375,7 @@ def _run_product_shard(
     (it is that accumulator's only writer) with the grouped engine's
     exact per-chunk loop.  A split shard returns its chunk products
     unaccumulated, stacked in one ``(chunks, m, n)`` buffer (a single
-    allocation, matmul'd into slicewise) -- the coordinator merges
+    allocation, one product per slice) -- the coordinator merges
     them into the accumulator in ascending chunk order, because
     pre-accumulating here would re-associate the float sum and break
     bit-exactness.
@@ -385,22 +384,13 @@ def _run_product_shard(
     a64, b64 = ctx.a64, ctx.b64
     bk = shard.bk
     if not shard.split:
-        acc = ctx.accs[bk]
-        tmp = np.empty_like(acc)
-        for k0 in range(0, k, bk):
-            k_hi = min(k0 + bk, k)
-            np.matmul(a64[:, k0:k_hi], b64[k0:k_hi, :], out=tmp)
-            np.add(acc, tmp, out=acc)
+        ChunkLoop(ctx.accs[bk], a64, b64, chunk_ranges(k, bk)).run()
         return None, time.perf_counter() - t0
-    acc = ctx.accs[bk]
-    stack = np.empty(
-        (shard.chunk_hi - shard.chunk_lo, acc.shape[0], acc.shape[1]),
-        dtype=np.float64,
-    )
-    for i, chunk in enumerate(range(shard.chunk_lo, shard.chunk_hi)):
-        k0 = chunk * bk
-        k_hi = min(k0 + bk, k)
-        np.matmul(a64[:, k0:k_hi], b64[k0:k_hi, :], out=stack[i])
+    m, n = ctx.accs[bk].shape
+    chunks = chunk_ranges(k, bk, shard.chunk_lo, shard.chunk_hi)
+    stack = np.empty((len(chunks), m, n), dtype=np.float64)
+    for product, chunk in zip(stack, chunks):
+        ChunkLoop(product, a64, b64, (chunk,)).run()
     return stack, time.perf_counter() - t0
 
 

@@ -20,9 +20,9 @@ from ``parallel.py`` verbatim) and replaces the executor substrate:
   ``(arena name, shard descriptor)`` task tuples and never a matrix
   crosses a pipe;
 * per-execute the coordinator stages operands into the arena **once**,
-  workers compute their BK-chunk / epilogue shards as fat GIL-free
-  ``np.matmul`` calls into per-worker heap scratch (copied into their
-  arena slabs), and the coordinator merges split-product chunk slabs
+  workers compute their BK-chunk / epilogue shards with fat GIL-free
+  BLAS calls (the :mod:`repro.kernels.blas` loop) straight into their
+  arena slabs, and the coordinator merges split-product chunk slabs
   into the shared accumulator **in ascending chunk order** -- replaying
   the grouped engine's exact addition sequence, so outputs stay
   byte-identical to :func:`repro.kernels.grouped.execute_grouped` (and
@@ -109,6 +109,7 @@ import numpy as np
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import strategy_by_index
+from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.grouped import (
     GroupedPlan,
     TileGroup,
@@ -534,9 +535,6 @@ def clear_procpool_runtimes() -> None:
 _WORKER_SEGMENTS: "OrderedDict[str, _shm.SharedMemory]" = OrderedDict()
 _WORKER_SEGMENT_CAP = 8
 
-_WORKER_SCRATCH: "OrderedDict[tuple[int, int], np.ndarray]" = OrderedDict()
-_WORKER_SCRATCH_CAP = 8
-
 
 def _worker_segment(name: str) -> _shm.SharedMemory:
     seg = _WORKER_SEGMENTS.get(name)
@@ -559,49 +557,28 @@ def _worker_view(name: str, slab: tuple, dtype: Any = np.float64) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=_worker_segment(name).buf, offset=offset)
 
 
-def _worker_scratch(m: int, n: int) -> np.ndarray:
-    buf = _WORKER_SCRATCH.get((m, n))
-    if buf is not None:
-        _WORKER_SCRATCH.move_to_end((m, n))
-        return buf
-    buf = np.empty((m, n), dtype=np.float64)
-    _WORKER_SCRATCH[(m, n)] = buf
-    while len(_WORKER_SCRATCH) > _WORKER_SCRATCH_CAP:
-        _WORKER_SCRATCH.popitem(last=False)
-    return buf
-
-
 def _run_product_task(task: _ProductTask) -> tuple[int, float]:
     """Execute one product shard inside a worker process.
 
-    An unsplit shard replays the grouped engine's exact loop -- one
-    full-width matmul per BK chunk into heap scratch, added into the
-    shared accumulator in ascending chunk order (this worker is that
-    accumulator's only writer).  A split shard computes its contiguous
-    chunk range into heap scratch and copies each product into its
-    stack slab *unaccumulated*: pre-summing here would re-associate the
-    float addition sequence and break bit-exactness, so the ordered
-    merge belongs to the coordinator.
+    An unsplit shard runs the grouped engine's exact loop -- one BLAS
+    call per BK chunk, accumulated straight into the shared accumulator
+    slab in ascending chunk order (this worker is that accumulator's
+    only writer).  A split shard writes each chunk's product into its
+    own stack slice *unaccumulated*: pre-summing here would
+    re-associate the float addition sequence and break bit-exactness,
+    so the ordered merge belongs to the coordinator.
     """
     t0 = time.perf_counter()
     a64 = _worker_view(task.arena, task.a)
     b64 = _worker_view(task.arena, task.b)
-    m, n = task.acc[1]
-    tmp = _worker_scratch(m, n)
-    bk, k = task.bk, task.k
     if task.stack is None:
         acc = _worker_view(task.arena, task.acc)
-        for k0 in range(0, k, bk):
-            k_hi = min(k0 + bk, k)
-            np.matmul(a64[:, k0:k_hi], b64[k0:k_hi, :], out=tmp)
-            np.add(acc, tmp, out=acc)
+        ChunkLoop(acc, a64, b64, chunk_ranges(task.k, task.bk)).run()
     else:
         stack = _worker_view(task.arena, task.stack)
-        for i, chunk in enumerate(range(task.chunk_lo, task.chunk_hi)):
-            k0 = chunk * bk
-            k_hi = min(k0 + bk, k)
-            np.matmul(a64[:, k0:k_hi], b64[k0:k_hi, :], out=tmp)
-            np.copyto(stack[i], tmp)
+        chunks = chunk_ranges(task.k, task.bk, task.chunk_lo, task.chunk_hi)
+        for product, chunk in zip(stack, chunks):
+            ChunkLoop(product, a64, b64, (chunk,)).run()
     return os.getpid(), time.perf_counter() - t0
 
 
@@ -927,11 +904,6 @@ def _execute_on_runtime(
         np.copyto(arena.view(*runtime.slabs[f"b:{gi}"]), gemm.op_b(b))
         off, shape = runtime.slabs[f"c:{gi}"]
         np.copyto(arena.view(off, shape, c.dtype), c)
-    for task in runtime.product_tasks:
-        if task.stack is None:
-            # The unsplit worker accumulates in place; split products
-            # are zeroed at merge time by the coordinator.
-            arena.view(*task.acc).fill(0.0)
     stage_s = time.perf_counter() - t0
 
     # -- submit product shards; merge split stacks in chunk order ----

@@ -1,0 +1,166 @@
+"""Tests for the BK main loop helper shared by every engine.
+
+``repro.kernels.blas`` runs each chunk as one dgemm call (alpha = beta
+= 1) when NumPy's BLAS exports a CBLAS dgemm, and as ``np.matmul`` plus
+``np.add`` otherwise.  Both must give the bits of the parent loop, and
+every engine must match the reference walk bit for bit -- including on
+one-row and one-column GEMMs, which ``np.matmul`` sends to gemv.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.problem import Gemm, GemmBatch
+from repro.kernels import blas
+from repro.kernels.blas import ChunkLoop, chunk_ranges
+from repro.kernels.compiled import execute_compiled
+from repro.kernels.grouped import execute_grouped, grouped_plan_for
+from repro.kernels.parallel import execute_parallel, plan_shards
+from repro.kernels.persistent import execute_schedule
+from repro.kernels.procpool import execute_procpool
+
+from .test_parallel import make_schedule
+
+
+def numpy_loop(a: np.ndarray, b: np.ndarray, bk: int) -> np.ndarray:
+    """The chunk loop every engine ran before the helper existed."""
+    m, k = a.shape
+    acc = np.zeros((m, b.shape[1]))
+    tmp = np.empty_like(acc)
+    for k0 in range(0, k, bk):
+        np.matmul(a[:, k0 : k0 + bk], b[k0 : k0 + bk, :], out=tmp)
+        np.add(acc, tmp, out=acc)
+    return acc
+
+
+@pytest.fixture(params=["dgemm", "fallback"])
+def path(request):
+    """Each helper test runs once per chunk-loop path."""
+    if request.param == "fallback":
+        request.getfixturevalue("blas_fallback")
+    elif blas.DGEMM_SYMBOL is None:
+        pytest.skip("NumPy's BLAS exports no CBLAS dgemm")
+    return request.param
+
+
+class TestResolution:
+    def test_symbol_reports_the_resolved_entry_point(self):
+        if blas.DGEMM_SYMBOL is None:
+            assert blas._DGEMM is None
+        else:
+            assert blas.DGEMM_SYMBOL in blas._CANDIDATES
+            assert blas._DGEMM.__name__ == blas.DGEMM_SYMBOL
+
+    def test_loop_takes_the_path_resolved_when_bound(self, path):
+        a, b, acc = np.ones((3, 4)), np.ones((4, 5)), np.empty((3, 5))
+        loop = ChunkLoop(acc, a, b, chunk_ranges(4, 2))
+        on_blas = path == "dgemm"
+        assert loop.scratch_bytes == (0 if on_blas else acc.nbytes)
+
+
+class TestChunkLoop:
+    def test_chunk_ranges(self):
+        assert chunk_ranges(20, 8) == ((0, 8), (8, 16), (16, 20))
+        assert chunk_ranges(20, 8, 1, 3) == ((8, 16), (16, 20))
+        assert chunk_ranges(8, 8) == ((0, 8),)
+
+    def test_matches_the_numpy_loop_bitwise(self, path, rng):
+        """Random shapes with at least two rows and columns, signed zeros."""
+        for trial in range(60):
+            m, n = rng.integers(2, 90, size=2)
+            k = int(rng.integers(1, 70))
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            if trial % 2:
+                a[rng.random(a.shape) < 0.3] = -0.0
+            acc = np.full((m, n), np.nan)  # run must overwrite, not add
+            ChunkLoop(acc, a, b, chunk_ranges(k, 8)).run()
+            want = numpy_loop(a, b, 8)
+            assert np.array_equal(acc, want), (m, n, k)
+            assert np.array_equal(np.signbit(acc), np.signbit(want)), (m, n, k)
+
+    def test_rerun_gives_the_same_bits(self, path, rng):
+        a, b = rng.standard_normal((17, 40)), rng.standard_normal((40, 23))
+        acc = np.empty((17, 23))
+        loop = ChunkLoop(acc, a, b, chunk_ranges(40, 8))
+        loop.run()
+        first = acc.copy()
+        a[:] = rng.standard_normal(a.shape)  # the loop reads the live buffers
+        loop.run()
+        assert np.array_equal(acc, numpy_loop(a, b, 8))
+        assert not np.array_equal(acc, first)
+
+    @pytest.mark.parametrize(
+        "acc,a,b,message",
+        [
+            (np.empty((3, 5), np.float32), np.ones((3, 4)), np.ones((4, 5)), "acc must"),
+            (np.empty((3, 5)), np.ones((4, 3)).T, np.ones((4, 5)), "a must"),
+            (np.empty((3, 5)), np.ones((3, 4)), np.ones(20), "b must"),
+            (np.empty((3, 5)), np.ones((3, 4)), np.ones((3, 5)), "do not chain"),
+            (np.empty((3, 6)), np.ones((3, 4)), np.ones((4, 5)), "do not chain"),
+        ],
+    )
+    def test_rejects_buffers_the_call_cannot_address(self, acc, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            ChunkLoop(acc, a, b, chunk_ranges(4, 2))
+
+    def test_rejects_read_only_accumulator(self):
+        acc = np.empty((3, 5))
+        acc.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            ChunkLoop(acc, np.ones((3, 4)), np.ones((4, 5)), chunk_ranges(4, 2))
+
+    @pytest.mark.parametrize("chunk", [(-1, 2), (2, 2), (3, 5), (0, 5)])
+    def test_rejects_chunks_outside_the_reduction(self, chunk):
+        with pytest.raises(ValueError, match="outside"):
+            ChunkLoop(np.empty((3, 5)), np.ones((3, 4)), np.ones((4, 5)), [chunk])
+
+
+@pytest.mark.skipif(
+    blas.DGEMM_SYMBOL is None,
+    reason="the np.matmul fallback sends one-row products to gemv",
+)
+class TestOneRowOneColumn:
+    """Float64 GEMMs with one row or one column, on all five engines.
+
+    ``np.matmul`` computes a (1 x w) @ (w x n) or (m x w) @ (w x 1)
+    chunk product with gemv, which rounds differently from the gemm the
+    reference walk runs on its zero-padded tiles; the fp32 cast hides
+    it, float64 outputs do not.  With two workers each GEMM's product
+    splits into chunk shards (the ordered-merge path); with one it does
+    not.
+    """
+
+    SHAPES = [(1, 200, 64), (200, 1, 64), (1, 81, 298), (2, 1, 302)]
+    ENGINES = {
+        "grouped": lambda s, b, o, w: execute_grouped(s, b, o),
+        "compiled": lambda s, b, o, w: execute_compiled(s, b, o),
+        "parallel": lambda s, b, o, w: execute_parallel(s, b, o, workers=w),
+        "procpool": lambda s, b, o, w: execute_procpool(s, b, o, workers=w, min_flops=0),
+    }
+    RUNS = [
+        ("grouped", 1),
+        ("compiled", 1),
+        ("parallel", 1),
+        ("parallel", 2),
+        ("procpool", 1),
+        ("procpool", 2),
+    ]
+
+    @pytest.mark.parametrize("engine,workers", RUNS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_reference(self, rng, shape, engine, workers):
+        batch = GemmBatch([Gemm(*shape)])
+        ops = batch.random_operands(rng, dtype=np.float64)
+        sched = make_schedule(batch)
+        if workers == 2:
+            shards = plan_shards(grouped_plan_for(sched, batch), batch, workers)
+            assert any(s.split for s in shards.products)
+        want = execute_schedule(sched, batch, ops)[0]
+        got = self.ENGINES[engine](sched, batch, ops, workers)[0]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want), (
+            f"max |delta| = {np.max(np.abs(got - want))}"
+        )

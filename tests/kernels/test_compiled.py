@@ -15,6 +15,7 @@ import gc
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,77 @@ class TestBitExactEquivalence:
         assert np.array_equal(got[0], want[0])
         oracle = reference_batched_gemm(batch, ops)
         np.testing.assert_allclose(got[0], oracle[0], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.usefixtures("blas_fallback")
+class TestBitExactEquivalenceFallback(TestBitExactEquivalence):
+    """The same equivalences on the ``np.matmul`` + ``np.add`` chunk loop."""
+
+
+class TestBoundBuffers:
+    """The bound BLAS calls hold raw pointers into each artifact's buffers."""
+
+    def test_artifacts_compiled_and_dropped_in_a_loop(self, small_batch, rng):
+        sched = make_schedule(small_batch)
+        ops = small_batch.random_operands(rng)
+        want = execute_schedule(sched, small_batch, ops)
+        for _ in range(25):
+            artifact = compile_plan(sched, small_batch)
+            gc.collect()
+            # Reuse freed memory: a dangling pointer would now hit NaNs.
+            junk = [np.full((g.m, g.n), np.nan) for g in small_batch]
+            got = artifact.run(small_batch, ops)
+            del artifact, junk
+            gc.collect()
+            for have, expect in zip(got, want):
+                assert np.array_equal(have, expect)
+
+    def test_loop_keeps_its_buffers_alive(self, small_batch):
+        artifact = compile_plan(make_schedule(small_batch), small_batch)
+        cg = artifact.gemms[0]
+        loop = cg.programs[0].loop
+        refs = [weakref.ref(buf) for buf in (cg.programs[0].acc, cg.a64, cg.b64)]
+        del artifact, cg
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        del loop
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_two_artifacts_of_one_schedule_share_no_accumulator(self, small_batch, rng):
+        sched = make_schedule(small_batch)
+        first, second = compile_plan(sched, small_batch), compile_plan(sched, small_batch)
+
+        def buffers(artifact):
+            for cg in artifact.gemms:
+                yield from (cg.a64, cg.b64, cg.c64, cg.e64)
+                yield from (p.acc for p in cg.programs)
+
+        for mine in buffers(first):
+            for theirs in buffers(second):
+                assert not np.shares_memory(mine, theirs)
+
+        # Run both at once (separate locks) on different operands.
+        operands = [small_batch.random_operands(rng) for _ in range(2)]
+        wants = [execute_schedule(sched, small_batch, ops) for ops in operands]
+        failures: list = []
+
+        def hammer(artifact, ops, want):
+            for _ in range(30):
+                for have, expect in zip(artifact.run(small_batch, ops), want):
+                    if not np.array_equal(have, expect):
+                        failures.append(artifact)
+
+        threads = [
+            threading.Thread(target=hammer, args=(art, ops, want))
+            for art, ops, want in zip((first, second), operands, wants)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not failures
 
 
 class TestCompiledContract:

@@ -138,6 +138,11 @@ class TestBitExactEquivalence:
         assert all(o.dtype == np.float32 for o in got)
 
 
+@pytest.mark.usefixtures("blas_fallback")
+class TestBitExactEquivalenceFallback(TestBitExactEquivalence):
+    """The same equivalences on the ``np.matmul`` + ``np.add`` chunk loop."""
+
+
 class TestExecuteGroupedContract:
     def test_operand_mismatch_rejected(self, small_batch, rng):
         ops = small_batch.random_operands(rng)[:-1]
