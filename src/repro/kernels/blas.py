@@ -26,16 +26,32 @@ one ``np.add`` into the accumulator.  :data:`DGEMM_SYMBOL` reports the
 resolved entry point, or ``None`` on the fallback; the choice is made
 once, at import.
 
-**Bit-exactness.**  Both paths give the reference walk's bits:
+**Bit-exactness.**  Both paths give the reference walk's bits, except
+for the large float64 calls described after this list:
 
 * a dgemm kernel forms each output element's chunk sum in registers as
-  the same ascending-``k`` FMA sequence over that element's row and
-  column, whatever the surrounding matrix shape -- so the full-width
-  chunk product equals the reference walk's per-tile (zero-padded)
-  products element for element;
+  an ascending-``k`` FMA sequence over that element's row and column,
+  so a full-width chunk product equals the reference walk's per-tile
+  (zero-padded) products element for element -- when both calls run
+  the same kernel;
 * with beta = 1 the kernel stores ``fl(acc + sum)``, and alpha = 1
   multiplies the sum exactly, so ``acc += A @ B`` rounds exactly like
   ``tmp = A @ B; acc += tmp``.
+
+That sum is *not* the same whatever the surrounding matrix shape.  On
+scipy-openblas 0.3.31 (SkylakeX kernels), a float64 chunk call of more
+than 10**6 multiply-adds (``m * n * (k_hi - k0)``) can round the
+elements of its last ``n mod 8`` columns differently from the
+tile-sized calls of the reference walk.  An ``(m x 8) @ (8 x 381)``
+product matched its zero-padded 64 x 64 tile products for every m from
+2 to 328 (at most 999,744 multiply-adds), and differed from them in
+its last five columns, and only there, for every m from 329
+(1,002,792) to 419.  Every engine's float64 output then differs from
+the walk in those columns: (331, 381, 73), (511, 509, 24) and
+(257, 500, 40) do; (200, 381, 73) and (128, 784, 256) do not.
+``tests/kernels/test_blas.py`` keeps an ``xfail`` reproducer and
+``docs/performance.md`` the counts.  fp16 and fp32 outputs have hidden
+it so far: the final cast rounds the difference away.
 
 ``np.matmul`` does *not* always reach dgemm: it routes a one-row or
 one-column product to gemv, which rounds differently from the gemm the

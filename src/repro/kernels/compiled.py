@@ -26,17 +26,28 @@ interpreter loop.  Compilation:
   cover (with a single BK -- every Table-2 strategy -- the epilogue
   collapses to one full-matrix vectorized expression and no index
   arrays are materialized);
-* preallocates every buffer the interpreter needs (float64 operand
-  copies, the chunk-product accumulator, the epilogue staging buffers)
-  and binds each accumulator's BK main loop over them
+* allocates one float64 **arena** per artifact, sized by its largest
+  GEMM: ``max(m*k + k*n + 2*m*n)`` elements.  The GEMMs run one after
+  another under the artifact's lock, so each GEMM's staging -- the
+  ``op(A)`` / ``op(B)`` copies ``a64`` / ``b64``, the accumulator
+  ``acc`` all its BK programs share, and the ``beta * C`` buffer
+  ``c64`` -- is a set of C-contiguous views into the front of that one
+  arena, the way the paper's persistent block (Figure 7) reuses one
+  staging footprint, sized by the largest strategy, for every tile it
+  takes;
+* binds each GEMM's BK main loops over its views
   (:class:`~repro.kernels.blas.ChunkLoop`): one BLAS call per chunk,
   its arguments built once.
 
-Execution (:meth:`CompiledPlan.run`) is then a fixed sequence: copy the
-operands in, make the bound calls, run the epilogue's ``np.multiply``
-/ ``np.add`` over the staging buffers -- **zero Python plan-walking and
-zero per-call allocation** except the returned output arrays
-themselves (callers own the results, so they must be fresh).  Where
+Execution (:meth:`CompiledPlan.run`) is then a fixed sequence per GEMM:
+copy the operands in, make the bound calls, and run the epilogue in
+three passes -- ``acc *= alpha`` in place, ``c64 = beta * C`` in
+float64, and one ``np.add`` of the two cast straight into the fresh
+output -- **zero Python plan-walking and zero per-call allocation**
+except the returned output arrays themselves (callers own the results,
+so they must be fresh).  Each GEMM rewrites its staging, zeroes its
+accumulator and overwrites ``c64`` before reading them, so nothing an
+earlier GEMM left in the arena reaches an output.  Where
 NumPy's BLAS exports a CBLAS dgemm (:data:`repro.kernels.blas.DGEMM_SYMBOL`
 names it), each call is one ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
 dgemm with alpha = beta = 1: the chunk product is added to the
@@ -58,13 +69,18 @@ reference walk):
   explains why ``acc += A @ B`` rounds like ``tmp = A @ B; acc += tmp``);
 * the alpha/beta epilogue is elementwise, so evaluating it over the
   full matrix (or through flat index gathers) performs the identical
-  float64 FMA-and-round per element as the grouped engine's per-window
-  evaluation.
+  float64 multiplies, add and final cast per element as the grouped
+  engine's per-window ``(alpha * acc + beta * c64).astype(c.dtype)``.
+  ``beta * C`` is computed in float64 (``dtype=np.float64``: NumPy 2
+  would multiply a float32 C by a Python-float beta in float32), and
+  the add casts its float64 sum into the output with
+  ``casting="unsafe"``, the cast ``astype`` makes.
 
-Because the scratch buffers are shared, a :class:`CompiledPlan` guards
-:meth:`run` with a lock: concurrent executions of *one* artifact
-serialize (different artifacts run concurrently), trading a little
-parallelism for allocation-free steady state.
+Because every GEMM of an artifact stages in its one arena, a
+:class:`CompiledPlan` guards :meth:`run` with a lock: concurrent
+executions of *one* artifact serialize (different artifacts own
+different arenas and run concurrently), trading a little parallelism
+for allocation-free steady state.
 
 Artifacts are memoized in a bounded weakref
 :class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity and
@@ -120,9 +136,10 @@ class ChunkProgram:
     output matrix (the single-BK fast path); otherwise it is the flat
     int64 element-index array, into the row-major ``(m * n)`` output,
     of exactly the elements this BK's tiles cover.  ``acc`` is the
-    preallocated float64 accumulator, and ``loop`` the BK main loop
-    bound over it and the GEMM's staged operands: one BLAS call per
-    ascending ``(k0, k_hi)`` range in ``loop.chunks``.
+    GEMM's float64 accumulator (a view into the artifact's arena,
+    shared by all of the GEMM's programs), and ``loop`` the BK main
+    loop bound over it and the GEMM's staged operands: one BLAS call
+    per ascending ``(k0, k_hi)`` range in ``loop.chunks``.
     """
 
     bk: int
@@ -133,12 +150,13 @@ class ChunkProgram:
 
 @dataclass(frozen=True)
 class CompiledGemm:
-    """One GEMM's compiled programs plus its preallocated scratch.
+    """One GEMM's compiled programs plus its staging views.
 
     ``a64`` / ``b64`` stage the float64 ``op(A)`` / ``op(B)`` copies
-    the programs' loops read; ``c64`` and ``e64`` stage the epilogue.
-    All are reused across calls -- :meth:`CompiledPlan.run` never
-    allocates them.
+    the programs' loops read, and ``c64`` holds ``beta * C`` for the
+    epilogue.  All are C-contiguous views into the artifact's arena,
+    reused across calls -- :meth:`CompiledPlan.run` never allocates
+    them.
     """
 
     gemm_index: int
@@ -149,7 +167,6 @@ class CompiledGemm:
     a64: np.ndarray = field(repr=False)
     b64: np.ndarray = field(repr=False)
     c64: np.ndarray = field(repr=False)
-    e64: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,12 +176,15 @@ class CompiledPlan:
     The artifact is valid for any batch whose shapes/transposes match
     ``batch_token`` -- alpha/beta are *not* baked in (they are read from
     the live batch at :meth:`run` time), matching the plan cache's
-    signature, which also excludes them.
+    signature, which also excludes them.  ``arena`` is the one float64
+    buffer every GEMM's staging views point into, sized by the largest
+    GEMM.
     """
 
     num_tiles: int
     batch_token: tuple
     gemms: tuple[CompiledGemm, ...]
+    arena: np.ndarray = field(repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -176,13 +196,15 @@ class CompiledPlan:
 
     @property
     def scratch_bytes(self) -> int:
-        """Bytes of preallocated scratch the artifact holds."""
-        total = 0
+        """Bytes of preallocated scratch the artifact holds.
+
+        The arena, plus each loop's fallback scratch, plus the scatter
+        index arrays.
+        """
+        total = self.arena.nbytes
         for g in self.gemms:
-            for buf in (g.a64, g.b64, g.c64, g.e64):
-                total += buf.nbytes
             for p in g.programs:
-                total += p.acc.nbytes + p.loop.scratch_bytes
+                total += p.loop.scratch_bytes
                 if p.scatter is not None:
                     total += p.scatter.nbytes
         return total
@@ -198,7 +220,7 @@ class CompiledPlan:
         Raises ``ValueError`` when the batch's shapes do not match the
         shapes the artifact was compiled for, or on operand-shape
         mismatches.  Thread-safe: concurrent calls on one artifact
-        serialize on its scratch-buffer lock.
+        serialize on its arena lock.
         """
         if _batch_token(batch) != self.batch_token:
             raise ValueError(
@@ -211,32 +233,29 @@ class CompiledPlan:
             for cg in self.gemms:
                 gemm = batch[cg.gemm_index]
                 a, b, c = operands[cg.gemm_index]
-                # Exact float64 widening into preallocated contiguous
-                # staging -- value- and layout-identical to the grouped
+                # Exact float64 widening into the arena's contiguous
+                # views -- value- and layout-identical to the grouped
                 # engine's ascontiguousarray copies.
                 np.copyto(cg.a64, gemm.op_a(a))
                 np.copyto(cg.b64, gemm.op_b(b))
-                out: Optional[np.ndarray] = None
+                # The output allocation; every element is written below
+                # (coverage is checked at compile).
+                out = np.empty((cg.m, cg.n), dtype=c.dtype)
                 for prog in cg.programs:
                     acc = prog.acc
                     prog.loop.run()
-                    # Elementwise alpha/beta epilogue in float64; the
-                    # per-element arithmetic and the final cast match
-                    # the grouped engine bit for bit.
-                    np.copyto(cg.c64, c)
-                    np.multiply(acc, gemm.alpha, out=cg.e64)
-                    np.multiply(cg.c64, gemm.beta, out=cg.c64)
-                    np.add(cg.e64, cg.c64, out=cg.e64)
+                    # Elementwise alpha/beta epilogue in float64, in
+                    # place; the per-element arithmetic and the final
+                    # cast match the grouped engine bit for bit.
+                    np.multiply(acc, gemm.alpha, out=acc)
+                    np.multiply(c, gemm.beta, out=cg.c64, dtype=np.float64)
                     if prog.scatter is None:
-                        out = cg.e64.astype(c.dtype)  # the output allocation
+                        np.add(acc, cg.c64, out=out, casting="unsafe")
                     else:
-                        if out is None:
-                            out = np.empty((cg.m, cg.n), dtype=c.dtype)
-                        flat = out.reshape(-1)
-                        flat[prog.scatter] = cg.e64.reshape(-1)[
+                        np.add(acc, cg.c64, out=acc)
+                        out.reshape(-1)[prog.scatter] = acc.reshape(-1)[
                             prog.scatter
                         ].astype(c.dtype)
-                assert out is not None  # coverage guaranteed at compile
                 outputs.append(out)
         return outputs
 
@@ -252,14 +271,23 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
             group
         )
 
+    # One arena for the whole artifact: run() stages one GEMM at a
+    # time, so every GEMM's views start at its front.
+    arena = np.empty(
+        max(g.m * g.k + g.k * g.n + 2 * g.m * g.n for g in batch),
+        dtype=np.float64,
+    )
     compiled: list[CompiledGemm] = []
     for gi, gemm in enumerate(batch):
         m, n, k = gemm.m, gemm.n, gemm.k
         bk_groups = by_gemm.get(gi, {})
         programs: list[ChunkProgram] = []
         single_bk = len(bk_groups) == 1
-        a64 = np.empty((m, k), dtype=np.float64)
-        b64 = np.empty((k, n), dtype=np.float64)
+        mk, kn, mn = m * k, k * n, m * n
+        a64 = arena[:mk].reshape(m, k)
+        b64 = arena[mk : mk + kn].reshape(k, n)
+        acc = arena[mk + kn : mk + kn + mn].reshape(m, n)
+        c64 = arena[mk + kn + mn : mk + kn + 2 * mn].reshape(m, n)
         for bk in sorted(bk_groups):
             scatter: Optional[np.ndarray] = None
             if not single_bk:
@@ -280,7 +308,6 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
                 scatter = np.concatenate(idx_parts) if idx_parts else np.empty(
                     0, dtype=np.int64
                 )
-            acc = np.zeros((m, n), dtype=np.float64)
             programs.append(
                 ChunkProgram(
                     bk=bk,
@@ -298,14 +325,14 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
                 programs=tuple(programs),
                 a64=a64,
                 b64=b64,
-                c64=np.empty((m, n), dtype=np.float64),
-                e64=np.empty((m, n), dtype=np.float64),
+                c64=c64,
             )
         )
     return CompiledPlan(
         num_tiles=plan.num_tiles,
         batch_token=plan.batch_token,
         gemms=tuple(compiled),
+        arena=arena,
     )
 
 
@@ -314,8 +341,8 @@ def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
 
     Validates id ranges and exactly-once coverage (raising the same
     ``IndexError`` / ``ValueError`` the grouped engine would raise per
-    execution), then flattens chunk tables, gather/scatter indices and
-    scratch buffers.  Emits a ``compile.plan`` span.
+    execution), then flattens chunk tables and gather/scatter indices
+    and allocates the artifact's arena.  Emits a ``compile.plan`` span.
     """
     tracer = get_tracer()
     with tracer.span(

@@ -5,7 +5,9 @@ must be **bit-identical** (``np.array_equal``) to ``execute_grouped``
 and the reference persistent-threads walk for every schedule -- all
 twelve Table-2 strategies, transposes, alpha/beta epilogues, ragged
 edges, and mixed-BK schedules (the scatter path) -- while doing all
-plan-walking and scratch allocation once, at compile time.
+plan-walking and scratch allocation once, at compile time.  Every GEMM
+of an artifact stages in one arena, so these tests also check that
+nothing one GEMM leaves there reaches another's output.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core.batching import batch_tiles
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling
+from repro.kernels import blas
 from repro.kernels.compiled import (
     CompiledPlan,
     clear_compiled_memo,
@@ -94,6 +97,35 @@ def mixed_bk_schedule() -> tuple[GemmBatch, BatchSchedule]:
         shared_memory_bytes=strat.shared_memory_bytes,
         registers_per_thread=strat.registers_per_thread,
     )
+
+
+def deep_bk_strategies(monkeypatch, *modules):
+    """Give strategy 1 a BK of 16 in ``modules``' strategy lookups.
+
+    Every Table-2 strategy uses BK=8, so the multi-program path is
+    unreachable with the real table; patching the lookup (in every
+    engine the test compares, so they agree) gives strategy 1 a deeper
+    main loop and forces per-BK scatter index arrays.
+    """
+    real = ALL_BATCHED_STRATEGIES
+
+    def deep_bk(index):
+        strat = real[index]
+        return dataclasses.replace(strat, bk=16) if index == 1 else strat
+
+    for module in modules:
+        monkeypatch.setattr(module, "strategy_by_index", deep_bk)
+
+
+def arena_bytes(batch: GemmBatch) -> int:
+    """The arena size: float64 staging for the largest GEMM."""
+    return 8 * max(g.m * g.k + g.k * g.n + 2 * g.m * g.n for g in batch)
+
+
+def byte_range(arr: np.ndarray) -> tuple[int, int]:
+    """The ``[start, end)`` addresses of a contiguous array's bytes."""
+    start = arr.__array_interface__["data"][0]
+    return start, start + arr.nbytes
 
 
 def assert_bit_identical(schedule, batch, ops):
@@ -171,24 +203,11 @@ class TestBitExactEquivalence:
         assert all(o.dtype == np.float32 for o in got)
 
     def test_mixed_bk_scatter_path(self, rng, monkeypatch):
-        """GEMMs mixing BK depths exercise the gather/scatter epilogue.
-
-        Every Table-2 strategy uses BK=8, so the multi-program path is
-        unreachable with the real table; patching the strategy lookup
-        (in *both* engines, so they agree) gives strategy 1 a deeper
-        main loop and forces per-BK scatter index arrays.
-        """
+        """GEMMs mixing BK depths exercise the gather/scatter epilogue."""
         import repro.kernels.compiled as compiled_mod
         import repro.kernels.grouped as grouped_mod
 
-        real = ALL_BATCHED_STRATEGIES
-
-        def deep_bk(index):
-            strat = real[index]
-            return dataclasses.replace(strat, bk=16) if index == 1 else strat
-
-        monkeypatch.setattr(grouped_mod, "strategy_by_index", deep_bk)
-        monkeypatch.setattr(compiled_mod, "strategy_by_index", deep_bk)
+        deep_bk_strategies(monkeypatch, grouped_mod, compiled_mod)
 
         batch, sched = mixed_bk_schedule()
         ops = batch.random_operands(rng)
@@ -196,6 +215,7 @@ class TestBitExactEquivalence:
         programs = artifact.gemms[0].programs
         assert len(programs) == 2, "expected one program per BK depth"
         assert all(p.scatter is not None for p in programs)
+        assert programs[0].acc is programs[1].acc, "programs share one acc"
         covered = np.concatenate([p.scatter for p in programs])
         assert sorted(covered.tolist()) == list(range(32 * 44))
         got = execute_compiled(sched, batch, ops, plan=artifact)
@@ -246,12 +266,20 @@ class TestBoundBuffers:
 
         def buffers(artifact):
             for cg in artifact.gemms:
-                yield from (cg.a64, cg.b64, cg.c64, cg.e64)
+                yield from (cg.a64, cg.b64, cg.c64)
                 yield from (p.acc for p in cg.programs)
 
         for mine in buffers(first):
             for theirs in buffers(second):
                 assert not np.shares_memory(mine, theirs)
+        # Every view lies inside its own artifact's arena, and the two
+        # arenas do not overlap.
+        for artifact in (first, second):
+            lo, hi = byte_range(artifact.arena)
+            for view in buffers(artifact):
+                start, end = byte_range(view)
+                assert lo <= start and end <= hi
+        assert not np.shares_memory(first.arena, second.arena)
 
         # Run both at once (separate locks) on different operands.
         operands = [small_batch.random_operands(rng) for _ in range(2)]
@@ -274,6 +302,112 @@ class TestBoundBuffers:
             t.join(timeout=60)
             assert not t.is_alive()
         assert not failures
+
+
+class TestArenaReuse:
+    """GEMMs share the arena: stale data in it must never reach an output.
+
+    Each case fills the arena with NaN before every run, so a view read
+    before it is written -- staging, the accumulator or ``beta * C`` --
+    turns an output element into NaN.
+    """
+
+    ORDERS = {
+        "large_then_small": [(96, 80, 40), (17, 23, 9), (40, 40, 40)],
+        "small_then_large": [(17, 23, 9), (40, 40, 40), (96, 80, 40)],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_nan_arena_never_reaches_an_output(self, rng, order, dtype):
+        batch = GemmBatch(
+            [Gemm(m, n, k, alpha=1.25, beta=-0.5) for m, n, k in self.ORDERS[order]]
+        )
+        ops = batch.random_operands(rng, dtype=dtype)
+        sched = make_schedule(batch, "binary")
+        want = execute_schedule(sched, batch, ops)
+        artifact = compile_plan(sched, batch)
+        assert artifact.arena.nbytes == arena_bytes(batch)
+        for _ in range(2):
+            artifact.arena.fill(np.nan)
+            for gi, (have, expect) in enumerate(zip(artifact.run(batch, ops), want)):
+                assert have.dtype == expect.dtype
+                assert np.array_equal(have, expect), f"GEMM {gi} read stale arena data"
+
+    def test_nan_arena_on_a_mixed_bk_scatter_schedule(self, rng, monkeypatch):
+        """Both BK programs of one GEMM share, and re-zero, one accumulator."""
+        import repro.kernels.compiled as compiled_mod
+        import repro.kernels.persistent as persistent_mod
+
+        deep_bk_strategies(monkeypatch, persistent_mod, compiled_mod)
+        batch, sched = mixed_bk_schedule()
+        ops = batch.random_operands(rng)
+        want = execute_schedule(sched, batch, ops)
+        artifact = compile_plan(sched, batch)
+        assert len(artifact.gemms[0].programs) == 2
+        for _ in range(2):
+            artifact.arena.fill(np.nan)
+            got = artifact.run(batch, ops)
+            assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.usefixtures("blas_fallback")
+class TestArenaReuseFallback(TestArenaReuse):
+    """The same arena reuse on the ``np.matmul`` + ``np.add`` chunk loop."""
+
+
+class TestEpilogueCast:
+    """The in-place epilogue keeps ``astype``'s semantics, byte for byte.
+
+    The compiled epilogue computes ``beta * C`` in float64 and casts the
+    float64 sum straight into the output; the grouped engine and the
+    reference walk evaluate ``(alpha * acc + beta * C64).astype(dtype)``.
+    Special values in C (NaN, -inf, -0.0) and signed zeros in A make
+    any change of operation order, precision or cast visible.
+    """
+
+    ALPHAS = (0.0, -0.5, 2.0)
+    BETAS = (0.0, 1.0, -1.5)
+
+    @staticmethod
+    def operands(batch, rng, dtype):
+        ops = []
+        for a, b, c in batch.random_operands(rng, dtype=np.float64):
+            a[rng.random(a.shape) < 0.2] = -0.0
+            if np.issubdtype(dtype, np.integer):
+                c = np.round(c * 100.0)
+            else:
+                flat = c.reshape(-1)
+                flat[0::7] = np.nan
+                flat[1::7] = -np.inf
+                flat[2::7] = -0.0
+            ops.append((a, b, c.astype(dtype)))
+        return ops
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32])
+    def test_output_bytes_match_grouped_and_reference(self, rng, small_batch, dtype):
+        for alpha in self.ALPHAS:
+            for beta in self.BETAS:
+                batch = GemmBatch(
+                    [
+                        dataclasses.replace(g, alpha=alpha, beta=beta)
+                        for g in small_batch
+                    ]
+                )
+                ops = self.operands(batch, rng, dtype)
+                sched = make_schedule(batch)
+                with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+                    got = execute_compiled(sched, batch, ops)
+                    wants = [
+                        (engine, engine(sched, batch, ops))
+                        for engine in (execute_grouped, execute_schedule)
+                    ]
+                for engine, want_outs in wants:
+                    for gi, (have, want) in enumerate(zip(got, want_outs)):
+                        assert have.dtype == want.dtype == dtype
+                        assert have.tobytes() == want.tobytes(), (
+                            f"{engine.__name__}, alpha={alpha}, beta={beta}, GEMM {gi}"
+                        )
 
 
 class TestCompiledContract:
@@ -379,6 +513,26 @@ class TestCompiledContract:
         for outs in results:
             for have, expect in zip(outs, want):
                 assert np.array_equal(have, expect)
+
+    @pytest.mark.skipif(
+        blas.DGEMM_SYMBOL is None,
+        reason="the np.matmul fallback adds one m x n scratch buffer per loop",
+    )
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(16, 32, 24), (40, 40, 40), (65, 33, 17)],
+            [(96, 80, 40), (17, 23, 9)],
+            [(1, 200, 64), (200, 1, 64), (8, 8, 8)],
+            [(64, 64, 64)] * 4,
+        ],
+    )
+    def test_scratch_is_the_largest_gemm(self, shapes):
+        """Single-BK batches on dgemm: scratch is exactly the arena."""
+        batch = GemmBatch.from_shapes(shapes)
+        artifact = compile_plan(make_schedule(batch), batch)
+        assert all(len(cg.programs) == 1 for cg in artifact.gemms)
+        assert artifact.scratch_bytes == arena_bytes(batch)
 
     def test_artifact_introspection(self, small_batch):
         sched = make_schedule(small_batch)
