@@ -96,7 +96,6 @@ _KERNEL_EXPORTS = (
     "tiled_gemm",
     "execute_schedule",
     "execute_grouped",
-    "execute_parallel",
     "execute_compiled",
     "compile_plan",
     "CompiledPlan",
@@ -166,7 +165,6 @@ __all__ = [
     "tiled_gemm",
     "execute_schedule",
     "execute_grouped",
-    "execute_parallel",
     "execute_compiled",
     "compile_plan",
     "CompiledPlan",

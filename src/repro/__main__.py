@@ -31,7 +31,7 @@ from repro.baselines.magma_vbatch import simulate_magma_vbatch
 from repro.core.framework import CoordinatedFramework
 from repro.core.options import Heuristic
 from repro.core.problem import Gemm, GemmBatch
-from repro.kernels import ENGINES, WORKER_ENGINES
+from repro.kernels import ENGINES
 from repro.gpu.specs import get_device
 from repro.telemetry import NULL_TRACER, Tracer, set_tracer, write_chrome_trace
 
@@ -107,16 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=ENGINES,
         default="grouped",
         help="numerical execution engine for --execute "
-        "(compiled = precompiled-plan interpreter; procpool = "
-        "multi-core worker processes over shared-memory arenas)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker-pool size for --execute (0 = host default; "
-        f"requires a worker-pool engine: {', '.join(WORKER_ENGINES)})",
+        "(compiled = precompiled-plan interpreter)",
     )
     parser.add_argument(
         "--trace",
@@ -130,11 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print the recorded span tree (implies tracing)",
     )
     args = parser.parse_args(argv)
-    if args.workers and args.engine not in WORKER_ENGINES:
-        parser.error(
-            "--workers requires a worker-pool engine "
-            f"(--engine {' | '.join(WORKER_ENGINES)})"
-        )
 
     device = get_device(args.device)
     batch = build_batch(args)
@@ -172,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.kernels.reference import reference_batched_gemm
 
             ops = batch.random_operands(np.random.default_rng(0))
-            run = get_engine(args.engine, workers=args.workers or None)
+            run = get_engine(args.engine)
             t0 = time.perf_counter()
             outs = run(report.schedule, batch, ops)
             elapsed_ms = (time.perf_counter() - t0) * 1e3

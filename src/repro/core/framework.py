@@ -411,7 +411,6 @@ class CoordinatedFramework:
         options: Optional[PlanOptions] = None,
         policy=None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
         fallback: Optional[bool] = None,
         injector=None,
         retry=None,
@@ -422,11 +421,9 @@ class CoordinatedFramework:
         modified).  ``policy`` -- an
         :class:`~repro.kernels.ExecutionPolicy` -- says how: which
         engine (``grouped`` by default; ``reference`` is the faithful
-        per-slot Figure 7 walk, ``parallel`` shards the lowered plan
-        across a thread pool, ``compiled`` interprets a precompiled
-        artifact), how many workers, and whether the reliability
-        envelope (retry / engine fallback / fault injection) wraps the
-        run.  All engines produce bit-identical results, so a planning
+        per-slot Figure 7 walk, ``compiled`` interprets a precompiled
+        artifact) and whether the reliability envelope (retry / engine
+        fallback / fault injection) wraps the run.  All engines produce bit-identical results, so a planning
         bug shows up as a wrong numerical answer under any engine, not
         just a wrong time.
 
@@ -436,8 +433,6 @@ class CoordinatedFramework:
         retried per ``policy.retry`` and then degrade along the engine
         chain (e.g. ``compiled`` -> ``grouped`` -> ``reference``), so
         a misbehaving preferred engine costs latency, not the answer.
-        ``policy.workers`` defaults from ``options.workers`` for the
-        parallel engine.
 
         Mixed precision is executed for real: under a reduced
         precision (resolved from explicit options, then
@@ -452,29 +447,22 @@ class CoordinatedFramework:
         and raises :class:`~repro.kernels.verify.VerificationError`
         on failure.
 
-        The pre-policy keyword spellings (``engine=``, ``workers=``,
-        ``fallback=``, ``injector=``, ``retry=``) still work but are
-        deprecated; they coerce into a policy behind a
-        ``DeprecationWarning`` (mixing them with ``policy=`` is a
-        ``TypeError``).
+        The pre-policy keyword spellings (``engine=``, ``fallback=``,
+        ``injector=``, ``retry=``) still work but are deprecated; they
+        coerce into a policy behind a ``DeprecationWarning`` (mixing
+        them with ``policy=`` is a ``TypeError``).
         """
         from repro.kernels import coerce_policy, get_engine
 
         pol = coerce_policy(
             policy,
             engine=engine,
-            workers=workers,
             fallback=fallback,
             retry=retry,
             injector=injector,
             where="CoordinatedFramework.execute",
         )
         opts = self._execution_options(heuristic, options, operands, pol)
-        if pol.workers is None:
-            from repro.kernels import engine_accepts_workers
-
-            if engine_accepts_workers(pol.engine):
-                pol = pol.with_workers(opts.workers)
         report = self.plan(batch, options=opts)
         prec = Precision.coerce(opts.precision)
         staged = quantize_operands(operands, prec) if prec.is_reduced else operands
@@ -493,12 +481,7 @@ class CoordinatedFramework:
                     span.set_attr("engine_used", engine_used)
                     span.set_attr("fallbacks", executor.fallbacks)
         else:
-            from repro.kernels import engine_accepts_workers
-
-            run = get_engine(
-                pol.engine,
-                workers=pol.workers if engine_accepts_workers(pol.engine) else None,
-            )
+            run = get_engine(pol.engine)
             with tracer.span("execute", gemms=len(batch), engine=pol.engine):
                 values = run(report.schedule, batch, staged)
         values = quantize_outputs(values, prec)

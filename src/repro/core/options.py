@@ -122,19 +122,12 @@ class PlanOptions:
         configured backend.  A planning knob: different backends admit
         different strategy pools, so it participates in
         :meth:`cache_key`.
-    workers:
-        Thread-pool size for the ``parallel`` execution engine;
-        ``None`` defers to the engine's host-sized default.  An
-        *execution* knob, not a planning knob: it never changes which
-        plan is produced, so it is excluded from :meth:`cache_key` and
-        from :meth:`resolved`.
 
     A *resolved* options value (see :meth:`resolved`) has no ``None``
     planning fields; :class:`~repro.core.framework.PlanReport` and
     :class:`~repro.core.plancache.PlanCache` only ever hold resolved
-    options, so two plans agree on their cache key iff every *planning*
-    knob agrees (``workers`` deliberately does not participate -- the
-    same plan serves any worker count).
+    options, so two plans agree on their cache key iff every planning
+    knob agrees.
     """
 
     heuristic: Heuristic = Heuristic.BEST
@@ -142,7 +135,6 @@ class PlanOptions:
     tlp_threshold: Optional[int] = None
     precision: Optional[str] = None
     backend: Optional[str] = None
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -180,8 +172,6 @@ class PlanOptions:
                 # framework's own backend happens by name equality.
                 if not str(self.backend).startswith("cuda:"):
                     raise
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def of(
@@ -239,11 +229,9 @@ class PlanOptions:
     def cache_key(self) -> tuple:
         """The hashable identity a plan cache must key on.
 
-        Includes every *planning* knob -- the same batch planned under
+        Includes every planning knob -- the same batch planned under
         two different heuristics (or thetas, or precisions) must not
-        alias one cache entry.  ``workers`` is excluded: it only sizes
-        the parallel engine's pool at execution time, and keying on it
-        would duplicate identical plans per worker count.
+        alias one cache entry.
         """
         return (
             self.heuristic.value,
@@ -261,5 +249,4 @@ class PlanOptions:
             "tlp_threshold": self.tlp_threshold,
             "precision": self.precision,
             "backend": self.backend,
-            "workers": self.workers,
         }

@@ -45,7 +45,6 @@ a warm hot path pays neither planning, nor lowering, nor compilation
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
@@ -307,7 +306,6 @@ class PlanCache:
         *,
         options: Optional[PlanOptions] = None,
         policy=None,
-        workers: Optional[int] = None,
     ) -> int:
         """Bulk pre-plan ``batches`` (serving warm-start).
 
@@ -317,59 +315,20 @@ class PlanCache:
         known shape mixes before opening the request queue.
 
         ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
-        shapes the warm two ways: ``policy.workers > 1`` fans the
-        planning out over the parallel engine's shared thread pool
-        (the cache is thread-safe; plans for distinct batches are
-        independent), and ``policy.engine == "compiled"`` additionally
-        compiles each plan's execution artifact so the first live
-        request pays neither planning nor compilation.  The bare
-        ``workers=`` spelling is deprecated (coerced with a
-        ``DeprecationWarning``).
-
-        Two caveats: repeats within ``batches`` may be planned
-        concurrently before either lands in the cache, so the returned
-        newly-planned count can overcount duplicates; and when a
-        recording tracer is installed the warm stays serial regardless
-        (the tracer is not thread-safe, and a warm that scrambled its
-        own trace would be worse than a slower one).
+        with ``engine == "compiled"`` additionally compiles each plan's
+        execution artifact so the first live request pays neither
+        planning nor compilation.
         """
         from repro.kernels import ExecutionPolicy
 
-        if policy is not None and workers is not None:
-            raise TypeError(
-                "PlanCache.warm: pass either policy= or the legacy "
-                "workers keyword, not both"
-            )
-        if workers is not None:
-            warnings.warn(
-                "PlanCache.warm: the workers keyword is deprecated; pass "
-                "policy=repro.ExecutionPolicy(workers=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            pol = ExecutionPolicy(workers=workers)
-        else:
-            pol = ExecutionPolicy.of(policy, warn_on_str=True)
-        fan_out = pol.workers
-        tracer = get_tracer()
+        pol = ExecutionPolicy.of(policy, warn_on_str=True)
         planned = 0
-        with tracer.span("plancache.warm") as span:
-
-            def _plan_one(batch: GemmBatch) -> bool:
+        with get_tracer().span("plancache.warm") as span:
+            for batch in batches:
                 entry, hit = self._entry_with_info(batch, heuristic, options=options)
                 if pol.engine == "compiled":
                     self._compiled_artifact(entry, batch)
-                return hit
-
-            if fan_out is not None and fan_out > 1 and not tracer.enabled:
-                from repro.kernels.parallel import shared_pool
-
-                pool = shared_pool(fan_out)
-                for hit in pool.map(_plan_one, list(batches)):
-                    planned += 0 if hit else 1
-            else:
-                for batch in batches:
-                    planned += 0 if _plan_one(batch) else 1
+                planned += 0 if hit else 1
             if span.enabled:
                 span.set_attr("planned", planned)
         return planned
@@ -451,15 +410,14 @@ class PlanCache:
         options: Optional[PlanOptions] = None,
         policy=None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ):
         """Numerically execute a batch through its cached plan.
 
         ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
-        selects the executor.  With the ``"grouped"`` (default) and
-        ``"parallel"`` engines the lowered grouped plan is memoized
-        per cached schedule, so repeated executions of a hot batch mix
-        skip both planning *and* re-lowering; with ``"compiled"`` the
+        selects the executor.  With the ``"grouped"`` (default) engine
+        the lowered grouped plan is memoized per cached schedule, so
+        repeated executions of a hot batch mix skip both planning *and*
+        re-lowering; with ``"compiled"`` the
         :class:`~repro.kernels.compiled.CompiledPlan` artifact is
         compiled on the first execute, cached next to the plan entry
         (invalidated with it), and every later execution is lookup +
@@ -476,11 +434,8 @@ class PlanCache:
         outputs are re-quantized; ``policy.verify`` runs the
         :mod:`repro.kernels.verify` contract on the outputs.
 
-        The pre-policy ``engine=`` / ``workers=`` spellings still work
-        behind a ``DeprecationWarning``; ``workers`` sizes the
-        parallel engine's pool (``None`` falls back to
-        ``options.workers``, then the host default) and is rejected
-        for other engines.
+        The pre-policy ``engine=`` spelling still works behind a
+        ``DeprecationWarning``.
         """
         from repro.core.precision import (
             Precision,
@@ -489,17 +444,7 @@ class PlanCache:
         )
         from repro.kernels import coerce_policy, get_engine
 
-        pol = coerce_policy(
-            policy,
-            engine=engine,
-            workers=workers,
-            where="PlanCache.execute",
-        )
-        if pol.workers is None and options is not None:
-            from repro.kernels import engine_accepts_workers
-
-            if engine_accepts_workers(pol.engine):
-                pol = pol.with_workers(options.workers)
+        pol = coerce_policy(policy, engine=engine, where="PlanCache.execute")
         opts = self.framework._execution_options(heuristic, options, operands, pol)
         entry, _ = self._entry_with_info(batch, options=opts)
         schedule = entry.report.schedule
@@ -517,13 +462,7 @@ class PlanCache:
             artifact = self._compiled_artifact(entry, batch)
             values = execute_compiled(schedule, batch, staged, plan=artifact)
         else:
-            from repro.kernels import engine_accepts_workers
-
-            run = get_engine(
-                pol.engine,
-                workers=pol.workers if engine_accepts_workers(pol.engine) else None,
-            )
-            values = run(schedule, batch, staged)
+            values = get_engine(pol.engine)(schedule, batch, staged)
         values = quantize_outputs(values, prec)
         if getattr(pol, "verify", False):
             from repro.kernels.verify import verify_outputs

@@ -15,20 +15,11 @@ answer, not just a wrong simulated time.
 * :mod:`repro.kernels.grouped` -- the grouped vectorized engine: the
   same schedule lowered to bulk batched-matmul groups (the ``grouped``
   execution engine; bit-identical to the reference, much faster).
-* :mod:`repro.kernels.parallel` -- the multi-worker engine: the same
-  lowered plan sharded across a thread pool with Stream-K-style
-  even-share load balancing (the ``parallel`` execution engine;
-  bit-identical to ``grouped`` at every worker count).
 * :mod:`repro.kernels.compiled` -- the compiled-plan engine: the
   schedule lowered once into a flat :class:`CompiledPlan` artifact
   with preallocated scratch, executed by a minimal allocation-free
   interpreter loop (the ``compiled`` execution engine; bit-identical
   to ``grouped``, fastest steady state).
-* :mod:`repro.kernels.procpool` -- the process-pool engine: the same
-  lowered plan sharded across persistent worker *processes* reading
-  operands from shared-memory arenas (the ``procpool`` execution
-  engine; true multi-core, bit-identical to ``grouped`` at every
-  worker count, serial below its break-even FLOP threshold).
 
 Engine identity lives in the typed registry
 (:mod:`repro.kernels.engine` -- the :class:`Engine` protocol,
@@ -37,25 +28,19 @@ Engine identity lives in the typed registry
 and re-exported eagerly here.  Kernel submodules are imported lazily
 (PEP 562) so the engines stay importable without each other --
 ``import repro.kernels.grouped`` must not drag in
-``repro.kernels.persistent`` or vice versa, and both
-``repro.kernels.parallel`` and ``repro.kernels.compiled`` (which
-build on ``grouped``) must not drag in ``persistent`` either (CI
-guards this).  Use :func:`get_engine` to resolve an engine name to
-its executor callable, or :func:`get_engine_object` for the typed
-:class:`Engine`.
+``repro.kernels.persistent`` or vice versa, and
+``repro.kernels.compiled`` (which builds on ``grouped``) must not drag
+in ``persistent`` either (CI guards this).  Use :func:`get_engine` to
+resolve an engine name to its executor callable, or
+:func:`get_engine_object` for the typed :class:`Engine`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernels.engine import (
     ENGINES,
     ENGINE_FALLBACKS,
-    WORKER_ENGINES,
     Engine,
-    EngineCapabilities,
-    engine_accepts_workers,
     engine_fallbacks,
     get_engine_object,
 )
@@ -73,19 +58,6 @@ _EXPORTS = {
     "grouped_plan_for": ("repro.kernels.grouped", "grouped_plan_for"),
     "GroupedPlan": ("repro.kernels.grouped", "GroupedPlan"),
     "TileGroup": ("repro.kernels.grouped", "TileGroup"),
-    "execute_parallel": ("repro.kernels.parallel", "execute_parallel"),
-    "plan_shards": ("repro.kernels.parallel", "plan_shards"),
-    "resolve_workers": ("repro.kernels.parallel", "resolve_workers"),
-    "shared_pool": ("repro.kernels.parallel", "shared_pool"),
-    "ShardPlan": ("repro.kernels.parallel", "ShardPlan"),
-    "execute_procpool": ("repro.kernels.procpool", "execute_procpool"),
-    "resolve_procpool_workers": (
-        "repro.kernels.procpool",
-        "resolve_procpool_workers",
-    ),
-    "shared_procpool": ("repro.kernels.procpool", "shared_procpool"),
-    "procpool_status": ("repro.kernels.procpool", "procpool_status"),
-    "ProcpoolWorkerDied": ("repro.kernels.procpool", "ProcpoolWorkerDied"),
     "execute_compiled": ("repro.kernels.compiled", "execute_compiled"),
     "compile_plan": ("repro.kernels.compiled", "compile_plan"),
     "compiled_plan_for": ("repro.kernels.compiled", "compiled_plan_for"),
@@ -101,12 +73,9 @@ _EXPORTS = {
 __all__ = [
     "ENGINES",
     "ENGINE_FALLBACKS",
-    "WORKER_ENGINES",
     "Engine",
-    "EngineCapabilities",
     "ExecutionPolicy",
     "coerce_policy",
-    "engine_accepts_workers",
     "engine_fallbacks",
     "get_engine",
     "get_engine_object",
@@ -114,22 +83,15 @@ __all__ = [
 ]
 
 
-def get_engine(name: str, workers: Optional[int] = None, injector=None):
+def get_engine(name: str, *, injector=None):
     """Resolve an execution-engine name to its executor callable.
 
     All engines share the signature ``fn(schedule, batch, operands)
     -> list[np.ndarray]`` and produce bit-identical results;
     ``reference`` is the faithful per-slot Figure 7 walk (the oracle),
-    ``grouped`` the vectorized bulk engine, ``parallel`` the
-    multi-worker thread-sharded engine, ``compiled`` the
-    precompiled-artifact interpreter, ``procpool`` the process-pool
-    engine over shared-memory arenas.  ``workers`` is only meaningful
-    for the worker-pool engines (``parallel`` / ``procpool``: the
-    returned callable binds it as its pool size; ``None`` defers to
-    each engine's resolver) and raises ``ValueError`` for any other
-    engine -- a silently ignored worker count would misreport what
-    ran.  Raises ``ValueError`` for unknown
-    names.  Resolution goes through the typed registry
+    ``grouped`` the vectorized bulk engine, ``compiled`` the
+    precompiled-artifact interpreter.  Raises ``ValueError`` for
+    unknown names.  Resolution goes through the typed registry
     (:func:`get_engine_object`); the returned callable preserves the
     historical identities (``get_engine("grouped") is
     execute_grouped`` and so on).
@@ -140,7 +102,7 @@ def get_engine(name: str, workers: Optional[int] = None, injector=None):
     evaluates the ``"engine"`` fault site before every execution, so
     chaos tests can make any engine fail or stall deterministically.
     """
-    run = get_engine_object(name).runner(workers)
+    run = get_engine_object(name).runner()
     if injector is None:
         return run
 

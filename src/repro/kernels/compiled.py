@@ -92,8 +92,7 @@ compilation runs under a ``compile.plan`` span.
 
 This module builds on :mod:`repro.kernels.grouped` (the lowering is
 shared) but deliberately never imports :mod:`repro.kernels.persistent`
-or :mod:`repro.kernels.parallel` -- the oracle and the thread-pool
-engine stay independent (CI guards this).
+-- the oracle stays independent (CI guards this).
 """
 
 from __future__ import annotations

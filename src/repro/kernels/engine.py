@@ -1,7 +1,7 @@
 """The typed engine registry: one surface for every executor.
 
-Before this module, the five ``execute_*`` entry points (reference
-walk, grouped, parallel, compiled, strided) were free functions that
+Before this module, the ``execute_*`` entry points (reference walk,
+grouped, compiled, strided) were free functions that
 :func:`repro.kernels.get_engine` mapped names onto with ad-hoc
 ``if``/``elif`` logic, and the reliability layer kept its own
 ``ENGINE_FALLBACKS`` table alongside.  Each new engine meant touching
@@ -10,15 +10,12 @@ the :class:`Engine` protocol -- so ``get_engine()``, the fallback
 chains, the serving layer, and the CLIs all share one registry:
 
 * ``name`` -- the stable string identity used in configs and CLIs;
-* ``capabilities`` -- what the engine supports (worker pools, a
-  precomputable lowered artifact), so callers can validate knobs
-  generically instead of hard-coding ``if name == "parallel"``;
 * ``lower(schedule, batch)`` -- derive the engine's per-schedule
   artifact (a ``GroupedPlan``, a ``CompiledPlan``; the reference walk
   has none and returns ``None``);
 * ``run(schedule, batch, operands)`` -- execute, bit-identical across
   all engines;
-* ``runner(workers)`` -- the raw executor callable, preserving the
+* ``runner()`` -- the raw executor callable, preserving the
   historical :func:`repro.kernels.get_engine` identity semantics
   (``runner()`` *is* ``execute_grouped`` for the grouped engine, so
   existing ``get_engine("grouped") is execute_grouped`` assertions and
@@ -32,43 +29,15 @@ the engines stay independently importable (CI guards this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "ENGINES",
     "ENGINE_FALLBACKS",
     "Engine",
-    "EngineCapabilities",
-    "WORKER_ENGINES",
-    "engine_accepts_workers",
     "engine_fallbacks",
     "get_engine_object",
 ]
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What an execution engine supports.
-
-    ``workers``: the engine runs on a sizable worker pool (the
-    ``parallel`` thread engine and the ``procpool`` process engine;
-    passing ``workers=`` to any other engine is a ``ValueError``).
-    ``precompiled``: :meth:`Engine.lower` produces a reusable
-    per-schedule artifact worth caching next to the plan.
-    ``process_isolation``: workers are OS processes -- a worker death
-    cannot corrupt the coordinator, and shards run truly concurrently
-    (no GIL).  ``picklable_shards``: shard descriptors cross a process
-    boundary, so task payloads must pickle (the procpool engine ships
-    only arena names and index tuples).  ``min_work_flops``: below
-    this much total product work the engine falls back to serial
-    execution on its own -- dispatch overhead would dominate.
-    """
-
-    workers: bool = False
-    precompiled: bool = False
-    process_isolation: bool = False
-    picklable_shards: bool = False
-    min_work_flops: float = 0.0
 
 
 @runtime_checkable
@@ -82,7 +51,6 @@ class Engine(Protocol):
     """
 
     name: str
-    capabilities: EngineCapabilities
 
     def lower(self, schedule: Any, batch: Any) -> Any:
         """The engine's memoized per-schedule artifact (or ``None``)."""
@@ -94,17 +62,9 @@ class Engine(Protocol):
         """Execute a batch schedule; bit-identical across engines."""
         ...
 
-    def runner(self, workers: Optional[int] = None) -> Callable:
-        """The raw executor callable (optionally binding ``workers``)."""
+    def runner(self) -> Callable:
+        """The raw executor callable."""
         ...
-
-
-def _reject_workers(name: str, workers: Optional[int]) -> None:
-    if workers is not None:
-        raise ValueError(
-            f"workers= only applies to the worker-pool engines "
-            f"{WORKER_ENGINES}, not {name!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +72,6 @@ class ReferenceEngine:
     """The per-slot Figure 7 walk (the oracle); no lowered artifact."""
 
     name: str = "reference"
-    capabilities: EngineCapabilities = EngineCapabilities()
 
     def lower(self, schedule, batch):
         """The reference walk interprets the arrays directly: ``None``."""
@@ -122,9 +81,8 @@ class ReferenceEngine:
         """Execute via :func:`repro.kernels.persistent.execute_schedule`."""
         return self.runner()(schedule, batch, operands, **kwargs)
 
-    def runner(self, workers: Optional[int] = None) -> Callable:
+    def runner(self) -> Callable:
         """``execute_schedule`` itself (identity preserved for callers)."""
-        _reject_workers(self.name, workers)
         from repro.kernels.persistent import execute_schedule
 
         return execute_schedule
@@ -135,7 +93,6 @@ class GroupedEngine:
     """The grouped vectorized engine; lowers to a ``GroupedPlan``."""
 
     name: str = "grouped"
-    capabilities: EngineCapabilities = EngineCapabilities()
 
     def lower(self, schedule, batch):
         """The memoized :class:`~repro.kernels.grouped.GroupedPlan`."""
@@ -147,45 +104,11 @@ class GroupedEngine:
         """Execute via :func:`repro.kernels.grouped.execute_grouped`."""
         return self.runner()(schedule, batch, operands, **kwargs)
 
-    def runner(self, workers: Optional[int] = None) -> Callable:
+    def runner(self) -> Callable:
         """``execute_grouped`` itself (identity preserved for callers)."""
-        _reject_workers(self.name, workers)
         from repro.kernels.grouped import execute_grouped
 
         return execute_grouped
-
-
-@dataclass(frozen=True)
-class ParallelEngine:
-    """The multi-worker sharded engine; accepts a ``workers`` pool size."""
-
-    name: str = "parallel"
-    capabilities: EngineCapabilities = EngineCapabilities(workers=True)
-
-    def lower(self, schedule, batch):
-        """The memoized grouped plan (sharding happens at run time)."""
-        from repro.kernels.grouped import grouped_plan_for
-
-        return grouped_plan_for(schedule, batch)
-
-    def run(self, schedule, batch, operands, **kwargs):
-        """Execute via :func:`repro.kernels.parallel.execute_parallel`."""
-        return self.runner()(schedule, batch, operands, **kwargs)
-
-    def runner(self, workers: Optional[int] = None) -> Callable:
-        """``execute_parallel``, with ``workers`` bound when given."""
-        from repro.kernels.parallel import execute_parallel, resolve_workers
-
-        if workers is None:
-            return execute_parallel
-        bound = resolve_workers(workers)
-
-        def run_parallel(schedule, batch, operands, plan=None):
-            return execute_parallel(schedule, batch, operands, plan, workers=bound)
-
-        run_parallel.__name__ = f"execute_parallel_{bound}w"
-        run_parallel.workers = bound
-        return run_parallel
 
 
 @dataclass(frozen=True)
@@ -193,7 +116,6 @@ class CompiledEngine:
     """The compiled-plan engine; lowers to a ``CompiledPlan`` artifact."""
 
     name: str = "compiled"
-    capabilities: EngineCapabilities = EngineCapabilities(precompiled=True)
 
     def lower(self, schedule, batch):
         """The memoized :class:`~repro.kernels.compiled.CompiledPlan`."""
@@ -205,97 +127,28 @@ class CompiledEngine:
         """Execute via :func:`repro.kernels.compiled.execute_compiled`."""
         return self.runner()(schedule, batch, operands, **kwargs)
 
-    def runner(self, workers: Optional[int] = None) -> Callable:
+    def runner(self) -> Callable:
         """``execute_compiled`` itself (identity preserved for callers)."""
-        _reject_workers(self.name, workers)
         from repro.kernels.compiled import execute_compiled
 
         return execute_compiled
 
 
-@dataclass(frozen=True)
-class ProcpoolEngine:
-    """The process-pool engine: worker processes over shm arenas.
-
-    True multi-core execution -- each worker is an OS process computing
-    its shards from shared-memory operand arenas, so the GIL never
-    serializes product work.  Shard descriptors are pickled (tiny: an
-    arena name plus index tuples), and batches below the break-even
-    FLOP threshold execute serially through the grouped engine on
-    their own (bit-identical either way).
-    """
-
-    name: str = "procpool"
-    capabilities: EngineCapabilities = EngineCapabilities(
-        workers=True,
-        process_isolation=True,
-        picklable_shards=True,
-        min_work_flops=1e7,  # keep in sync with procpool.MIN_PROCPOOL_FLOPS
-    )
-
-    def lower(self, schedule, batch):
-        """The memoized grouped plan (sharding happens at run time)."""
-        from repro.kernels.grouped import grouped_plan_for
-
-        return grouped_plan_for(schedule, batch)
-
-    def run(self, schedule, batch, operands, **kwargs):
-        """Execute via :func:`repro.kernels.procpool.execute_procpool`."""
-        return self.runner()(schedule, batch, operands, **kwargs)
-
-    def runner(self, workers: Optional[int] = None) -> Callable:
-        """``execute_procpool``, with ``workers`` bound when given."""
-        from repro.kernels.procpool import (
-            execute_procpool,
-            resolve_procpool_workers,
-        )
-
-        if workers is None:
-            return execute_procpool
-        bound = resolve_procpool_workers(workers)
-
-        def run_procpool(schedule, batch, operands, plan=None):
-            return execute_procpool(schedule, batch, operands, plan, workers=bound)
-
-        run_procpool.__name__ = f"execute_procpool_{bound}w"
-        run_procpool.workers = bound
-        return run_procpool
-
-
 _REGISTRY: dict[str, Engine] = {
-    e.name: e
-    for e in (
-        ReferenceEngine(),
-        GroupedEngine(),
-        ParallelEngine(),
-        CompiledEngine(),
-        ProcpoolEngine(),
-    )
+    e.name: e for e in (ReferenceEngine(), GroupedEngine(), CompiledEngine())
 }
 
 #: The recognized execution-engine names.
 ENGINES: tuple[str, ...] = tuple(_REGISTRY)
 
-#: Engines whose capabilities accept a ``workers=`` pool size.
-WORKER_ENGINES: tuple[str, ...] = tuple(
-    name for name, e in _REGISTRY.items() if e.capabilities.workers
-)
-
 #: Degradation order per engine: itself first, then progressively
 #: simpler engines ending at the per-slot reference walk (the oracle).
 #: Every engine is bit-identical, so falling back trades only speed.
 ENGINE_FALLBACKS: dict[str, tuple[str, ...]] = {
-    "procpool": ("procpool", "compiled", "grouped", "reference"),
     "compiled": ("compiled", "grouped", "reference"),
-    "parallel": ("parallel", "grouped", "reference"),
     "grouped": ("grouped", "reference"),
     "reference": ("reference",),
 }
-
-
-def engine_accepts_workers(name: str) -> bool:
-    """Whether ``name``'s capabilities accept a ``workers=`` pool size."""
-    return get_engine_object(name).capabilities.workers
 
 
 def get_engine_object(name: str) -> Engine:
@@ -315,12 +168,10 @@ def get_engine_object(name: str) -> Engine:
 def engine_fallbacks(name: str) -> tuple[str, ...]:
     """The fallback chain starting at ``name`` (itself included).
 
-    ``procpool`` degrades to ``compiled`` then ``grouped`` then
-    ``reference``; ``compiled`` and ``parallel`` to ``grouped`` then
-    ``reference``; ``grouped`` to ``reference``; ``reference`` stands
-    alone.  The serving layer and
-    :class:`~repro.reliability.ReliableExecutor` walk this chain when
-    the preferred engine misbehaves.
+    ``compiled`` degrades to ``grouped`` then ``reference``;
+    ``grouped`` to ``reference``; ``reference`` stands alone.  The
+    serving layer and :class:`~repro.reliability.ReliableExecutor`
+    walk this chain when the preferred engine misbehaves.
     """
     get_engine_object(name)  # canonical unknown-engine ValueError
     return ENGINE_FALLBACKS[name]

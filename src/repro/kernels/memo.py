@@ -152,16 +152,6 @@ class PlanMemo:
                 evictions=self.stats.evictions,
             )
 
-    def discard(self, schedule: Any) -> None:
-        """Drop the entry for ``schedule``, if any (no stats change).
-
-        Lets a caller invalidate an artifact it can no longer trust --
-        e.g. the procpool engine fencing off an arena whose slabs a
-        straggling worker may still write.
-        """
-        with self._lock:
-            self._entries.pop(id(schedule), None)
-
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:

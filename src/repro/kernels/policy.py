@@ -1,10 +1,10 @@
 """The execution policy: one object for "how should this batch run".
 
 Execution knobs used to travel as loose keyword arguments -- the
-``engine=`` / ``workers=`` / ``fallback=`` / ``injector=`` / ``retry=``
-sprawl on :meth:`CoordinatedFramework.execute`,
-:meth:`PlanCache.execute`, :meth:`PlanCache.warm`, ``ServeConfig`` and
-the ``repro-serve`` CLI, each surface validating its own subset.  This
+``engine=`` / ``fallback=`` / ``injector=`` / ``retry=`` sprawl on
+:meth:`CoordinatedFramework.execute`, :meth:`PlanCache.execute`,
+``ServeConfig`` and the ``repro-serve`` CLI, each surface validating
+its own subset.  This
 module collapses them into one frozen :class:`ExecutionPolicy`
 accepted everywhere, mirroring the PR 1 ``PlanOptions`` migration for
 planning knobs: pass the dataclass going forward, and every legacy
@@ -23,34 +23,23 @@ actual executors happens at the call sites:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.kernels.engine import (
-    ENGINES,
-    WORKER_ENGINES,
-    engine_accepts_workers,
-    get_engine_object,
-)
+from repro.kernels.engine import get_engine_object
 
 __all__ = ["ExecutionPolicy", "coerce_policy"]
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a batch should execute: engine, workers, reliability envelope.
+    """How a batch should execute: engine and reliability envelope.
 
     Parameters
     ----------
     engine:
         Name from the engine registry (``reference`` / ``grouped`` /
-        ``parallel`` / ``compiled`` / ``procpool``).
-    workers:
-        Worker-pool size.  For the ``parallel`` (thread) and
-        ``procpool`` (process) engines this is the shard pool;
-        :meth:`PlanCache.warm` also uses it to fan out planning.  Engines without worker support ignore it at run
-        time (legacy kwarg spellings still raise, via
-        :func:`coerce_policy`, to preserve the old contract).
+        ``compiled``).
     fallback:
         Walk the engine's degradation chain
         (:func:`repro.kernels.engine_fallbacks`) on failure.
@@ -75,7 +64,6 @@ class ExecutionPolicy:
     """
 
     engine: str = "grouped"
-    workers: Optional[int] = None
     fallback: bool = False
     retry: Optional[Any] = None
     injector: Optional[Any] = None
@@ -83,10 +71,8 @@ class ExecutionPolicy:
     verify: bool = False
 
     def __post_init__(self):
-        """Validate the engine name, worker count, and precision."""
+        """Validate the engine name and precision."""
         get_engine_object(self.engine)  # canonical unknown-engine ValueError
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.precision is not None:
             from repro.core.precision import Precision
 
@@ -129,17 +115,10 @@ class ExecutionPolicy:
             f"expected ExecutionPolicy, engine name, or None; got {type(value).__name__}"
         )
 
-    def with_workers(self, workers: Optional[int]) -> "ExecutionPolicy":
-        """This policy with ``workers`` replaced (returns self if equal)."""
-        if workers == self.workers:
-            return self
-        return replace(self, workers=workers)
-
     def to_dict(self) -> dict:
         """JSON-compatible summary (health endpoints, run manifests)."""
         return {
             "engine": self.engine,
-            "workers": self.workers,
             "fallback": self.fallback,
             "retry": self.retry is not None,
             "injector": self.injector is not None,
@@ -152,33 +131,25 @@ def coerce_policy(
     policy: Optional[Any],
     *,
     engine: Optional[str] = None,
-    workers: Optional[int] = None,
     fallback: Optional[bool] = None,
     retry: Optional[Any] = None,
     injector: Optional[Any] = None,
     where: str,
     default_engine: str = "grouped",
-    workers_require_parallel: bool = True,
     stacklevel: int = 3,
 ) -> ExecutionPolicy:
     """Merge a ``policy`` argument with legacy kwargs into one policy.
 
     The back-compat shim every redesigned entry point shares: pass
-    ``policy=`` going forward; the old ``engine=`` / ``workers=`` /
-    ``fallback=`` / ``retry=`` / ``injector=`` spellings still work but
-    emit a ``DeprecationWarning`` naming ``where``.  Mixing ``policy=``
-    with any legacy kwarg is a ``TypeError`` (ambiguous intent), and
-    the historical ``ValueError`` for ``workers=`` with an engine whose
-    capabilities reject worker pools is preserved
-    (``workers_require_parallel=False`` lifts it
-    for surfaces like ``PlanCache.warm`` where workers always meant a
-    planning fan-out, not an engine pool).
+    ``policy=`` going forward; the old ``engine=`` / ``fallback=`` /
+    ``retry=`` / ``injector=`` spellings still work but emit a
+    ``DeprecationWarning`` naming ``where``.  Mixing ``policy=`` with
+    any legacy kwarg is a ``TypeError`` (ambiguous intent).
     """
     legacy = {
         name: value
         for name, value in (
             ("engine", engine),
-            ("workers", workers),
             ("fallback", fallback or None),
             ("retry", retry),
             ("injector", injector),
@@ -200,20 +171,8 @@ def coerce_policy(
         DeprecationWarning,
         stacklevel=stacklevel,
     )
-    resolved_engine = engine if engine is not None else default_engine
-    if (
-        workers is not None
-        and workers_require_parallel
-        and resolved_engine in ENGINES
-        and not engine_accepts_workers(resolved_engine)
-    ):
-        raise ValueError(
-            f"workers= only applies to the worker-pool engines "
-            f"{WORKER_ENGINES}, not {resolved_engine!r}"
-        )
     return ExecutionPolicy(
-        engine=resolved_engine,
-        workers=workers,
+        engine=engine if engine is not None else default_engine,
         fallback=bool(fallback),
         retry=retry,
         injector=injector,

@@ -66,17 +66,14 @@ def execute_schedule_strided(
     (its historical behaviour).  All engines are bit-identical, so the
     choice only changes speed.
     """
-    from repro.kernels.engine import get_engine_object
-    from repro.kernels.policy import ExecutionPolicy
+    from repro.kernels import ExecutionPolicy, get_engine
 
     pol = (
         ExecutionPolicy(engine="reference")
         if policy is None
         else ExecutionPolicy.of(policy, warn_on_str=False)
     )
-    run = get_engine_object(pol.engine).runner(
-        pol.workers if get_engine_object(pol.engine).capabilities.workers else None
-    )
+    run = get_engine(pol.engine)
     with get_tracer().span("execute.strided", gemms=len(batch), engine=pol.engine):
         operands = split_strided(batch, a, b, c)
         outputs = run(schedule, batch, operands)

@@ -15,7 +15,7 @@ reliability primitives the pipeline wires together:
   :class:`CircuitBreaker` (closed / open / half-open);
 * :mod:`repro.reliability.executor` -- :class:`ReliableExecutor`,
   the retrying, breaker-guarded engine **fallback chain**
-  (``parallel`` -> ``grouped`` -> ``reference``) used by
+  (``compiled`` -> ``grouped`` -> ``reference``) used by
   :meth:`CoordinatedFramework.execute` and the serving layer.
 
 Chaos quickstart::

@@ -3,13 +3,9 @@
 Stream-K++ and tritonBLAS both argue the same point from different
 angles: an analytically *selected* kernel configuration needs a safety
 net for the cases where the selection misbehaves.  Here the selection
-is the execution engine (``procpool`` -> ``compiled`` -> ``grouped``
--> ``reference``, or ``parallel``/``compiled`` -> ``grouped`` ->
-``reference``; each link simpler and more battle-tested than the
-previous), and the safety net is :class:`ReliableExecutor`.  A
-``procpool`` worker-process death surfaces as
-:class:`~repro.kernels.procpool.ProcpoolWorkerDied` -- an ordinary
-engine failure here, so it counts into the breaker and degrades:
+is the execution engine (``compiled`` -> ``grouped`` -> ``reference``;
+each link simpler and more battle-tested than the previous), and the
+safety net is :class:`ReliableExecutor`:
 
 1. run the preferred engine; on failure, **retry** per the
    :class:`~repro.reliability.retry.RetryPolicy` (transient faults);
@@ -37,7 +33,7 @@ import threading
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.kernels import engine_accepts_workers, engine_fallbacks, get_engine
+from repro.kernels import engine_fallbacks, get_engine
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.faults import FaultInjector
 from repro.reliability.retry import RetryPolicy
@@ -61,7 +57,6 @@ class ReliableExecutor:
         self,
         engine: str = "grouped",
         *,
-        workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         fallback: bool = True,
         failure_threshold: int = 5,
@@ -76,7 +71,6 @@ class ReliableExecutor:
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
-        self._workers = workers
         self._sleep = sleep
         self.breakers: dict[str, CircuitBreaker] = {
             name: CircuitBreaker(
@@ -106,14 +100,13 @@ class ReliableExecutor:
     ) -> "ReliableExecutor":
         """Build an executor from an :class:`~repro.kernels.ExecutionPolicy`.
 
-        The policy supplies the engine, worker count, retry policy,
-        fallback flag and fault injector; breaker tuning and the
-        sleep/clock hooks stay keyword arguments (they belong to the
-        runtime, not to the portable policy object).
+        The policy supplies the engine, retry policy, fallback flag and
+        fault injector; breaker tuning and the sleep/clock hooks stay
+        keyword arguments (they belong to the runtime, not to the
+        portable policy object).
         """
         return cls(
             policy.engine,
-            workers=policy.workers if engine_accepts_workers(policy.engine) else None,
             retry=policy.retry,
             fallback=policy.fallback,
             failure_threshold=failure_threshold,
@@ -155,11 +148,7 @@ class ReliableExecutor:
     # -- execution ----------------------------------------------------
 
     def _run_engine(self, name: str, schedule, batch, operands):
-        run = get_engine(
-            name,
-            workers=self._workers if engine_accepts_workers(name) else None,
-            injector=self.injector,
-        )
+        run = get_engine(name, injector=self.injector)
         return run(schedule, batch, operands)
 
     def execute(

@@ -47,7 +47,7 @@ import time
 from repro.core.framework import CoordinatedFramework
 from repro.core.options import Heuristic
 from repro.core.plancache import CacheStats, PlanCache
-from repro.kernels import ENGINES, WORKER_ENGINES
+from repro.kernels import ENGINES
 from repro.gpu.specs import get_device
 from repro.telemetry import NULL_TRACER, Tracer, set_tracer, write_chrome_trace
 
@@ -133,17 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         default="grouped",
         help="numerical execution engine for operand-carrying batches "
-        "(compiled = precompiled-plan interpreter, fastest warm path; "
-        "procpool = multi-core worker processes over shared-memory "
-        "arenas)",
-    )
-    pipeline.add_argument(
-        "--engine-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker-pool shard size (0 = host default; requires a "
-        f"worker-pool engine: {', '.join(WORKER_ENGINES)})",
+        "(compiled = precompiled-plan interpreter, fastest warm path)",
     )
     pipeline.add_argument(
         "--warm",
@@ -389,10 +379,7 @@ def _build_config(args: argparse.Namespace, heuristic: Heuristic):
         ),
         admission=AdmissionConfig(queue_capacity=args.queue_capacity),
         heuristic=heuristic,
-        policy=ExecutionPolicy(
-            engine=args.engine,
-            workers=args.engine_workers or None,
-        ),
+        policy=ExecutionPolicy(engine=args.engine),
         reliability=reliability,
     )
 
@@ -523,11 +510,6 @@ def _run_cluster_live(trace, framework, cluster_config, time_scale: float, kills
 def main(argv: list[str] | None = None) -> int:
     """CLI entry: build the trace, serve it, print the latency report."""
     args = build_parser().parse_args(argv)
-    if args.engine_workers and args.engine not in WORKER_ENGINES:
-        raise SystemExit(
-            "error: --engine-workers requires a worker-pool engine "
-            f"(--engine {' | '.join(WORKER_ENGINES)})"
-        )
     if args.operands and not args.live:
         raise SystemExit("error: --operands requires --live (replay never executes)")
     if args.shards:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.framework import HeuristicLike
-from repro.kernels import ENGINES, WORKER_ENGINES, ExecutionPolicy
+from repro.kernels import ENGINES, ExecutionPolicy
 from repro.reliability import FaultPlan, RetryPolicy
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatcherConfig
@@ -19,7 +19,7 @@ class ReliabilityConfig:
 
     ``retry`` drives both planner and engine retries (capped
     exponential backoff, deterministic jitter); ``fallback`` enables
-    the engine degradation chain (``parallel`` -> ``grouped`` ->
+    the engine degradation chain (``compiled`` -> ``grouped`` ->
     ``reference``); the breaker knobs size each engine's
     :class:`~repro.reliability.CircuitBreaker`; ``bisect`` enables
     poison-batch isolation (a batch that fails after retries and
@@ -64,20 +64,16 @@ class ServeConfig:
     nothing extra).
 
     ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` -- names
-    the numerical executor used when a formed batch carries operands
-    and, for the ``parallel`` engine, its shard-pool size.  Its
-    reliability knobs (``fallback`` / ``retry`` / ``injector``) must
-    stay unset here: the serving pipeline's fault-tolerance envelope
-    comes from ``reliability`` (one source of truth).  The pre-policy
-    ``engine`` / ``engine_workers`` fields still work behind a
+    the numerical executor used when a formed batch carries operands.
+    Its reliability knobs (``fallback`` / ``retry`` / ``injector``)
+    must stay unset here: the serving pipeline's fault-tolerance
+    envelope comes from ``reliability`` (one source of truth).  The
+    pre-policy ``engine`` field still works behind a
     ``DeprecationWarning`` and must not be mixed with ``policy``; use
     :meth:`execution_policy` to read the effective policy.
 
-    ``workers`` is the number of *serve pipeline* threads (planning +
-    dispatch); the policy's worker count independently sizes the
-    ``parallel`` execution engine's shard pool per executed batch --
-    the two knobs compose, since an engine pool is shared process-wide
-    across all serve workers.
+    ``workers`` is the number of serve pipeline threads (planning +
+    dispatch).
 
     ``reliability`` holds the fault-tolerance policy (retries, engine
     fallback, circuit breakers, poison-batch bisection, and the
@@ -94,7 +90,6 @@ class ServeConfig:
     compile_overhead_us: float = 50.0
     policy: Optional[ExecutionPolicy] = None
     engine: Optional[str] = None
-    engine_workers: int | None = None
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
 
     def __post_init__(self) -> None:
@@ -106,12 +101,11 @@ class ServeConfig:
             raise ValueError(
                 f"compile_overhead_us must be >= 0, got {self.compile_overhead_us}"
             )
-        legacy = self.engine is not None or self.engine_workers is not None
+        legacy = self.engine is not None
         if self.policy is not None:
             if legacy:
                 raise ValueError(
-                    "pass either policy= or the legacy engine/engine_workers "
-                    "fields, not both"
+                    "pass either policy= or the legacy engine field, not both"
                 )
             if self.policy.reliable:
                 raise ValueError(
@@ -123,19 +117,9 @@ class ServeConfig:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.engine_workers is not None:
-            if self.engine_workers < 1:
-                raise ValueError(
-                    f"engine_workers must be >= 1, got {self.engine_workers}"
-                )
-            if self.engine not in WORKER_ENGINES:
-                raise ValueError(
-                    "engine_workers= only applies to the worker-pool "
-                    f"engines {WORKER_ENGINES}, got engine={self.engine!r}"
-                )
         if legacy:
             warnings.warn(
-                "ServeConfig engine/engine_workers are deprecated; pass "
+                "ServeConfig engine is deprecated; pass "
                 "policy=repro.ExecutionPolicy(...) instead",
                 DeprecationWarning,
                 stacklevel=3,
@@ -144,14 +128,12 @@ class ServeConfig:
     def execution_policy(self) -> ExecutionPolicy:
         """The effective :class:`~repro.kernels.ExecutionPolicy`.
 
-        ``policy`` when set; otherwise the deprecated
-        ``engine`` / ``engine_workers`` fields coerced (defaulting to
-        the ``grouped`` engine).  Reliability knobs are never carried
+        ``policy`` when set; otherwise the deprecated ``engine`` field
+        coerced (defaulting to the ``grouped`` engine).  Reliability knobs are never carried
         here -- the server layers them on from ``reliability``.
         """
         if self.policy is not None:
             return self.policy
         return ExecutionPolicy(
-            engine=self.engine if self.engine is not None else "grouped",
-            workers=self.engine_workers,
+            engine=self.engine if self.engine is not None else "grouped"
         )

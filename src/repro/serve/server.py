@@ -22,9 +22,8 @@ driver, built from the same parts (``DynamicBatcher``,
 **Fault tolerance** (``config.reliability``, see
 ``docs/reliability.md``): planning and execution failures are retried
 per the :class:`~repro.reliability.RetryPolicy`; engine failures
-degrade along the fallback chain (``procpool`` -> ``compiled`` ->
-``grouped`` -> ``reference``, or ``compiled``/``parallel`` ->
-``grouped`` -> ``reference``) guarded by per-engine circuit breakers
+degrade along the fallback chain (``compiled`` -> ``grouped`` ->
+``reference``) guarded by per-engine circuit breakers
 (:class:`~repro.reliability.ReliableExecutor`); a batch that still
 fails is **bisected** so healthy requests complete and only the poison
 request is rejected with a typed ``error:<ExcName>`` reason.  The
@@ -46,6 +45,7 @@ fully-traced runs use :func:`repro.serve.driver.replay_trace`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
@@ -57,7 +57,6 @@ import numpy as np
 from repro.core.framework import CoordinatedFramework
 from repro.core.plancache import PlanCache
 from repro.core.problem import Gemm
-from repro.kernels import engine_accepts_workers
 from repro.reliability import (
     BreakerState,
     EngineUnavailable,
@@ -152,7 +151,6 @@ class GemmServer:
         policy = self.config.execution_policy()
         self._executor = ReliableExecutor(
             policy.engine,
-            workers=policy.workers if engine_accepts_workers(policy.engine) else None,
             retry=reliability.retry,
             fallback=reliability.fallback,
             failure_threshold=reliability.breaker_failure_threshold,
@@ -625,11 +623,19 @@ class GemmServer:
                 self._admission.observe_service(latency_us)
 
     def _resolve(self, result: ServeResult) -> None:
+        # The settlement record keeps no output array: only the ticket
+        # hands the value to its caller, so it dies with the caller's
+        # references instead of living as long as the server.
+        record = (
+            dataclasses.replace(result, value=None)
+            if isinstance(result, Completed)
+            else result
+        )
         with self._stats_lock:
             ticket = self._tickets.pop(result.request_id, None)
             if ticket is None:
                 return  # already settled (a barrier raced the pipeline)
-            self._results.append(result)
+            self._results.append(record)
             self._last_finish_us = max(self._last_finish_us, result.finish_us)
         ticket._resolve(result)
 
@@ -659,6 +665,9 @@ class GemmServer:
         fresh one; the frontend keeps this export from each retired
         incarnation so :meth:`ClusterFrontend.summary` can merge the
         full history instead of losing everything the dead server did.
+        The results are settlement records: a :class:`Completed` one
+        carries ``value=None`` (only the caller's ticket holds the
+        output).
         """
         with self._stats_lock:
             return {
@@ -706,10 +715,7 @@ class GemmServer:
         thread has crashed; ``breakers`` maps each engine in the
         fallback chain to its circuit state (full snapshots live under
         ``breaker_detail``); the counters mirror what :meth:`summary`
-        later emits as telemetry.  When the ``procpool`` engine is in
-        the fallback chain, ``procpool`` reports the worker-process
-        pool's liveness (pool generations, restart count, live arena
-        segments) from :func:`repro.kernels.procpool.procpool_status`.
+        later emits as telemetry.
         """
         with self._cond:
             accepting = self._accepting
@@ -717,7 +723,7 @@ class GemmServer:
         with self._stats_lock:
             outstanding = len(self._tickets)
         snap = self._reliability_snapshot()
-        health = {
+        return {
             "ok": accepting and not snap["crashes"],
             "accepting": accepting,
             "queue_depth": pending + self._batch_q.qsize(),
@@ -737,11 +743,6 @@ class GemmServer:
             "faults_injected": snap["faults_injected"],
             "crashes": snap["crashes"],
         }
-        if "procpool" in snap["chain"]:
-            from repro.kernels.procpool import procpool_status
-
-            health["procpool"] = procpool_status()
-        return health
 
     def summary(self) -> ServeReport:
         """Compile everything served so far into a :class:`ServeReport`.

@@ -103,19 +103,7 @@ class TestPlanOptions:
             "tlp_threshold": None,
             "precision": None,
             "backend": None,
-            "workers": None,
         }
-
-    def test_workers_validated_but_not_in_cache_key(self):
-        """workers is an execution knob: invalid counts are rejected,
-        but the plan-cache identity must not fragment per pool size."""
-        with pytest.raises(ValueError, match="workers"):
-            PlanOptions(workers=0)
-        base = PlanOptions(Heuristic.BEST, theta=256, tlp_threshold=65536, precision="fp32")
-        sized = dataclasses.replace(base, workers=4)
-        assert sized.workers == 4
-        assert sized.cache_key() == base.cache_key()
-        assert sized.resolved(256, 65536, "fp32").workers == 4
 
     def test_precisions_constant(self):
         assert set(PRECISIONS) == {"fp32", "fp16", "bf16"}

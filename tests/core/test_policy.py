@@ -1,8 +1,8 @@
 """Tests for ExecutionPolicy and the legacy-kwarg deprecation shims.
 
-One frozen policy object replaces the ``engine=`` / ``workers=`` /
-``fallback=`` / ``retry=`` / ``injector=`` kwarg sprawl across
-``CoordinatedFramework.execute``, ``PlanCache.execute``/``warm`` and
+One frozen policy object replaces the ``engine=`` / ``fallback=`` /
+``retry=`` / ``injector=`` kwarg sprawl across
+``CoordinatedFramework.execute``, ``PlanCache.execute`` and
 ``ServeConfig``.  Every legacy spelling must keep working behind a
 ``DeprecationWarning``, mixing old and new spellings must fail loudly,
 and the historical error contracts must survive the migration.
@@ -36,16 +36,11 @@ class TestExecutionPolicy:
     def test_defaults(self):
         pol = ExecutionPolicy()
         assert pol.engine == "grouped"
-        assert pol.workers is None
         assert not pol.fallback and pol.retry is None and pol.injector is None
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):
             ExecutionPolicy(engine="warp-speed")
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            ExecutionPolicy(workers=0)
 
     def test_frozen(self):
         pol = ExecutionPolicy()
@@ -79,17 +74,10 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError, match="ExecutionPolicy"):
             ExecutionPolicy.of(42)
 
-    def test_with_workers(self):
-        pol = ExecutionPolicy(engine="parallel")
-        assert pol.with_workers(None) is pol
-        bumped = pol.with_workers(4)
-        assert bumped.workers == 4 and bumped.engine == "parallel"
-
     def test_to_dict(self):
         pol = ExecutionPolicy(engine="compiled", fallback=True)
         assert pol.to_dict() == {
             "engine": "compiled",
-            "workers": None,
             "fallback": True,
             "retry": False,
             "injector": False,
@@ -112,18 +100,6 @@ class TestCoercePolicy:
         with pytest.warns(DeprecationWarning, match="here: the engine keyword"):
             pol = coerce_policy(None, engine="compiled", where="here")
         assert pol.engine == "compiled"
-
-    def test_workers_require_parallel_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="only applies to the worker-pool engines"):
-                coerce_policy(None, workers=2, where="here")
-
-    def test_workers_requirement_liftable(self):
-        with pytest.warns(DeprecationWarning):
-            pol = coerce_policy(
-                None, workers=3, where="here", workers_require_parallel=False
-            )
-        assert pol.engine == "grouped" and pol.workers == 3
 
     def test_fallback_false_counts_as_unset(self):
         with no_warnings():
@@ -172,12 +148,6 @@ class TestFrameworkExecuteShims:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
-    def test_legacy_workers_contract_preserved(self, framework, small_batch, rng):
-        ops = small_batch.random_operands(rng)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="only applies to the worker-pool engines"):
-                framework.execute(small_batch, ops, engine="grouped", workers=2)
-
 
 class TestPlanCacheShims:
     def test_execute_policy_path(self, framework, small_batch, rng):
@@ -199,17 +169,11 @@ class TestPlanCacheShims:
             got = cache.execute(small_batch, ops, engine="grouped")
         assert len(got) == len(small_batch)
 
-    def test_warm_policy_and_legacy(self, framework, small_batch):
+    def test_warm_policy_path(self, framework, small_batch):
         cache = PlanCache(framework)
         with no_warnings():
             assert cache.warm([small_batch], policy=ExecutionPolicy()) == 1
-        with pytest.warns(DeprecationWarning, match="PlanCache.warm"):
-            assert cache.warm([small_batch], workers=2) == 0  # already warm
-
-    def test_warm_mixing_rejected(self, framework, small_batch):
-        cache = PlanCache(framework)
-        with pytest.raises(TypeError, match="not both"):
-            cache.warm([small_batch], policy=ExecutionPolicy(), workers=2)
+            assert cache.warm([small_batch], policy=ExecutionPolicy()) == 0
 
 
 class TestServeConfigShims:
@@ -219,10 +183,9 @@ class TestServeConfigShims:
         assert config.execution_policy().engine == "compiled"
 
     def test_legacy_engine_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine/engine_workers"):
-            config = ServeConfig(engine="parallel", engine_workers=2)
-        pol = config.execution_policy()
-        assert pol.engine == "parallel" and pol.workers == 2
+        with pytest.warns(DeprecationWarning, match="ServeConfig engine is deprecated"):
+            config = ServeConfig(engine="compiled")
+        assert config.execution_policy().engine == "compiled"
 
     def test_default_resolves_to_grouped(self):
         with no_warnings():
@@ -235,10 +198,3 @@ class TestServeConfigShims:
     def test_reliable_policy_rejected(self):
         with pytest.raises(ValueError, match="ReliabilityConfig"):
             ServeConfig(policy=ExecutionPolicy(fallback=True))
-
-    def test_legacy_engine_workers_contract_preserved(self):
-        # Validation fires before the deprecation warning is emitted.
-        with pytest.raises(ValueError, match="engine_workers"):
-            ServeConfig(engine="grouped", engine_workers=2)
-        with pytest.raises(ValueError, match="engine_workers"):
-            ServeConfig(engine="parallel", engine_workers=0)

@@ -16,12 +16,10 @@ from repro.core.problem import Gemm, GemmBatch
 from repro.kernels import blas
 from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.compiled import execute_compiled
-from repro.kernels.grouped import execute_grouped, grouped_plan_for
-from repro.kernels.parallel import execute_parallel, plan_shards
+from repro.kernels.grouped import execute_grouped
 from repro.kernels.persistent import execute_schedule
-from repro.kernels.procpool import execute_procpool
 
-from .test_parallel import make_schedule
+from .test_grouped import make_schedule
 
 
 def numpy_loop(a: np.ndarray, b: np.ndarray, bk: int) -> np.ndarray:
@@ -123,43 +121,25 @@ class TestChunkLoop:
     reason="the np.matmul fallback sends one-row products to gemv",
 )
 class TestOneRowOneColumn:
-    """Float64 GEMMs with one row or one column, on all five engines.
+    """Float64 GEMMs with one row or one column, on every fast engine.
 
     ``np.matmul`` computes a (1 x w) @ (w x n) or (m x w) @ (w x 1)
     chunk product with gemv, which rounds differently from the gemm the
     reference walk runs on its zero-padded tiles; the fp32 cast hides
-    it, float64 outputs do not.  With two workers each GEMM's product
-    splits into chunk shards (the ordered-merge path); with one it does
-    not.
+    it, float64 outputs do not.
     """
 
     SHAPES = [(1, 200, 64), (200, 1, 64), (1, 81, 298), (2, 1, 302)]
-    ENGINES = {
-        "grouped": lambda s, b, o, w: execute_grouped(s, b, o),
-        "compiled": lambda s, b, o, w: execute_compiled(s, b, o),
-        "parallel": lambda s, b, o, w: execute_parallel(s, b, o, workers=w),
-        "procpool": lambda s, b, o, w: execute_procpool(s, b, o, workers=w, min_flops=0),
-    }
-    RUNS = [
-        ("grouped", 1),
-        ("compiled", 1),
-        ("parallel", 1),
-        ("parallel", 2),
-        ("procpool", 1),
-        ("procpool", 2),
-    ]
+    ENGINES = {"grouped": execute_grouped, "compiled": execute_compiled}
 
-    @pytest.mark.parametrize("engine,workers", RUNS)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_bit_identical_to_reference(self, rng, shape, engine, workers):
+    def test_bit_identical_to_reference(self, rng, shape, engine):
         batch = GemmBatch([Gemm(*shape)])
         ops = batch.random_operands(rng, dtype=np.float64)
         sched = make_schedule(batch)
-        if workers == 2:
-            shards = plan_shards(grouped_plan_for(sched, batch), batch, workers)
-            assert any(s.split for s in shards.products)
         want = execute_schedule(sched, batch, ops)[0]
-        got = self.ENGINES[engine](sched, batch, ops, workers)[0]
+        got = self.ENGINES[engine](sched, batch, ops)[0]
         assert got.dtype == np.float64
         assert np.array_equal(got, want), (
             f"max |delta| = {np.max(np.abs(got - want))}"
@@ -175,12 +155,9 @@ class TestOneRowOneColumn:
         "SkylakeX kernels); see docs/performance.md, Bit-exactness"
     ),
 )
-@pytest.mark.parametrize(
-    "engine,workers",
-    [("grouped", 1), ("compiled", 1), ("parallel", 2), ("procpool", 2)],
-)
+@pytest.mark.parametrize("engine", TestOneRowOneColumn.ENGINES)
 @pytest.mark.parametrize("shape", [(331, 381, 73), (511, 509, 24), (257, 500, 40)])
-def test_large_float64_chunk_calls_match_reference(rng, shape, engine, workers):
+def test_large_float64_chunk_calls_match_reference(rng, shape, engine):
     """Reproducer: full-width chunk calls of more than 10**6 multiply-adds.
 
     Each engine's chunk call here is an ``m x n x 8`` dgemm of more than
@@ -193,5 +170,5 @@ def test_large_float64_chunk_calls_match_reference(rng, shape, engine, workers):
     ops = batch.random_operands(rng, dtype=np.float64)
     sched = make_schedule(batch)
     want = execute_schedule(sched, batch, ops)[0]
-    got = TestOneRowOneColumn.ENGINES[engine](sched, batch, ops, workers)[0]
+    got = TestOneRowOneColumn.ENGINES[engine](sched, batch, ops)[0]
     assert np.array_equal(got, want), f"{np.count_nonzero(got != want)} elements differ"

@@ -608,27 +608,21 @@ class TestEngineRegistry:
         assert ENGINE_FALLBACKS["compiled"] == ("compiled", "grouped", "reference")
         engine = get_engine_object("compiled")
         assert engine.name == "compiled"
-        assert engine.capabilities.precompiled
-        assert not engine.capabilities.workers
-        with pytest.raises(ValueError, match="workers"):
-            get_engine("compiled", workers=2)
 
     def test_engine_protocol(self):
         from repro.kernels.engine import Engine, get_engine_object
 
         engine = get_engine_object("compiled")
         assert isinstance(engine, Engine)
-        assert callable(engine.runner(None))
+        assert callable(engine.runner())
 
     def test_compiled_importable_independently(self):
-        """The compiled engine must not pull in persistent or parallel."""
+        """The compiled engine must not pull in the persistent walk."""
         src = Path(__file__).resolve().parents[2] / "src"
         code = (
             "import sys; import repro.kernels.compiled; "
             "assert 'repro.kernels.persistent' not in sys.modules, "
-            "'compiled imported persistent'; "
-            "assert 'repro.kernels.parallel' not in sys.modules, "
-            "'compiled imported parallel'"
+            "'compiled imported persistent'"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

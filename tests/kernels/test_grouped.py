@@ -250,18 +250,12 @@ class TestOutOfMatrixTiles:
             }
         )
 
-    @pytest.mark.parametrize("engine", ["reference", "grouped", "compiled", "parallel"])
+    @pytest.mark.parametrize("engine", ["reference", "grouped", "compiled"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rejected_by_every_engine(self, engine, case, rng):
-        from repro.kernels.compiled import execute_compiled
-        from repro.kernels.parallel import execute_parallel
+        from repro.kernels import get_engine
 
-        run = {
-            "reference": execute_schedule,
-            "grouped": execute_grouped,
-            "compiled": execute_compiled,
-            "parallel": lambda s, b, o: execute_parallel(s, b, o, workers=2),
-        }[engine]
+        run = get_engine(engine)
         n_gemms, slots, message = self.CASES[case]
         batch = GemmBatch.from_shapes([(32, 32, 32)] * n_gemms)
         ops = batch.random_operands(rng)
@@ -317,15 +311,11 @@ class TestEngineRegistry:
     def test_get_engine_mapping(self):
         from repro.kernels import ENGINES, get_engine
 
-        assert set(ENGINES) == {
-            "reference", "grouped", "parallel", "compiled", "procpool"
-        }
+        assert set(ENGINES) == {"reference", "grouped", "compiled"}
         assert get_engine("reference") is execute_schedule
         assert get_engine("grouped") is execute_grouped
         with pytest.raises(ValueError, match="unknown execution engine"):
             get_engine("warp-speed")
-        with pytest.raises(ValueError, match="workers"):
-            get_engine("grouped", workers=2)
 
     @pytest.mark.parametrize(
         "kept,shunned",

@@ -1,96 +1,96 @@
-"""Tests for the multi-worker parallel execution engine.
+"""Concurrent callers of the shared execution engines.
 
-The contract is the grouped engine's, one level up: for every
-schedule, at every worker count, ``execute_parallel`` must be
-**bit-identical** (``np.array_equal``, not allclose) to
-``execute_grouped`` -- and therefore to the reference walk.  On top
-of that it must be deterministic (two runs byte-identical) and its
-Stream-K-style shard planner must produce an exactly-once, even-share
-decomposition.
-
-CI replays the equivalence classes here under ``REPRO_PARALLEL_WORKERS``
-set to 1 and 4 to pin both the degenerate and the fanned-out pool.
+One engine serves many threads: the serving layer's worker threads
+(``ServeConfig.workers``), cluster backends and application threads
+all call the same ``grouped`` and ``compiled`` engines, which share
+memoized state -- grouped plans, and compiled artifacts whose single
+scratch arena :meth:`~repro.kernels.compiled.CompiledPlan.run` guards
+with a lock.  The contract is the sequential one, held under
+concurrency: for every schedule class, with 1, 2 and 4 threads
+executing the same batch at once, every thread's outputs through each
+engine must be **bit-identical** (``np.array_equal``, not allclose) to
+the reference walk, repeated concurrent runs byte-identical and the
+shared inputs untouched, and a caller whose request fails must not
+disturb the others.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.batching import batch_tiles
+from repro.core.options import Heuristic, PlanOptions
+from repro.core.plancache import PlanCache
 from repro.core.problem import Gemm, GemmBatch
-from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
-from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling, strategy_by_index
-from repro.kernels.grouped import execute_grouped, grouped_plan_for, lower_schedule
-from repro.kernels.parallel import (
-    EpilogueShard,
-    ProductShard,
-    execute_parallel,
-    plan_shards,
-    resolve_workers,
-    shared_pool,
-)
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, strategy_by_index
+from repro.kernels import ExecutionPolicy, get_engine
+from repro.kernels.compiled import compile_plan
+from repro.kernels.grouped import lower_schedule
+from repro.kernels.persistent import execute_schedule
 
-#: Worker counts the equivalence suite sweeps.  CI overrides via
-#: REPRO_PARALLEL_WORKERS to pin a single pool size per job step.
-_ENV_WORKERS = os.environ.get("REPRO_PARALLEL_WORKERS")
-WORKER_COUNTS = [int(_ENV_WORKERS)] if _ENV_WORKERS else [1, 2, 4]
+from .test_grouped import forced_schedule, make_schedule
+
+#: Caller threads each case runs at once; 1 is the sequential contract.
+THREAD_COUNTS = [1, 2, 4]
+
+#: The engines callers share (the reference walk is the oracle).
+SHARED_ENGINES = ("grouped", "compiled")
 
 
-def make_schedule(batch, heuristic="threshold", threshold=65536):
-    decision = select_tiling(batch, threshold)
-    tiles = enumerate_tiles(batch, decision)
-    batching = batch_tiles(tiles, decision.threads, heuristic)
-    return build_schedule(batch, decision, batching)
+def call_concurrently(calls):
+    """Run each zero-argument callable on its own thread, all released
+    together by a barrier; return ``(results, errors)`` in call order."""
+    barrier = threading.Barrier(len(calls))
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def call(slot):
+        try:
+            barrier.wait(timeout=60)
+            results[slot] = calls[slot]()
+        except Exception as exc:  # reported to the test thread
+            errors[slot] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive(), "a caller thread hung"
+    return results, errors
 
 
-def forced_schedule(batch: GemmBatch, strategy_index: int) -> BatchSchedule:
-    """A one-block schedule that tiles every GEMM with one strategy."""
-    strat = ALL_BATCHED_STRATEGIES[strategy_index]
-    gemm_ids, y_coords, x_coords = [], [], []
-    for gi, gemm in enumerate(batch):
-        grid_y = -(-gemm.m // strat.by)
-        grid_x = -(-gemm.n // strat.bx)
-        for ty in range(grid_y):
-            for tx in range(grid_x):
-                gemm_ids.append(gi)
-                y_coords.append(ty)
-                x_coords.append(tx)
-    n = len(gemm_ids)
-    return BatchSchedule(
-        tile_offsets=np.array([0, n], dtype=np.int32),
-        gemm_ids=np.array(gemm_ids, dtype=np.int32),
-        strategy_ids=np.full(n, strategy_index, dtype=np.int32),
-        y_coords=np.array(y_coords, dtype=np.int32),
-        x_coords=np.array(x_coords, dtype=np.int32),
-        threads_per_block=strat.threads,
-        shared_memory_bytes=strat.shared_memory_bytes,
-        registers_per_thread=strat.registers_per_thread,
-    )
-
-
-def assert_matches_grouped(schedule, batch, ops, workers):
-    want = execute_grouped(schedule, batch, ops)
-    got = execute_parallel(schedule, batch, ops, workers=workers)
+def assert_outputs_equal(want, got, label):
     for gi, (w, g) in enumerate(zip(want, got)):
-        assert w.dtype == g.dtype, f"GEMM {gi} dtype drift at workers={workers}"
+        assert w.dtype == g.dtype, f"GEMM {gi} dtype drift ({label})"
         assert np.array_equal(w, g), (
-            f"GEMM {gi}: parallel engine (workers={workers}) diverges from "
-            f"grouped (max |delta| = {np.max(np.abs(w - g))})"
+            f"GEMM {gi}: {label} diverges from the reference walk "
+            f"(max |delta| = {np.max(np.abs(w - g))})"
         )
-    return got
+
+
+def assert_matches_reference(schedule, batch, ops, threads, plans=None):
+    """Each shared engine, called from ``threads`` threads at once,
+    returns the reference walk's outputs on every thread."""
+    want = execute_schedule(schedule, batch, ops)
+    for name in SHARED_ENGINES:
+        run = get_engine(name)
+        plan = None if plans is None else plans[name]
+        results, errors = call_concurrently(
+            [lambda: run(schedule, batch, ops, plan)] * threads
+        )
+        assert errors == [None] * threads
+        for slot, got in enumerate(results):
+            assert_outputs_equal(want, got, f"{name} caller {slot} of {threads}")
 
 
 class TestBitExactEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize("strategy_index", range(len(ALL_BATCHED_STRATEGIES)))
-    def test_all_table2_strategies(self, rng, strategy_index, workers):
-        """Every Table-2 entry, ragged in M, N, and K, every pool size."""
+    def test_all_table2_strategies(self, rng, strategy_index, threads):
+        """Every Table-2 entry, ragged in M, N, and K, every caller count."""
         strat = ALL_BATCHED_STRATEGIES[strategy_index]
         batch = GemmBatch(
             [
@@ -100,12 +100,12 @@ class TestBitExactEquivalence:
         )
         ops = batch.random_operands(rng)
         sched = forced_schedule(batch, strategy_index)
-        assert_matches_grouped(sched, batch, ops, workers)
+        assert_matches_reference(sched, batch, ops, threads)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize("trans_a", [False, True])
     @pytest.mark.parametrize("trans_b", [False, True])
-    def test_transposed_operands(self, rng, trans_a, trans_b, workers):
+    def test_transposed_operands(self, rng, trans_a, trans_b, threads):
         batch = GemmBatch(
             [
                 Gemm(33, 47, 21, trans_a=trans_a, trans_b=trans_b),
@@ -113,13 +113,13 @@ class TestBitExactEquivalence:
             ]
         )
         ops = batch.random_operands(rng)
-        assert_matches_grouped(make_schedule(batch, "binary"), batch, ops, workers)
+        assert_matches_reference(make_schedule(batch, "binary"), batch, ops, threads)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize(
         "alpha,beta", [(1.0, 0.0), (1.5, 0.5), (0.0, 2.0), (-0.75, 1.0)]
     )
-    def test_alpha_beta_epilogue(self, rng, alpha, beta, workers):
+    def test_alpha_beta_epilogue(self, rng, alpha, beta, threads):
         batch = GemmBatch(
             [
                 Gemm(40, 40, 40, alpha=alpha, beta=beta),
@@ -127,265 +127,131 @@ class TestBitExactEquivalence:
             ]
         )
         ops = batch.random_operands(rng)
-        assert_matches_grouped(make_schedule(batch, "threshold"), batch, ops, workers)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("heuristic", ["one-per-block", "threshold", "binary"])
-    def test_planned_schedules(self, small_batch, rng, heuristic, workers):
-        ops = small_batch.random_operands(rng)
-        assert_matches_grouped(
-            make_schedule(small_batch, heuristic), small_batch, ops, workers
+        assert_matches_reference(
+            make_schedule(batch, "threshold"), batch, ops, threads
         )
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_large_k_forces_product_split(self, rng, workers):
-        """A K deep enough that the dominant GEMM splits into multiple
-        chunk shards (the ordered-merge path, not just whole products)."""
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    @pytest.mark.parametrize("heuristic", ["one-per-block", "threshold", "binary"])
+    def test_planned_schedules(self, small_batch, rng, heuristic, threads):
+        ops = small_batch.random_operands(rng)
+        assert_matches_reference(
+            make_schedule(small_batch, heuristic), small_batch, ops, threads
+        )
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_large_k_forces_product_split(self, rng, threads):
+        """A K deep enough that the dominant GEMM's product splits into
+        a long run of BK-chunk calls accumulating in shared scratch."""
         batch = GemmBatch([Gemm(48, 48, 1024), Gemm(16, 16, 64)])
         ops = batch.random_operands(rng)
         sched = make_schedule(batch, "threshold")
-        if workers > 1:
-            plan = grouped_plan_for(sched, batch)
-            sp = plan_shards(plan, batch, workers)
-            assert any(s.split for s in sp.products), "workload failed to split"
-        assert_matches_grouped(sched, batch, ops, workers)
+        dominant = sched.gemm_ids == 0
+        bk = strategy_by_index(int(sched.strategy_ids[dominant][0])).bk
+        assert -(-batch[0].k // bk) >= 8, "workload failed to split"
+        assert_matches_reference(sched, batch, ops, threads)
 
     def test_explicit_plan_accepted(self, small_batch, rng):
+        """Freshly lowered artifacts passed explicitly, shared by two callers."""
         sched = make_schedule(small_batch, "threshold")
-        plan = lower_schedule(sched, small_batch)
+        plans = {
+            "grouped": lower_schedule(sched, small_batch),
+            "compiled": compile_plan(sched, small_batch),
+        }
         ops = small_batch.random_operands(rng)
-        want = execute_grouped(sched, small_batch, ops)
-        got = execute_parallel(sched, small_batch, ops, plan, workers=2)
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
+        assert_matches_reference(sched, small_batch, ops, 2, plans)
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_repeated_runs_byte_identical(self, rng, workers):
-        """Deterministic shard-merge order: two runs, same bytes."""
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_repeated_runs_byte_identical(self, rng, threads):
+        """Concurrent reruns reproduce a sequential run's bytes."""
         batch = GemmBatch([Gemm(65, 77, 512), Gemm(33, 29, 640), Gemm(96, 96, 96)])
         ops = batch.random_operands(rng)
         sched = make_schedule(batch, "binary")
-        first = execute_parallel(sched, batch, ops, workers=workers)
-        for _ in range(3):
-            again = execute_parallel(sched, batch, ops, workers=workers)
-            for a, b in zip(first, again):
-                assert a.tobytes() == b.tobytes()
-
-
-class TestShardPlanner:
-    def _plan(self, batch, workers, heuristic="threshold"):
-        sched = make_schedule(batch, heuristic)
-        return plan_shards(grouped_plan_for(sched, batch), batch, workers), sched
-
-    def test_workers_one_never_splits(self):
-        batch = GemmBatch([Gemm(64, 64, 2048), Gemm(32, 32, 32)])
-        sp, _ = self._plan(batch, 1)
-        assert all(not s.split for s in sp.products)
-
-    def test_product_chunks_partition_exactly_once(self):
-        """Shards of one product cover its BK-chunk axis exactly once,
-        contiguously and ascending."""
-        batch = GemmBatch([Gemm(80, 80, 1536), Gemm(24, 24, 48)])
-        sp, sched = self._plan(batch, 4)
-        by_product: dict[tuple[int, int], list[ProductShard]] = {}
-        for s in sp.products:
-            by_product.setdefault((s.gemm_index, s.bk), []).append(s)
-        for (gi, bk), shards in by_product.items():
-            shards.sort(key=lambda s: s.chunk_lo)
-            n_chunks = -(-batch[gi].k // bk)
-            assert shards[0].chunk_lo == 0
-            assert shards[-1].chunk_hi == n_chunks
-            for prev, nxt in zip(shards, shards[1:]):
-                assert prev.chunk_hi == nxt.chunk_lo
-                assert prev.chunk_lo < prev.chunk_hi
-
-    def test_epilogue_tiles_partition_exactly_once(self):
-        batch = GemmBatch([Gemm(256, 256, 32), Gemm(16, 16, 16)])
-        sp, _ = self._plan(batch, 4)
-        by_group: dict[int, list[EpilogueShard]] = {}
-        for e in sp.epilogues:
-            by_group.setdefault(id(e.group), []).append(e)
-        for shards in by_group.values():
-            shards.sort(key=lambda e: e.tile_lo)
-            assert shards[0].tile_lo == 0
-            assert shards[-1].tile_hi == shards[0].group.size
-            for prev, nxt in zip(shards, shards[1:]):
-                assert prev.tile_hi == nxt.tile_lo
-
-    def test_even_share_caps_dominant_product(self):
-        """An oversized GEMM is cut down toward the even share: its
-        largest shard must carry well under its whole-product share."""
-        batch = GemmBatch([Gemm(128, 128, 2048), Gemm(16, 16, 64)])
-        sp, _ = self._plan(batch, 4)
-        # the big GEMM is >99% of the work serially...
-        assert sp.largest_product_share() < 0.5  # ...but no shard is
-        assert any(s.split for s in sp.products)
-
-    def test_determinism_of_planning(self):
-        batch = GemmBatch([Gemm(70, 70, 700), Gemm(30, 30, 300)])
-        a, _ = self._plan(batch, 4)
-        b, _ = self._plan(batch, 4)
-        assert a.products == b.products
-        assert [
-            (e.gemm_index, e.tile_lo, e.tile_hi) for e in a.epilogues
-        ] == [(e.gemm_index, e.tile_lo, e.tile_hi) for e in b.epilogues]
+        for name in SHARED_ENGINES:
+            run = get_engine(name)
+            first = run(sched, batch, ops)
+            for _ in range(3):
+                results, errors = call_concurrently(
+                    [lambda: run(sched, batch, ops)] * threads
+                )
+                assert errors == [None] * threads
+                for again in results:
+                    for a, b in zip(first, again):
+                        assert a.tobytes() == b.tobytes()
 
 
 class TestContract:
     def test_operand_shape_mismatch_raises(self, small_batch, rng):
+        """A bad request raises on its own thread; the caller sharing the
+        engine with it, and every later caller, still gets exact outputs."""
         sched = make_schedule(small_batch, "threshold")
+        ops = small_batch.random_operands(rng)
         bad = [
             (np.zeros((2, 2), np.float32),) * 3 for _ in range(len(small_batch))
         ]
-        with pytest.raises(ValueError):
-            execute_parallel(sched, small_batch, bad, workers=2)
-
-    def test_invalid_workers_rejected(self, small_batch, rng):
-        sched = make_schedule(small_batch, "threshold")
-        ops = small_batch.random_operands(rng)
-        with pytest.raises(ValueError, match="workers"):
-            execute_parallel(sched, small_batch, ops, workers=0)
-
-    def test_resolve_workers(self, monkeypatch):
-        assert resolve_workers(3) == 3
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "5")
-        assert resolve_workers(None) == 5
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "nope")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS"):
-            resolve_workers(None)
-
-    def test_shared_pool_reused(self):
-        assert shared_pool(2) is shared_pool(2)
-        assert shared_pool(2) is not shared_pool(3)
+        want = execute_schedule(sched, small_batch, ops)
+        for name in SHARED_ENGINES:
+            run = get_engine(name)
+            results, errors = call_concurrently(
+                [
+                    lambda: run(sched, small_batch, bad),
+                    lambda: run(sched, small_batch, ops),
+                ]
+            )
+            assert isinstance(errors[0], ValueError)
+            assert errors[1] is None
+            assert_outputs_equal(want, results[1], f"{name} beside a failed call")
+            assert_outputs_equal(want, run(sched, small_batch, ops), f"{name} after")
 
     def test_inputs_not_modified(self, small_batch, rng):
         ops = small_batch.random_operands(rng)
         copies = [(a.copy(), b.copy(), c.copy()) for a, b, c in ops]
         sched = make_schedule(small_batch, "threshold")
-        execute_parallel(sched, small_batch, ops, workers=2)
+        for name in SHARED_ENGINES:
+            run = get_engine(name)
+            _, errors = call_concurrently([lambda: run(sched, small_batch, ops)] * 2)
+            assert errors == [None, None]
         for (a, b, c), (ca, cb, cc) in zip(ops, copies):
             assert np.array_equal(a, ca)
             assert np.array_equal(b, cb)
             assert np.array_equal(c, cc)
 
 
-class TestTelemetry:
-    def test_spans_and_metrics_from_calling_thread(self, small_batch, rng):
-        from repro.telemetry import Tracer, set_tracer
-
-        ops = small_batch.random_operands(rng)
-        sched = make_schedule(small_batch, "threshold")
-        tracer = Tracer()
-        prev = set_tracer(tracer)
-        try:
-            execute_parallel(sched, small_batch, ops, workers=2)
-        finally:
-            set_tracer(prev)
-        names = [s.name for s in tracer.walk()]
-        assert "execute.parallel" in names
-        shard_spans = [s for s in tracer.walk() if s.name == "parallel.shard"]
-        assert shard_spans, "no parallel.shard spans emitted"
-        assert all("busy_ms" in s.attrs for s in shard_spans)
-        assert tracer.metrics.gauges["parallel.workers"].value == 2.0
-        assert tracer.metrics.gauges["parallel.imbalance"].value >= 1.0
-
-    def test_null_tracer_emits_nothing_but_executes(self, small_batch, rng):
-        ops = small_batch.random_operands(rng)
-        sched = make_schedule(small_batch, "threshold")
-        out = execute_parallel(sched, small_batch, ops, workers=2)
-        assert len(out) == len(small_batch)
-
-
-class TestEngineRegistry:
-    def test_parallel_engine_resolvable(self):
-        from repro.kernels import ENGINES, get_engine
-        from repro.kernels.parallel import execute_parallel as ep
-
-        assert "parallel" in ENGINES
-        assert get_engine("parallel") is ep
-        bound = get_engine("parallel", workers=2)
-        assert bound.workers == 2
-
-    def test_parallel_never_imports_persistent(self):
-        """The oracle stays independent: the parallel engine builds on
-        grouped only."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        code = (
-            "import sys; import repro.kernels.parallel; "
-            "assert 'repro.kernels.persistent' not in sys.modules, "
-            "'parallel imported persistent'"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
-
 class TestIntegration:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_framework_execute(self, framework, small_batch, rng, workers):
-        from repro.core.options import Heuristic, PlanOptions
-
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_framework_execute(self, framework, small_batch, rng, threads):
+        """One framework serving concurrent callers, per engine policy."""
         ops = small_batch.random_operands(rng)
         want = framework.execute(small_batch, ops, Heuristic.THRESHOLD)
-        got = framework.execute(
-            small_batch,
-            ops,
-            options=PlanOptions(heuristic=Heuristic.THRESHOLD, workers=workers),
-            engine="parallel",
-        )
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
+        opts = PlanOptions(heuristic=Heuristic.THRESHOLD)
+        for name in SHARED_ENGINES:
+            policy = ExecutionPolicy(engine=name)
 
-    def test_framework_rejects_workers_for_other_engines(
-        self, framework, small_batch, rng
-    ):
-        ops = small_batch.random_operands(rng)
-        with pytest.raises(ValueError, match="workers"):
-            framework.execute(small_batch, ops, engine="grouped", workers=2)
+            def call():
+                return framework.execute(small_batch, ops, options=opts, policy=policy)
+
+            results, errors = call_concurrently([call] * threads)
+            assert errors == [None] * threads
+            for slot, got in enumerate(results):
+                assert_outputs_equal(want, got, f"{name} caller {slot} of {threads}")
 
     def test_plancache_execute_parallel(self, framework, small_batch, rng):
-        from repro.core.options import Heuristic, PlanOptions
-        from repro.core.plancache import PlanCache
-
+        """Concurrent callers of one PlanCache share its cached plan."""
         cache = PlanCache(framework)
         ops = small_batch.random_operands(rng)
         opts = PlanOptions(heuristic=Heuristic.THRESHOLD)
         want = cache.execute(small_batch, ops, options=opts)
-        got = cache.execute(
-            small_batch, ops, options=opts, engine="parallel", workers=2
-        )
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
-        # the parallel run hit the plan cached by the grouped run
-        assert cache.stats_snapshot().hits >= 1
+        for name in SHARED_ENGINES:
+            policy = ExecutionPolicy(engine=name)
 
-    def test_plancache_warm_parallel(self, framework):
-        from repro.core.options import Heuristic
-        from repro.core.plancache import PlanCache
+            def call():
+                return cache.execute(small_batch, ops, options=opts, policy=policy)
 
-        cache = PlanCache(framework)
-        batches = [
-            GemmBatch([Gemm(32 + 8 * i, 32, 32), Gemm(16, 16, 16)]) for i in range(6)
-        ]
-        planned = cache.warm(batches, Heuristic.THRESHOLD, workers=4)
-        assert planned == 6
-        # everything is now hot: a serial re-warm plans nothing
-        assert cache.warm(batches, Heuristic.THRESHOLD) == 0
-
-    def test_serve_config_parallel(self):
-        from repro.serve import ServeConfig
-
-        cfg = ServeConfig(engine="parallel", engine_workers=2)
-        assert cfg.engine_workers == 2
-        with pytest.raises(ValueError, match="engine_workers"):
-            ServeConfig(engine="grouped", engine_workers=2)
-        with pytest.raises(ValueError, match="engine_workers"):
-            ServeConfig(engine="parallel", engine_workers=0)
+            results, errors = call_concurrently([call] * 2)
+            assert errors == [None, None]
+            for slot, got in enumerate(results):
+                assert_outputs_equal(want, got, f"{name} caller {slot} of 2")
+        # every concurrent run hit the plan cached by the first execute
+        assert cache.stats_snapshot().hits >= 2 * len(SHARED_ENGINES)

@@ -3,9 +3,9 @@
 The contract under test (tentpole of the precision-honest tiling PR):
 
 * **fp32** stays bit-exact: for each of the twelve Table-2 strategies,
-  the grouped / compiled / procpool engines produce byte-identical
-  outputs to the reference persistent-threads walk (pinned by sha256
-  digest equality over the raw output bytes, not just allclose).
+  the grouped and compiled engines produce byte-identical outputs to
+  the reference persistent-threads walk (pinned by sha256 digest
+  equality over the raw output bytes, not just allclose).
 * **fp16 / bf16** execute mixed precision *for real*: operands are
   staged on the storage grid, engines accumulate in FP64, and the
   result passes the tolerance-bounded verifier
@@ -34,7 +34,7 @@ from repro.kernels.engine import get_engine_object
 from repro.kernels.persistent import execute_schedule
 from repro.kernels.verify import VerificationError, verify_outputs
 
-ENGINES_UNDER_TEST = ("grouped", "compiled", "procpool")
+ENGINES_UNDER_TEST = ("grouped", "compiled")
 PRECISIONS = (Precision.FP32, Precision.FP16, Precision.BF16)
 
 

@@ -44,19 +44,9 @@ def assert_matches(values, expected):
 class TestFallbackChain:
     def test_chains(self):
         assert engine_fallbacks("compiled") == ("compiled", "grouped", "reference")
-        assert engine_fallbacks("parallel") == ("parallel", "grouped", "reference")
         assert engine_fallbacks("grouped") == ("grouped", "reference")
         assert engine_fallbacks("reference") == ("reference",)
-        assert engine_fallbacks("procpool") == (
-            "procpool", "compiled", "grouped", "reference"
-        )
-        assert set(ENGINE_FALLBACKS) == {
-            "compiled",
-            "parallel",
-            "procpool",
-            "grouped",
-            "reference",
-        }
+        assert set(ENGINE_FALLBACKS) == {"compiled", "grouped", "reference"}
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):

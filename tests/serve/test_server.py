@@ -1,5 +1,8 @@
 """Tests for the threaded GemmServer (live wall-clock path)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,7 +119,7 @@ class TestExecution:
         assert result.status is RequestStatus.COMPLETED
         np.testing.assert_allclose(result.value, a @ b, rtol=1e-6)
 
-    @pytest.mark.parametrize("engine", ["reference", "grouped", "parallel"])
+    @pytest.mark.parametrize("engine", ["reference", "grouped", "compiled"])
     def test_engine_selectable(self, framework, rng, engine):
         a = rng.standard_normal((16, 24))
         b = rng.standard_normal((24, 8))
@@ -130,26 +133,23 @@ class TestExecution:
         assert result.status is RequestStatus.COMPLETED
         np.testing.assert_allclose(result.value, a @ b, rtol=1e-6)
 
-    def test_parallel_engine_workers_bit_match_grouped(self, framework, rng):
-        """A served batch through engine='parallel' with a pinned pool
-        returns byte-identical values to the grouped engine."""
-        a = rng.standard_normal((40, 64))
-        b = rng.standard_normal((64, 24))
-
-        def serve_once(**cfg_kwargs):
-            config = quick_config(
-                batcher=BatcherConfig(max_batch_size=1, max_wait_us=10.0),
-                **cfg_kwargs,
-            )
-            with GemmServer(framework, config) as server:
-                t = server.submit(Gemm(40, 24, 64), operands=(a, b))
-            result = t.result(timeout=10.0)
-            assert result.status is RequestStatus.COMPLETED
-            return result.value
-
-        grouped = serve_once(engine="grouped")
-        parallel = serve_once(engine="parallel", engine_workers=2)
-        assert np.array_equal(grouped, parallel)
+    def test_served_value_dies_with_its_caller(self, framework, rng):
+        """The server keeps its settlement record, not the output array:
+        once the caller drops the ticket and the result, the value is
+        freed even though the server (and its measurements) live on."""
+        a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, 64))
+        config = quick_config(batcher=BatcherConfig(max_batch_size=1, max_wait_us=10.0))
+        with GemmServer(framework, config) as server:
+            ticket = server.submit(Gemm(64, 64, 64), operands=(a, b))
+        result = ticket.result(timeout=10.0)
+        assert result.status is RequestStatus.COMPLETED
+        value = weakref.ref(result.value)
+        del ticket, result
+        gc.collect()
+        assert value() is None
+        (record,) = server.measurements()["results"]
+        assert record.status is RequestStatus.COMPLETED and record.value is None
 
     def test_unknown_engine_rejected_at_config(self):
         with pytest.raises(ValueError, match="engine"):
