@@ -38,6 +38,9 @@ the paper's offline threshold procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Iterable, NamedTuple
 
 from repro.core.precision import Precision, PrecisionLike
 from repro.core.tiling import TilingStrategy
@@ -252,6 +255,141 @@ class SmContext:
             raise ValueError("l2_hit_fraction must be within [0, 1]")
 
 
+def add_in_order(values: Iterable[float], start: float = 0.0) -> float:
+    """Left fold of ``values`` onto ``start``: ``((start + v0) + v1) + ...``.
+
+    Modeled float sums use this (or an explicit loop), never the
+    builtin ``sum``, which compensates rounding from CPython 3.12 on.
+    Floating-point addition is not associative, so only one fixed order
+    of additions gives the same modeled numbers on every Python.
+    """
+    return reduce(add, values, start)
+
+
+class TileTerms(NamedTuple):
+    """One tile's cost terms that no fixed-point round changes.
+
+    Within one launch, only the :class:`SmContext` shares (co-resident
+    blocks, DRAM and L2 bandwidth) change between the simulator's
+    fixed-point rounds.  Everything else about a tile is derived here,
+    once per launch (:meth:`of`): its bytes and FMAs per iteration, the
+    FMA lanes of its datapath, warps x instructions, the two
+    Little's-law ceilings, and the launch's L2-hit split of its bytes
+    (the C-store share rides with the DRAM part).  :meth:`cycles` then
+    prices the tile under one round's context.  The scalar functions
+    below go through the same two steps, so each term of the model is
+    written once.
+    """
+
+    #: Main-loop trip count.
+    n_iterations: int
+    #: A/B bytes staged per iteration.
+    ab_bytes: int
+    #: FMAs per iteration for the whole tile.
+    fmas: int
+    #: FMA lanes per SM on the tile's datapath.
+    lanes: int
+    #: Active warps x per-thread instructions per iteration.
+    warp_insts: float
+    #: Tensor-Core instruction packing of the issue term (1.0: none).
+    issue_divisor: float
+    #: Little's-law DRAM ceiling, bytes/cycle.
+    little_dram: float
+    #: The same in-flight bytes against the L2 latency.
+    little_l2: float
+    #: DRAM bytes per iteration: the L2 misses plus the C-store share.
+    dram_bytes: float
+    #: DRAM bytes per iteration of the A/B pipeline alone.
+    dram_ab_bytes: float
+    #: L2-served A/B bytes per iteration.
+    l2_bytes: float
+
+    @classmethod
+    def of(cls, device: DeviceSpec, tile: TileWork, hit: float) -> "TileTerms":
+        """The terms of ``tile`` on ``device`` in a launch with L2-hit
+        fraction ``hit``."""
+        ab_bytes = tile.bytes_per_iteration
+        n_iterations = tile.n_iterations
+        little = tile.little_bw_bytes_per_cycle(device)
+        # fp16 and bf16 share the half-width datapath (Tensor-Core /
+        # matrix unit where present, packed half2 math otherwise).
+        reduced = tile.precision.is_reduced
+        # Tensor-core FP16 math packs many FMAs per instruction,
+        # shrinking issue pressure.
+        packed = reduced and device.tensor_core_fp16_fma_per_sm > 0
+        dram_ab_bytes = (1.0 - hit) * ab_bytes
+        return cls(
+            n_iterations=n_iterations,
+            ab_bytes=ab_bytes,
+            fmas=tile.fmas_per_iteration,
+            lanes=device.fp16_fma_per_sm if reduced else device.fma_lanes_per_sm,
+            warp_insts=tile.active_warps * tile.insts_per_thread_per_iteration,
+            issue_divisor=TENSOR_CORE_ISSUE_COMPRESSION if packed else 1.0,
+            little_dram=little,
+            little_l2=little * device.mem_latency_cycles / device.l2_latency_cycles,
+            # The C writeback's bandwidth demand is spread over the
+            # tile's iterations (see memory_cycles).
+            dram_bytes=dram_ab_bytes + tile.epilogue_bytes / n_iterations,
+            dram_ab_bytes=dram_ab_bytes,
+            l2_bytes=hit * ab_bytes,
+        )
+
+    def dram_bandwidth(self, ctx: SmContext) -> float:
+        """DRAM bandwidth this tile's stream sustains: the smaller of the
+        fair share (contention) and the Little's-law ceiling (a lone
+        block cannot keep DRAM busy)."""
+        return min(ctx.bw_bytes_per_cycle, self.little_dram)
+
+    def l2_bandwidth(self, ctx: SmContext) -> float:
+        """L2 bandwidth this tile's stream sustains (same MLP, lower
+        latency)."""
+        return min(ctx.l2_bw_bytes_per_cycle, self.little_l2)
+
+    def memory_cycles(self, ctx: SmContext, include_stores: bool = True) -> float:
+        """Cycles the memory system needs per main-loop iteration.
+
+        The L2-served and DRAM-served streams pipeline, so the slower
+        one bounds the iteration.  ``include_stores=False`` leaves out
+        the C-store share (the pipeline-fill prologue).
+        """
+        dram_bytes = self.dram_bytes if include_stores else self.dram_ab_bytes
+        dram = dram_bytes / self.dram_bandwidth(ctx)
+        l2 = self.l2_bytes / self.l2_bandwidth(ctx)
+        return max(dram, l2)
+
+    def iteration_cycles(
+        self, device: DeviceSpec, ctx: SmContext, include_stores: bool = True
+    ) -> float:
+        """Steady-state cycles per main-loop iteration: the slowest of
+        the FMA-lane share, the memory system and the warp-issue
+        demand."""
+        r = ctx.resident_blocks
+        compute = self.fmas / (self.lanes / r)
+        memory = self.memory_cycles(ctx, include_stores)
+        # Warps issue roughly one instruction per scheduler slot per
+        # cycle; R blocks share the SM's schedulers.
+        issue = self.warp_insts * r / device.warp_schedulers_per_sm / self.issue_divisor
+        return max(compute, memory, issue)
+
+    def cycles(self, device: DeviceSpec, ctx: SmContext, first_in_block: bool) -> float:
+        """Cycles for the tile: prologue + main loop + epilogue.
+
+        The first tile of a block pays a fully exposed prologue -- one
+        memory round trip plus the pipeline ramp; later tiles were
+        prefetched and pay only the switch cost.
+        """
+        t_iter = self.iteration_cycles(device, ctx)
+        if first_in_block:
+            ramp = self.iteration_cycles(device, ctx, include_stores=False)
+            prologue = device.mem_latency_cycles + PIPELINE_FILL_ITERS * ramp
+        else:
+            prologue = TILE_SWITCH_CYCLES
+        main = self.n_iterations * t_iter
+        # Store *time* is folded into the iteration stream (see
+        # memory_cycles); only the bookkeeping drain is serial here.
+        return float(prologue + main + EPILOGUE_CONST_CYCLES)
+
+
 def effective_dram_bandwidth(
     device: DeviceSpec, tile: TileWork, ctx: SmContext
 ) -> float:
@@ -260,17 +398,12 @@ def effective_dram_bandwidth(
     The smaller of the fair share (contention) and the Little's-law
     ceiling (a lone block cannot keep DRAM busy).
     """
-    return min(ctx.bw_bytes_per_cycle, tile.little_bw_bytes_per_cycle(device))
+    return TileTerms.of(device, tile, ctx.l2_hit_fraction).dram_bandwidth(ctx)
 
 
 def effective_l2_bandwidth(device: DeviceSpec, tile: TileWork, ctx: SmContext) -> float:
     """L2 bandwidth this tile's stream sustains (same MLP, lower latency)."""
-    little = (
-        tile.little_bw_bytes_per_cycle(device)
-        * device.mem_latency_cycles
-        / device.l2_latency_cycles
-    )
-    return min(ctx.l2_bw_bytes_per_cycle, little)
+    return TileTerms.of(device, tile, ctx.l2_hit_fraction).l2_bandwidth(ctx)
 
 
 def memory_cycles_per_iteration(
@@ -285,13 +418,9 @@ def memory_cycles_per_iteration(
     retires the block while stores drain) but its bandwidth demand is
     spread over the tile's iterations.
     """
-    hit = ctx.l2_hit_fraction
-    store_bytes = (tile.epilogue_bytes / tile.n_iterations) if include_stores else 0.0
-    dram_bytes = (1.0 - hit) * tile.bytes_per_iteration + store_bytes
-    l2_bytes = hit * tile.bytes_per_iteration
-    dram = dram_bytes / effective_dram_bandwidth(device, tile, ctx)
-    l2 = l2_bytes / effective_l2_bandwidth(device, tile, ctx)
-    return max(dram, l2)
+    return TileTerms.of(device, tile, ctx.l2_hit_fraction).memory_cycles(
+        ctx, include_stores
+    )
 
 
 def iteration_cycles(
@@ -304,26 +433,9 @@ def iteration_cycles(
     ``include_stores=False`` prices the A/B pipeline alone (used for
     the pipeline-fill prologue, which the C writeback is not part of).
     """
-    r = ctx.resident_blocks
-    # fp16 and bf16 share the half-width datapath (Tensor-Core / matrix
-    # unit where present, packed half2 math otherwise).
-    lanes = (
-        device.fp16_fma_per_sm if tile.precision.is_reduced else device.fma_lanes_per_sm
+    return TileTerms.of(device, tile, ctx.l2_hit_fraction).iteration_cycles(
+        device, ctx, include_stores
     )
-    compute = tile.fmas_per_iteration / (lanes / r)
-    memory = memory_cycles_per_iteration(device, tile, ctx, include_stores=include_stores)
-    # Warps issue roughly one instruction per scheduler slot per cycle;
-    # R blocks share the SM's schedulers.  Tensor-core FP16 math packs
-    # many FMAs per instruction, shrinking issue pressure.
-    issue = (
-        tile.active_warps
-        * tile.insts_per_thread_per_iteration
-        * r
-        / device.warp_schedulers_per_sm
-    )
-    if tile.precision.is_reduced and device.tensor_core_fp16_fma_per_sm > 0:
-        issue /= TENSOR_CORE_ISSUE_COMPRESSION
-    return max(compute, memory, issue)
 
 
 def tile_cycles(
@@ -338,17 +450,9 @@ def tile_cycles(
     engine buys, largest exactly when K is small and the ramp is a big
     fraction of the tile's work.
     """
-    t_iter = iteration_cycles(device, tile, ctx)
-    if first_in_block:
-        ramp = iteration_cycles(device, tile, ctx, include_stores=False)
-        prologue = device.mem_latency_cycles + PIPELINE_FILL_ITERS * ramp
-    else:
-        prologue = TILE_SWITCH_CYCLES
-    main = tile.n_iterations * t_iter
-    # Store *time* is folded into the iteration stream (see
-    # memory_cycles_per_iteration); only the bookkeeping drain is
-    # serial here.
-    return float(prologue + main + EPILOGUE_CONST_CYCLES)
+    return TileTerms.of(device, tile, ctx.l2_hit_fraction).cycles(
+        device, ctx, first_in_block
+    )
 
 
 def l2_hit_fraction(
@@ -379,7 +483,10 @@ def block_cycles(device: DeviceSpec, block: BlockWork, ctx: SmContext) -> float:
     plus the sum of its tiles' costs, the first tile paying the exposed
     pipeline-fill prologue.
     """
-    total = float(device.block_dispatch_cycles)
-    for i, tile in enumerate(block.tiles):
-        total += tile_cycles(device, tile, ctx, first_in_block=(i == 0))
-    return total
+    return add_in_order(
+        (
+            tile_cycles(device, tile, ctx, first_in_block=(i == 0))
+            for i, tile in enumerate(block.tiles)
+        ),
+        float(device.block_dispatch_cycles),
+    )

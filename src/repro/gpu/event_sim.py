@@ -33,6 +33,7 @@ from repro.gpu.costmodel import (
     PIPELINE_FILL_ITERS,
     TILE_SWITCH_CYCLES,
     BlockWork,
+    TileTerms,
     l2_hit_fraction,
 )
 from repro.gpu.occupancy import occupancy
@@ -70,15 +71,13 @@ def _summarize(device: DeviceSpec, block: BlockWork, hit: float) -> _RunState:
     little_l2 = 0.0
     warps = 0
     for i, tile in enumerate(block.tiles):
-        n = tile.n_iterations
-        lanes = (
-            device.fp16_fma_per_sm
-            if tile.precision == "fp16"
-            else device.fma_lanes_per_sm
-        )
-        fma += n * tile.fmas_per_iteration / lanes
-        dram += (1.0 - hit) * n * tile.bytes_per_iteration + tile.epilogue_bytes
-        l2 += hit * n * tile.bytes_per_iteration
+        # The cost model's per-tile terms: the same bytes, FMAs, lanes
+        # (fp16 and bf16 share the half-width datapath) and ceilings.
+        terms = TileTerms.of(device, tile, hit)
+        n = terms.n_iterations
+        fma += n * terms.fmas / terms.lanes
+        dram += (1.0 - hit) * n * terms.ab_bytes + tile.epilogue_bytes
+        l2 += hit * n * terms.ab_bytes
         issue += (
             n
             * tile.active_warps
@@ -91,20 +90,13 @@ def _summarize(device: DeviceSpec, block: BlockWork, hit: float) -> _RunState:
             # PIPELINE_FILL_ITERS x AB-only iteration).
             serial += device.mem_latency_cycles
             serial += PIPELINE_FILL_ITERS * (
-                tile.bytes_per_iteration / max(tile.little_bw_bytes_per_cycle(device), _EPS)
-                if tile.bytes_per_iteration
-                else 0.0
+                terms.ab_bytes / max(terms.little_dram, _EPS) if terms.ab_bytes else 0.0
             )
         else:
             serial += TILE_SWITCH_CYCLES
         serial += EPILOGUE_CONST_CYCLES
-        little = max(little, tile.little_bw_bytes_per_cycle(device))
-        little_l2 = max(
-            little_l2,
-            tile.little_bw_bytes_per_cycle(device)
-            * device.mem_latency_cycles
-            / device.l2_latency_cycles,
-        )
+        little = max(little, terms.little_dram)
+        little_l2 = max(little_l2, terms.little_l2)
         warps = max(warps, tile.active_warps)
     return _RunState(
         index=-1,

@@ -10,13 +10,16 @@ Given the thread blocks of one kernel launch, the simulator:
    durations.  Three or four rounds converge for every launch shape,
    including badly imbalanced ones (a few monster blocks next to many
    minnows);
-3. prices every *distinct* block once per round with
-   :func:`repro.gpu.costmodel.block_cycles` -- a block's price depends
-   only on its value and the round's context, so equal blocks cost the
-   same -- and expands the prices back to one duration per block in
-   issue order;
+3. prices every *distinct* block once per round -- a block's price
+   depends only on its value and the round's context, so equal blocks
+   cost the same.  Each distinct tile's round-invariant terms
+   (:class:`repro.gpu.costmodel.TileTerms`) are derived once per
+   launch, and each round prices every distinct (tile, first-in-block)
+   pair once;
 4. list-schedules blocks onto SM residency slots in issue order (the
-   GigaThread engine's behaviour) and reports the makespan.
+   GigaThread engine's behaviour) and reports the makespan.  A launch
+   that fits in one wave starts every block at cycle 0, so its
+   makespan is its longest block.
 
 ``simulate_stream_serial`` strings kernels together back-to-back with
 host launch gaps (the default one-kernel-per-GEMM execution mode);
@@ -30,9 +33,15 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.gpu.costmodel import BlockWork, SmContext, block_cycles, l2_hit_fraction
+from repro.gpu.costmodel import (
+    BlockWork,
+    SmContext,
+    TileTerms,
+    add_in_order,
+    l2_hit_fraction,
+)
 from repro.gpu.occupancy import occupancy
 from repro.gpu.specs import DeviceSpec
 from repro.telemetry import get_tracer
@@ -107,7 +116,7 @@ class SimulationResult:
         return self.time_ms * 1e3
 
 
-def _schedule(durations: Sequence[float], slots: int) -> float:
+def _schedule(durations: Iterable[float], slots: int) -> float:
     """List-schedule durations onto ``slots`` servers; return makespan."""
     heap = [0.0] * slots
     heapq.heapify(heap)
@@ -120,6 +129,22 @@ def _schedule(durations: Sequence[float], slots: int) -> float:
     return makespan
 
 
+def _classify(blocks: Sequence[BlockWork]) -> tuple[list[BlockWork], list[int]]:
+    """Distinct blocks by value in first-issue order, and each block's class.
+
+    Blocks are grouped by object identity first: a lowered schedule
+    shares one object per distinct composition, so its ~100 blocks
+    hash as a handful.  The distinct objects are then grouped by value,
+    so equal blocks built as separate objects (the baselines build one
+    per block) share a class too.
+    """
+    objects = dict(zip(map(id, blocks), blocks))
+    index: dict[BlockWork, int] = {}
+    class_of_object = {key: index.setdefault(b, len(index)) for key, b in objects.items()}
+    class_of = list(map(class_of_object.__getitem__, map(id, blocks)))
+    return list(index), class_of
+
+
 def _converge_kernel(
     device: DeviceSpec,
     blocks: Sequence[BlockWork],
@@ -129,19 +154,20 @@ def _converge_kernel(
     """Fixed-point estimate of (durations, makespan, concurrency, ctx).
 
     ``durations`` has one entry per block, in issue order.  Each round
-    prices every distinct block once; the durations, their sum and the
-    makespan are then formed from the expanded per-block list exactly
-    as if every block had been priced on its own.
+    prices every distinct (tile, first-in-block) pair once and each
+    block class as the dispatch cost plus its tile prices, added left
+    to right -- the same additions :func:`~repro.gpu.costmodel.block_cycles`
+    makes.  ``Σ durations`` is a left fold in issue order and the
+    makespan is the list schedule's, so every number is the one
+    pricing each block on its own gives, to the last bit.
     """
     n = len(blocks)
     slots = device.num_sms * blocks_per_sm
     concurrency = float(min(slots, n))
-    # Distinct blocks (by value) in first-issue order, and each block's
-    # index into them.
-    index: dict[BlockWork, int] = {}
-    class_of = [index.setdefault(b, len(index)) for b in blocks]
-    classes = list(index)
+    classes, class_of = _classify(blocks)
     multiplicity = Counter(class_of)
+    tiles = {id(t): t for b in classes for t in b.tiles}
+    # Integer byte counts: regrouping this sum by class is exact.
     traffic_ab = float(
         sum(
             multiplicity[c] * t.bytes_per_iteration * t.n_iterations
@@ -150,8 +176,19 @@ def _converge_kernel(
         )
     )
     hit = l2_hit_fraction(device, compulsory_ab_bytes, traffic_ab)
+    terms = {key: TileTerms.of(device, t, hit) for key, t in tiles.items()}
+    # Every distinct (tile, first-in-block) pair, and each class as the
+    # indices of its tiles' pairs in block order.
+    pair_index: dict[tuple[int, bool], int] = {}
+    class_pairs = []
+    for b in classes:
+        keys = [(id(t), i == 0) for i, t in enumerate(b.tiles)]
+        class_pairs.append([pair_index.setdefault(key, len(pair_index)) for key in keys])
+    pairs = [(terms[key], first) for key, first in pair_index]
+    dispatch = float(device.block_dispatch_cycles)
     l2_total = device.l2_bandwidth_gbps / device.clock_ghz
-    durations: list[float] = []
+    one_wave = n <= slots
+    prices: list[float] = []
     makespan = 0.0
     ctx = SmContext(resident_blocks=1, bw_bytes_per_cycle=device.bytes_per_cycle_per_device)
     for _ in range(_CONCURRENCY_ROUNDS):
@@ -162,17 +199,23 @@ def _converge_kernel(
             l2_bw_bytes_per_cycle=l2_total / max(1.0, concurrency),
             l2_hit_fraction=hit,
         )
-        prices = [block_cycles(device, b, ctx) for b in classes]
-        durations = [prices[c] for c in class_of]
-        makespan = _schedule(durations, slots)
+        pair_prices = [tile.cycles(device, ctx, first) for tile, first in pairs]
+        prices = [add_in_order(map(pair_prices.__getitem__, p), dispatch) for p in class_pairs]
+        if one_wave:
+            # Every block starts at cycle 0: the list schedule's
+            # makespan is the longest block.
+            makespan = max(prices)
+        else:
+            makespan = _schedule(map(prices.__getitem__, class_of), slots)
         if makespan <= 0:
             break
-        new_concurrency = min(float(slots), max(1.0, sum(durations) / makespan))
+        busy = add_in_order(map(prices.__getitem__, class_of))
+        new_concurrency = min(float(slots), max(1.0, busy / makespan))
         if abs(new_concurrency - concurrency) < 0.5:
             concurrency = new_concurrency
             break
         concurrency = new_concurrency
-    return durations, makespan, concurrency, ctx
+    return list(map(prices.__getitem__, class_of)), makespan, concurrency, ctx
 
 
 def simulate_kernel(

@@ -27,6 +27,7 @@ from repro.baselines.common import gemm_kernel_blocks, select_single_gemm_strate
 from repro.baselines.magma_vbatch import simulate_magma_vbatch
 from repro.core.framework import CoordinatedFramework
 from repro.core.problem import GemmBatch
+from repro.gpu.costmodel import add_in_order
 from repro.gpu.simulator import (
     KernelLaunch,
     simulate_kernel,
@@ -69,7 +70,7 @@ def _conv_kernel(layer: ConvLayer, device: DeviceSpec, batch_size: int) -> Kerne
 
 
 def _serial_ms(layers: list[ConvLayer], device: DeviceSpec, batch_size: int) -> float:
-    return sum(
+    return add_in_order(
         simulate_kernel(device, _conv_kernel(l, device, batch_size)).time_ms
         for l in layers
     )
@@ -122,7 +123,7 @@ def simulate_inference(
         branch_ms[module.name] = b_ms
         module_ms[module.name] = b_ms + inner_ms
 
-    total = stem_ms + sum(module_ms.values())
+    total = stem_ms + add_in_order(module_ms.values())
     return InferenceResult(
         mode=mode,
         total_ms=total,

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.framework import CoordinatedFramework
+from repro.core.options import Heuristic
 from repro.core.problem import GemmBatch
 from repro.core.tiling import strategy_by_name
 from repro.gpu.costmodel import BlockWork, TileWork
 from repro.gpu.event_sim import simulate_kernel_events
 from repro.gpu.simulator import KernelLaunch, simulate_kernel
 from repro.gpu.specs import VOLTA_V100 as V100
+from repro.nn.googlenet import GOOGLENET_INCEPTIONS, inception_branch_batch
 from repro.workloads.synthetic import fig8_grid, random_cases
 
 MEDIUM = strategy_by_name("medium", 256)
@@ -98,3 +100,19 @@ class TestAgreementWithFixedPoint:
                 simulate_kernel_events(V100, blocks, compulsory_ab_bytes=comp) / static
             )
         assert 0.7 <= float(np.median(ratios)) <= 1.4
+
+
+class TestHalfWidth:
+    def test_bf16_priced_on_the_fp16_datapath(self):
+        """fp16 and bf16 share the half-width datapath in the cost model,
+        so the cross-check must not price bf16 at the fp32 FMA rate."""
+        module = next(m for m in GOOGLENET_INCEPTIONS if m.name == "inception4b")
+        batch = inception_branch_batch(module)
+        makespans = {}
+        for precision in ("fp32", "fp16", "bf16"):
+            fw = CoordinatedFramework(V100, precision=precision)
+            launch = fw.plan(batch, Heuristic.THRESHOLD).kernel_launch()
+            makespans[precision] = simulate_kernel_events(
+                V100, launch.blocks, compulsory_ab_bytes=launch.compulsory_ab_bytes
+            )
+        assert makespans["bf16"] == makespans["fp16"] < makespans["fp32"]

@@ -15,8 +15,12 @@ from repro.gpu.costmodel import (
 from repro.gpu.occupancy import occupancy
 from repro.gpu.simulator import KernelLaunch, _converge_kernel, simulate_kernel
 from repro.gpu.specs import VOLTA_V100 as V100
+from repro.gpu.specs import get_device
 
 strategy_st = st.sampled_from(BATCHED_STRATEGIES_256)
+
+#: A Tensor-Core part and one without, so both FP16 datapaths are priced.
+P100 = get_device("Tesla P100")
 
 
 @st.composite
@@ -94,28 +98,29 @@ def test_deeper_tiles_never_faster(launch, extra_k):
 
 @st.composite
 def mixed_launch_st(draw):
-    """A fused launch mixing a few distinct block compositions.
+    """A device and a fused launch mixing a few distinct block compositions.
 
     Some blocks repeat one object and some are fresh but equal objects,
-    so classes must be formed by value, not identity.  Repeating the
-    issue order up to 120 times gives launches of one wave and of many.
+    so classes must be formed by value, not identity.  Tiles draw their
+    precision and may run on fewer threads than the block allocates;
+    the device may lack Tensor Cores.  Repeating the issue order up to
+    120 times gives launches of one wave and of many.
     """
+    device = draw(st.sampled_from((V100, P100)))
     pool = draw(st.lists(strategy_st, min_size=1, max_size=3))
     footprint = dict(
         threads=256,
         registers_per_thread=max(s.registers_per_thread for s in pool),
         shared_memory_bytes=max(s.shared_memory_bytes for s in pool),
     )
+    tile_st = st.tuples(
+        st.sampled_from(pool),
+        st.integers(1, 512),
+        st.one_of(st.just(0), st.integers(1, 255)),
+        st.sampled_from(("fp32", "fp16", "bf16")),
+    )
     shapes = draw(
-        st.lists(
-            st.lists(
-                st.tuples(st.sampled_from(pool), st.integers(1, 512)),
-                min_size=0,
-                max_size=3,
-            ),
-            min_size=1,
-            max_size=5,
-        )
+        st.lists(st.lists(tile_st, min_size=0, max_size=3), min_size=1, max_size=5)
     )
     order = draw(
         st.lists(
@@ -125,18 +130,15 @@ def mixed_launch_st(draw):
         )
     )
     repeats = draw(st.integers(1, 120))
-    shared = [
-        BlockWork(tiles=tuple(TileWork(s, k=k) for s, k in shape), **footprint)
-        for shape in shapes
-    ]
-    blocks = tuple(
-        BlockWork(tiles=tuple(TileWork(s, k=k) for s, k in shapes[i]), **footprint)
-        if fresh
-        else shared[i]
-        for i, fresh in order * repeats
-    )
+
+    def block(shape):
+        tiles = tuple(TileWork(s, k, threads, precision) for s, k, threads, precision in shape)
+        return BlockWork(tiles=tiles, **footprint)
+
+    shared = [block(shape) for shape in shapes]
+    blocks = tuple(block(shapes[i]) if fresh else shared[i] for i, fresh in order * repeats)
     compulsory = draw(st.one_of(st.none(), st.floats(1.0, 1e8)))
-    return KernelLaunch(name="mixed", blocks=blocks, compulsory_ab_bytes=compulsory)
+    return device, KernelLaunch(name="mixed", blocks=blocks, compulsory_ab_bytes=compulsory)
 
 
 def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
@@ -160,11 +162,13 @@ def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
         durations = [block_cycles(device, b, ctx) for b in blocks]
         heap = [0.0] * slots
         makespan = 0.0
+        busy = 0.0
         for d in durations:
             end = heapq.heappop(heap) + d
             makespan = max(makespan, end)
             heapq.heappush(heap, end)
-        new_concurrency = min(float(slots), max(1.0, sum(durations) / makespan))
+            busy += d
+        new_concurrency = min(float(slots), max(1.0, busy / makespan))
         if abs(new_concurrency - concurrency) < 0.5:
             concurrency = new_concurrency
             break
@@ -172,14 +176,16 @@ def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
     return durations, makespan, concurrency, ctx
 
 
-@settings(max_examples=60, deadline=None)
-@given(launch=mixed_launch_st())
-def test_class_pricing_matches_per_block_pricing(launch):
-    """Pricing distinct blocks once changes no number, to the last bit."""
+@settings(max_examples=100, deadline=None)
+@given(drawn=mixed_launch_st())
+def test_class_pricing_matches_per_block_pricing(drawn):
+    """Pricing distinct tiles and blocks once from hoisted terms changes
+    no number, to the last bit."""
+    device, launch = drawn
     first = launch.blocks[0]
     bps = occupancy(
-        V100, first.threads, first.registers_per_thread, first.shared_memory_bytes
+        device, first.threads, first.registers_per_thread, first.shared_memory_bytes
     ).blocks_per_sm
-    got = _converge_kernel(V100, launch.blocks, bps, launch.compulsory_ab_bytes)
-    want = _per_block_converge(V100, launch.blocks, bps, launch.compulsory_ab_bytes)
+    got = _converge_kernel(device, launch.blocks, bps, launch.compulsory_ab_bytes)
+    want = _per_block_converge(device, launch.blocks, bps, launch.compulsory_ab_bytes)
     assert got == want
