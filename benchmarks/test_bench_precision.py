@@ -25,7 +25,7 @@ from repro.core.framework import CoordinatedFramework
 from repro.core.options import PlanOptions
 from repro.core.precision import Precision, quantize_operands, quantize_outputs
 from repro.core.problem import Gemm, GemmBatch
-from repro.kernels.engine import get_engine_object
+from repro.kernels import get_engine
 from repro.kernels.verify import verify_outputs
 
 #: The committed perf snapshot (repo root, next to the other BENCH files).
@@ -110,7 +110,7 @@ def test_bench_precision_snapshot(benchmark):
     staged = quantize_operands(
         batch.random_operands(np.random.default_rng(0)), Precision.FP16
     )
-    outputs = get_engine_object("grouped").run(report.schedule, batch, staged)
+    outputs = get_engine("grouped")(report.schedule, batch, staged)
     outputs = quantize_outputs(outputs, Precision.FP16)
     verification = verify_outputs(
         batch, staged, outputs, Precision.FP16, raise_on_failure=True

@@ -100,7 +100,6 @@ _KERNEL_EXPORTS = (
     "compile_plan",
     "CompiledPlan",
     "get_engine",
-    "get_engine_object",
     "ENGINES",
     "ExecutionPolicy",
     "verify_outputs",
@@ -169,7 +168,6 @@ __all__ = [
     "compile_plan",
     "CompiledPlan",
     "get_engine",
-    "get_engine_object",
     "ENGINES",
     "ExecutionPolicy",
     "verify_outputs",

@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     batch = build_batch(args)
     framework = CoordinatedFramework(device=device)
     try:
-        heuristic = Heuristic.coerce(args.heuristic, warn=False)
+        heuristic = Heuristic.coerce(args.heuristic)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 

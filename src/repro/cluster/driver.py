@@ -217,7 +217,6 @@ def replay_cluster_trace(
 
     n_rejected_global = 0
     makespan_us = 0.0
-    policy = serve_cfg.execution_policy()
 
     def depths() -> dict[int, int]:
         return {s.shard_id: s.depth for s in shards}
@@ -240,7 +239,7 @@ def replay_cluster_trace(
                 shard.admission.observe_service(latency_us)
 
     def compile_charge_us(shard: _Shard, planned) -> float:
-        if policy.engine != "compiled":
+        if serve_cfg.policy.engine != "compiled":
             return 0.0
         key = id(planned.report.schedule)
         if key in shard.compiled_seen:

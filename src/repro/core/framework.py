@@ -17,8 +17,12 @@ model) or *executed* (numerically, via the persistent-threads NumPy
 executor).
 
 Planning is configured through :class:`~repro.core.options.PlanOptions`
-(heuristic, theta, TLP threshold, precision); bare heuristic strings
-keep working with a :class:`DeprecationWarning`.  Every entry point is
+(heuristic, theta, TLP threshold, precision; a bare :class:`Heuristic`
+or its string value selects just the heuristic) and execution through
+one :class:`~repro.kernels.ExecutionPolicy`.  :meth:`execute` and
+:meth:`PlanCache.execute <repro.core.plancache.PlanCache.execute>`
+differ only in where the plan comes from; both hand it to one
+post-plan step (stage, run, re-quantize, verify).  Every entry point is
 instrumented through :func:`repro.telemetry.get_tracer` -- free until a
 recording tracer is installed.
 """
@@ -173,9 +177,8 @@ class CoordinatedFramework:
     ) -> PlanOptions:
         """Normalize a planning spec to fully-resolved options.
 
-        ``heuristic`` may be a :class:`Heuristic`, a legacy string
-        (coerced with a :class:`DeprecationWarning`), a whole
-        :class:`PlanOptions`, or ``None``; alternatively pass
+        ``heuristic`` may be a :class:`Heuristic`, its string value, a
+        whole :class:`PlanOptions`, or ``None``; alternatively pass
         ``options`` by keyword.  Supplying both is an error.  ``None``
         fields resolve to the device/framework defaults.
         """
@@ -247,9 +250,7 @@ class CoordinatedFramework:
         if heuristic is Heuristic.AUTO:
             if self.selector:
                 with tracer.span("selector.predict") as span:
-                    heuristic = Heuristic.coerce(
-                        self.selector.predict(batch), warn=False
-                    )
+                    heuristic = Heuristic.coerce(self.selector.predict(batch))
                     if span.enabled:
                         span.set_attr("predicted", heuristic.value)
             else:
@@ -410,10 +411,6 @@ class CoordinatedFramework:
         *,
         options: Optional[PlanOptions] = None,
         policy=None,
-        engine: Optional[str] = None,
-        fallback: Optional[bool] = None,
-        injector=None,
-        retry=None,
     ) -> list[np.ndarray]:
         """Numerically execute the batch through the planned schedule.
 
@@ -423,9 +420,9 @@ class CoordinatedFramework:
         engine (``grouped`` by default; ``reference`` is the faithful
         per-slot Figure 7 walk, ``compiled`` interprets a precompiled
         artifact) and whether the reliability envelope (retry / engine
-        fallback / fault injection) wraps the run.  All engines produce bit-identical results, so a planning
-        bug shows up as a wrong numerical answer under any engine, not
-        just a wrong time.
+        fallback / fault injection) wraps the run.  All engines produce
+        bit-identical results, so a planning bug shows up as a wrong
+        numerical answer under any engine, not just a wrong time.
 
         A policy with :attr:`~repro.kernels.ExecutionPolicy.reliable`
         set runs through a
@@ -446,55 +443,56 @@ class CoordinatedFramework:
         (bit-exact for fp32, per-dtype ``atol``/``rtol`` otherwise)
         and raises :class:`~repro.kernels.verify.VerificationError`
         on failure.
-
-        The pre-policy keyword spellings (``engine=``, ``fallback=``,
-        ``injector=``, ``retry=``) still work but are deprecated; they
-        coerce into a policy behind a ``DeprecationWarning`` (mixing
-        them with ``policy=`` is a ``TypeError``).
         """
-        from repro.kernels import coerce_policy, get_engine
+        from repro.kernels import ExecutionPolicy
 
-        pol = coerce_policy(
-            policy,
-            engine=engine,
-            fallback=fallback,
-            retry=retry,
-            injector=injector,
-            where="CoordinatedFramework.execute",
-        )
+        pol = ExecutionPolicy.of(policy)
         opts = self._execution_options(heuristic, options, operands, pol)
         report = self.plan(batch, options=opts)
+        return self._execute_plan(report.schedule, batch, operands, pol, opts)
+
+    def _execute_plan(
+        self,
+        schedule: BatchSchedule,
+        batch: GemmBatch,
+        operands,
+        pol,
+        opts: PlanOptions,
+    ) -> list[np.ndarray]:
+        """Run a planned schedule: stage, execute, re-quantize, verify.
+
+        The one post-plan step of :meth:`execute` and
+        :meth:`PlanCache.execute
+        <repro.core.plancache.PlanCache.execute>`.  Operands are staged
+        at ``opts.precision``; a reliable policy runs through a
+        :class:`~repro.reliability.ReliableExecutor`, any other through
+        :func:`repro.kernels.get_engine` (the ``compiled`` engine finds
+        its artifact in the compiled memo, compiling on first use).
+        """
+        from repro.kernels import get_engine
+
         prec = Precision.coerce(opts.precision)
         staged = quantize_operands(operands, prec) if prec.is_reduced else operands
         tracer = get_tracer()
-        if pol.reliable:
-            from repro.reliability import ReliableExecutor
+        with tracer.span("execute", gemms=len(batch), engine=pol.engine) as span:
+            if pol.reliable:
+                from repro.reliability import ReliableExecutor
 
-            executor = ReliableExecutor.from_policy(pol)
-            with tracer.span("execute", gemms=len(batch), engine=pol.engine) as span:
-                values, engine_used = executor.execute(
-                    report.schedule, batch, staged
-                )
+                executor = ReliableExecutor.from_policy(pol)
+                values, engine_used = executor.execute(schedule, batch, staged)
                 tracer.counter("execute.retries", executor.retries)
                 tracer.counter("execute.fallbacks", executor.fallbacks)
                 if span.enabled:
                     span.set_attr("engine_used", engine_used)
                     span.set_attr("fallbacks", executor.fallbacks)
-        else:
-            run = get_engine(pol.engine)
-            with tracer.span("execute", gemms=len(batch), engine=pol.engine):
-                values = run(report.schedule, batch, staged)
+            else:
+                values = get_engine(pol.engine)(schedule, batch, staged)
         values = quantize_outputs(values, prec)
-        if getattr(pol, "verify", False):
+        if pol.verify:
             from repro.kernels.verify import verify_outputs
 
             verify_outputs(
-                batch,
-                staged,
-                values,
-                prec,
-                schedule=report.schedule,
-                raise_on_failure=True,
+                batch, staged, values, prec, schedule=schedule, raise_on_failure=True
             )
         return values
 
@@ -516,7 +514,7 @@ class CoordinatedFramework:
                 break
         opts = self.resolve_options(heuristic, options)
         if pinned is None:
-            choice = getattr(pol, "precision", None) or infer_precision(operands)
+            choice = pol.precision or infer_precision(operands)
             if choice is not None:
                 value = Precision.coerce(choice).value
                 if value != opts.precision:

@@ -11,14 +11,15 @@ accept, and that :class:`~repro.core.framework.PlanReport` records in
 resolved form -- so a report (and a cache key) states exactly what was
 planned, under exactly which knobs.
 
-Bare strings keep working through :meth:`Heuristic.coerce`, which
-emits a :class:`DeprecationWarning` on the public entry points.
+A heuristic may be spelled as a :class:`Heuristic` member or as its
+string value (``"best"``, ``"one-per-block"``): the CLIs, workload
+JSON, ``ServeConfig.heuristic`` and the selector's labels all carry
+strings, and :meth:`Heuristic.coerce` maps them onto members.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -59,35 +60,23 @@ class Heuristic(enum.Enum):
         return self in (Heuristic.BEST, Heuristic.BEST_EXTENDED, Heuristic.AUTO)
 
     @classmethod
-    def coerce(
-        cls, value: Union["Heuristic", str], *, warn: bool = True
-    ) -> "Heuristic":
+    def coerce(cls, value: Union["Heuristic", str]) -> "Heuristic":
         """Accept an enum member or its string name.
 
         Strings are matched case-insensitively against member values
-        (``"best"``, ``"one-per-block"``, ...).  When ``warn`` is true
-        a string triggers a :class:`DeprecationWarning` -- the typed
-        member is the supported spelling; internal call sites coerce
-        silently.  Unknown strings raise :class:`ValueError`.
+        (``"best"``, ``"one-per-block"``, ...).  Unknown strings raise
+        :class:`ValueError`.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             try:
-                member = cls(value.strip().lower())
+                return cls(value.strip().lower())
             except ValueError:
                 known = ", ".join(m.value for m in cls)
                 raise ValueError(
                     f"unknown heuristic {value!r}; known: {known}"
                 ) from None
-            if warn:
-                warnings.warn(
-                    f"passing heuristic={value!r} as a bare string is deprecated; "
-                    f"use repro.Heuristic.{member.name} or a repro.PlanOptions",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            return member
         raise TypeError(
             f"heuristic must be a Heuristic or str, got {type(value).__name__}"
         )
@@ -100,9 +89,7 @@ class PlanOptions:
     Parameters
     ----------
     heuristic:
-        A :class:`Heuristic` member (strings are coerced silently --
-        the deprecation warning belongs to the *entry points*, not to
-        explicit option construction).
+        A :class:`Heuristic` member or its string value.
     theta:
         The batching engine's K-depth target per block; ``None`` means
         the device's calibrated ``batching_theta``.
@@ -138,7 +125,7 @@ class PlanOptions:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "heuristic", Heuristic.coerce(self.heuristic, warn=False)
+            self, "heuristic", Heuristic.coerce(self.heuristic)
         )
         if self.theta is not None and self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
@@ -175,23 +162,19 @@ class PlanOptions:
 
     @classmethod
     def of(
-        cls,
-        value: Union["PlanOptions", Heuristic, str, None],
-        *,
-        warn_on_str: bool = True,
+        cls, value: Union["PlanOptions", Heuristic, str, None]
     ) -> "PlanOptions":
         """Normalize any accepted planning spec to options.
 
         ``None`` means defaults; a :class:`Heuristic` or string selects
         the heuristic with every other knob defaulted; an existing
-        :class:`PlanOptions` passes through.  Strings warn unless
-        ``warn_on_str`` is false (the documented back-compat path).
+        :class:`PlanOptions` passes through.
         """
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        return cls(heuristic=Heuristic.coerce(value, warn=warn_on_str))
+        return cls(heuristic=Heuristic.coerce(value))
 
     def resolved(
         self,

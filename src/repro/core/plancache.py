@@ -34,20 +34,24 @@ signatures are planned but not cached, keeping the hot set resident
 under adversarial traffic.  Deferred inserts are counted separately
 from misses (``CacheStats.admission_deferred``).
 
-Entries can also carry a **compiled execution artifact**
-(:class:`~repro.kernels.compiled.CompiledPlan`): under a ``compiled``
-:class:`~repro.kernels.ExecutionPolicy`, :meth:`execute` compiles the
-plan on first use and stores the artifact next to the plan entry, so
-a warm hot path pays neither planning, nor lowering, nor compilation
--- and eviction invalidates plan and artifact together.
+Entries hold plans only.  A ``compiled``
+:class:`~repro.kernels.ExecutionPolicy` finds each plan's
+:class:`~repro.kernels.compiled.CompiledPlan` in the compiled-artifact
+memo (:func:`~repro.kernels.compiled.compiled_plan_for`), which holds
+the schedule weakly: a cached plan keeps its artifact warm, so a warm
+hot path pays neither planning nor compilation, and an evicted plan's
+schedule dies and takes its artifact with it.  :meth:`execute` plans
+through the cache and then hands the plan to the framework's one
+post-plan step (stage, run, re-quantize, verify) -- the same step
+:meth:`CoordinatedFramework.execute` takes.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.core.framework import CoordinatedFramework, HeuristicLike, PlanReport
 from repro.core.options import PlanOptions
@@ -133,20 +137,6 @@ class PlanCacheManifest:
         return tuple(sig for _, sig in self.entries)
 
 
-@dataclass
-class _CacheEntry:
-    """One cached plan plus its lazily-compiled execution artifact.
-
-    ``artifact`` is the :class:`~repro.kernels.compiled.CompiledPlan`
-    compiled on the first ``compiled``-policy execution of this entry
-    (``None`` until then); it lives and dies with the entry, so
-    eviction invalidates the artifact together with the plan.
-    """
-
-    report: PlanReport
-    artifact: Any = field(default=None)
-
-
 class PlanCache:
     """An LRU cache of :class:`PlanReport` keyed by (options, signature).
 
@@ -180,7 +170,7 @@ class PlanCache:
         self.capacity = capacity
         self.admission = admission
         self.stats = CacheStats()
-        self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[tuple, PlanReport] = OrderedDict()
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -197,7 +187,7 @@ class PlanCache:
         """Return a cached plan for the batch, planning on first sight.
 
         Accepts the same specs as :meth:`CoordinatedFramework.plan`: a
-        :class:`Heuristic`, a legacy string (deprecated), or a full
+        :class:`Heuristic`, its string value, or a full
         :class:`PlanOptions`.  The cached plan's schedule is reused
         verbatim -- safe because the key pins every quantity planning
         consumes.  Note the returned report's ``batch`` is the one that
@@ -222,16 +212,6 @@ class PlanCache:
         serving layer's planner stage uses this instead of diffing
         counters.
         """
-        entry, hit = self._entry_with_info(batch, heuristic, options=options)
-        return entry.report, hit
-
-    def _entry_with_info(
-        self,
-        batch: GemmBatch,
-        heuristic: HeuristicLike = None,
-        *,
-        options: Optional[PlanOptions] = None,
-    ) -> tuple[_CacheEntry, bool]:
         opts = self.framework.resolve_options(heuristic, options)
         key = (opts.cache_key(), batch_signature(batch))
         tracer = get_tracer()
@@ -273,31 +253,13 @@ class PlanCache:
                     tracer.counter("plan_cache_admission_deferred")
                     if span.enabled:
                         span.set_attr("admission_deferred", True)
-                    return _CacheEntry(report), False
-                entry = _CacheEntry(report)
-                self._entries[key] = entry
+                    return report, False
+                self._entries[key] = report
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
                     tracer.counter("plan_cache_eviction")
-            return entry, False
-
-    def _compiled_artifact(self, entry: _CacheEntry, batch: GemmBatch):
-        """The entry's compiled artifact, compiling on first execute.
-
-        Delegates to :func:`repro.kernels.compiled.compiled_plan_for`
-        (which emits the ``compile.cache_hits`` / ``_misses``
-        counters) and pins the artifact on the cache entry so it is
-        kept exactly as long as the plan is -- eviction drops both,
-        and the weakref memo then releases the artifact with the dead
-        schedule.
-        """
-        from repro.kernels.compiled import compiled_plan_for
-
-        artifact = compiled_plan_for(entry.report.schedule, batch)
-        with self._lock:
-            entry.artifact = artifact
-        return artifact
+            return report, False
 
     def warm(
         self,
@@ -316,18 +278,19 @@ class PlanCache:
 
         ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
         with ``engine == "compiled"`` additionally compiles each plan's
-        execution artifact so the first live request pays neither
-        planning nor compilation.
+        execution artifact into the compiled memo, so the first live
+        request pays neither planning nor compilation.
         """
         from repro.kernels import ExecutionPolicy
+        from repro.kernels.compiled import compiled_plan_for
 
-        pol = ExecutionPolicy.of(policy, warn_on_str=True)
+        pol = ExecutionPolicy.of(policy)
         planned = 0
         with get_tracer().span("plancache.warm") as span:
             for batch in batches:
-                entry, hit = self._entry_with_info(batch, heuristic, options=options)
+                report, hit = self.plan_with_info(batch, heuristic, options=options)
                 if pol.engine == "compiled":
-                    self._compiled_artifact(entry, batch)
+                    compiled_plan_for(report.schedule, batch)
                 planned += 0 if hit else 1
             if span.enabled:
                 span.set_attr("planned", planned)
@@ -345,8 +308,8 @@ class PlanCache:
         """
         with self._lock:
             entries = tuple(
-                (entry.report.options, batch_signature(entry.report.batch))
-                for entry in self._entries.values()
+                (report.options, batch_signature(report.batch))
+                for report in self._entries.values()
             )
             admission_state = None
             exporter = getattr(self.admission, "export_state", None)
@@ -385,7 +348,7 @@ class PlanCache:
                 if key in self._entries:
                     self._entries.move_to_end(key)
                     continue
-                self._entries[key] = _CacheEntry(report)
+                self._entries[key] = report
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
             restored += 1
@@ -409,73 +372,31 @@ class PlanCache:
         *,
         options: Optional[PlanOptions] = None,
         policy=None,
-        engine: Optional[str] = None,
     ):
         """Numerically execute a batch through its cached plan.
 
-        ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
-        selects the executor.  With the ``"grouped"`` (default) engine
-        the lowered grouped plan is memoized per cached schedule, so
-        repeated executions of a hot batch mix skip both planning *and*
-        re-lowering; with ``"compiled"`` the
-        :class:`~repro.kernels.compiled.CompiledPlan` artifact is
-        compiled on the first execute, cached next to the plan entry
-        (invalidated with it), and every later execution is lookup +
-        interpreter only.  A reliable policy (fallback / retry /
-        injector) runs through
-        :class:`~repro.reliability.ReliableExecutor`.
+        Takes the same ``policy`` -- an
+        :class:`~repro.kernels.ExecutionPolicy` -- as
+        :meth:`CoordinatedFramework.execute` and runs the same
+        post-plan step; only the plan comes from the cache.  Repeated
+        executions of a hot batch skip planning, and the ``grouped``
+        and ``compiled`` engines find their lowered artifact memoized
+        per cached schedule, so they skip lowering and compilation too.
 
         The cache lookup is **dtype-qualified**: when neither the
         options nor the policy pin a precision, the operands' storage
         dtype decides (``float16`` operands imply fp16), so an fp16
         submission can never hit -- let alone execute through -- a
-        cached fp32 plan.  Under a reduced precision the operands are
-        staged on the storage grid before the engines run and bf16
-        outputs are re-quantized; ``policy.verify`` runs the
-        :mod:`repro.kernels.verify` contract on the outputs.
-
-        The pre-policy ``engine=`` spelling still works behind a
-        ``DeprecationWarning``.
+        cached fp32 plan.
         """
-        from repro.core.precision import (
-            Precision,
-            quantize_operands,
-            quantize_outputs,
-        )
-        from repro.kernels import coerce_policy, get_engine
+        from repro.kernels import ExecutionPolicy
 
-        pol = coerce_policy(policy, engine=engine, where="PlanCache.execute")
+        pol = ExecutionPolicy.of(policy)
         opts = self.framework._execution_options(heuristic, options, operands, pol)
-        entry, _ = self._entry_with_info(batch, options=opts)
-        schedule = entry.report.schedule
-        prec = Precision.coerce(opts.precision)
-        staged = quantize_operands(operands, prec) if prec.is_reduced else operands
-        if pol.reliable:
-            from repro.reliability import ReliableExecutor
-
-            values, _ = ReliableExecutor.from_policy(pol).execute(
-                schedule, batch, staged
-            )
-        elif pol.engine == "compiled":
-            from repro.kernels.compiled import execute_compiled
-
-            artifact = self._compiled_artifact(entry, batch)
-            values = execute_compiled(schedule, batch, staged, plan=artifact)
-        else:
-            values = get_engine(pol.engine)(schedule, batch, staged)
-        values = quantize_outputs(values, prec)
-        if getattr(pol, "verify", False):
-            from repro.kernels.verify import verify_outputs
-
-            verify_outputs(
-                batch,
-                staged,
-                values,
-                prec,
-                schedule=schedule,
-                raise_on_failure=True,
-            )
-        return values
+        report, _ = self.plan_with_info(batch, options=opts)
+        return self.framework._execute_plan(
+            report.schedule, batch, operands, pol, opts
+        )
 
     def clear(self) -> None:
         """Drop every cached plan (statistics are kept)."""

@@ -72,7 +72,9 @@ def _summarize(device: DeviceSpec, block: BlockWork, hit: float) -> _RunState:
     warps = 0
     for i, tile in enumerate(block.tiles):
         # The cost model's per-tile terms: the same bytes, FMAs, lanes
-        # (fp16 and bf16 share the half-width datapath) and ceilings.
+        # (fp16 and bf16 share the half-width datapath), Tensor-Core
+        # issue packing and ceilings.  The packing divides last, so
+        # fp32 (divisor 1.0) keeps its exact issue cycles.
         terms = TileTerms.of(device, tile, hit)
         n = terms.n_iterations
         fma += n * terms.fmas / terms.lanes
@@ -83,6 +85,7 @@ def _summarize(device: DeviceSpec, block: BlockWork, hit: float) -> _RunState:
             * tile.active_warps
             * tile.insts_per_thread_per_iteration
             / device.warp_schedulers_per_sm
+            / terms.issue_divisor
         )
         if i == 0:
             # Fill: one exposed round trip plus the pipeline ramp,

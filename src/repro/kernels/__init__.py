@@ -21,18 +21,16 @@ answer, not just a wrong simulated time.
   interpreter loop (the ``compiled`` execution engine; bit-identical
   to ``grouped``, fastest steady state).
 
-Engine identity lives in the typed registry
-(:mod:`repro.kernels.engine` -- the :class:`Engine` protocol,
-``ENGINES``, ``ENGINE_FALLBACKS``) and execution configuration in
+Engine names live in the registry (:mod:`repro.kernels.engine` --
+``ENGINES``, ``ENGINE_FALLBACKS`` and :func:`get_engine`, which maps a
+name to its executor callable) and execution configuration in
 :class:`~repro.kernels.policy.ExecutionPolicy`; both are stdlib-only
 and re-exported eagerly here.  Kernel submodules are imported lazily
 (PEP 562) so the engines stay importable without each other --
 ``import repro.kernels.grouped`` must not drag in
 ``repro.kernels.persistent`` or vice versa, and
 ``repro.kernels.compiled`` (which builds on ``grouped``) must not drag
-in ``persistent`` either (CI guards this).  Use :func:`get_engine` to
-resolve an engine name to its executor callable, or
-:func:`get_engine_object` for the typed :class:`Engine`.
+in ``persistent`` either (CI guards this).
 """
 
 from __future__ import annotations
@@ -40,11 +38,10 @@ from __future__ import annotations
 from repro.kernels.engine import (
     ENGINES,
     ENGINE_FALLBACKS,
-    Engine,
     engine_fallbacks,
-    get_engine_object,
+    get_engine,
 )
-from repro.kernels.policy import ExecutionPolicy, coerce_policy
+from repro.kernels.policy import ExecutionPolicy
 
 _EXPORTS = {
     "reference_gemm": ("repro.kernels.reference", "reference_gemm"),
@@ -73,46 +70,11 @@ _EXPORTS = {
 __all__ = [
     "ENGINES",
     "ENGINE_FALLBACKS",
-    "Engine",
     "ExecutionPolicy",
-    "coerce_policy",
     "engine_fallbacks",
     "get_engine",
-    "get_engine_object",
     *_EXPORTS,
 ]
-
-
-def get_engine(name: str, *, injector=None):
-    """Resolve an execution-engine name to its executor callable.
-
-    All engines share the signature ``fn(schedule, batch, operands)
-    -> list[np.ndarray]`` and produce bit-identical results;
-    ``reference`` is the faithful per-slot Figure 7 walk (the oracle),
-    ``grouped`` the vectorized bulk engine, ``compiled`` the
-    precompiled-artifact interpreter.  Raises ``ValueError`` for
-    unknown names.  Resolution goes through the typed registry
-    (:func:`get_engine_object`); the returned callable preserves the
-    historical identities (``get_engine("grouped") is
-    execute_grouped`` and so on).
-
-    ``injector`` is an optional
-    :class:`~repro.reliability.FaultInjector` (anything with a
-    ``check(site, engine=...)`` method): the returned callable
-    evaluates the ``"engine"`` fault site before every execution, so
-    chaos tests can make any engine fail or stall deterministically.
-    """
-    run = get_engine_object(name).runner()
-    if injector is None:
-        return run
-
-    def run_with_faults(schedule, batch, operands, *args, **kwargs):
-        injector.check("engine", engine=name)
-        return run(schedule, batch, operands, *args, **kwargs)
-
-    run_with_faults.__name__ = f"{run.__name__}_faulted"
-    run_with_faults.engine = name
-    return run_with_faults
 
 
 def __getattr__(name: str):

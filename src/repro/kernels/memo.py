@@ -24,7 +24,9 @@ replaces the stash with :class:`PlanMemo`:
 
 One memo instance per engine module keeps the engines independently
 importable (no shared registry import between ``grouped`` and
-``compiled``).
+``compiled``).  The memo is the only home of an artifact: the plan
+cache and the serving layer hold plans, and a cached plan's schedule
+keeps its artifact here alive.
 """
 
 from __future__ import annotations

@@ -1,34 +1,30 @@
 """The execution policy: one object for "how should this batch run".
 
-Execution knobs used to travel as loose keyword arguments -- the
-``engine=`` / ``fallback=`` / ``injector=`` / ``retry=`` sprawl on
-:meth:`CoordinatedFramework.execute`, :meth:`PlanCache.execute`,
-``ServeConfig`` and the ``repro-serve`` CLI, each surface validating
-its own subset.  This
-module collapses them into one frozen :class:`ExecutionPolicy`
-accepted everywhere, mirroring the PR 1 ``PlanOptions`` migration for
-planning knobs: pass the dataclass going forward, and every legacy
-kwarg spelling keeps working behind a ``DeprecationWarning`` shim
-(:func:`coerce_policy`).
+Every execution surface -- :meth:`CoordinatedFramework.execute`,
+:meth:`PlanCache.execute` and :meth:`PlanCache.warm`, ``ServeConfig``,
+the strided adapter -- takes its execution knobs as one frozen
+:class:`ExecutionPolicy`, the way planning knobs travel as one
+:class:`~repro.core.options.PlanOptions`.  There is no other spelling:
+a bare engine-name string or a loose ``engine=`` keyword is a
+``TypeError``.
 
-The policy is pure data -- it names an engine out of the typed
-registry (:mod:`repro.kernels.engine`) and carries the reliability
-envelope (retry policy, fault injector, fallback flag).  Resolution to
-actual executors happens at the call sites:
-:func:`repro.kernels.get_engine` for the direct path,
+The policy is pure data -- it names an engine out of the registry
+(:mod:`repro.kernels.engine`) and carries the reliability envelope
+(retry policy, fault injector, fallback flag).  Resolution to actual
+executors happens at the call sites: :func:`repro.kernels.get_engine`
+for the direct path,
 :meth:`repro.reliability.ReliableExecutor.from_policy` when
 :attr:`ExecutionPolicy.reliable` is set.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.kernels.engine import get_engine_object
+from repro.kernels.engine import engine_fallbacks
 
-__all__ = ["ExecutionPolicy", "coerce_policy"]
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class ExecutionPolicy:
 
     def __post_init__(self):
         """Validate the engine name and precision."""
-        get_engine_object(self.engine)  # canonical unknown-engine ValueError
+        engine_fallbacks(self.engine)  # canonical unknown-engine ValueError
         if self.precision is not None:
             from repro.core.precision import Precision
 
@@ -90,29 +86,19 @@ class ExecutionPolicy:
         return self.fallback or self.retry is not None or self.injector is not None
 
     @classmethod
-    def of(cls, value, warn_on_str: bool = True) -> "ExecutionPolicy":
-        """Coerce ``value`` into an :class:`ExecutionPolicy`.
+    def of(cls, value) -> "ExecutionPolicy":
+        """``None`` as the default policy; a policy as itself.
 
-        Accepts a policy (returned as-is), ``None`` (the default
-        policy), or a bare engine-name string -- the legacy spelling,
-        which emits a ``DeprecationWarning`` unless ``warn_on_str`` is
-        false.
+        Anything else -- an engine-name string included -- raises
+        ``TypeError``: spell the engine as
+        ``ExecutionPolicy(engine=...)``.
         """
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            if warn_on_str:
-                warnings.warn(
-                    f"passing engine={value!r} as a bare string is deprecated; "
-                    f"use repro.ExecutionPolicy(engine={value!r})",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            return cls(engine=value)
         raise TypeError(
-            f"expected ExecutionPolicy, engine name, or None; got {type(value).__name__}"
+            f"expected an ExecutionPolicy or None, got {type(value).__name__}"
         )
 
     def to_dict(self) -> dict:
@@ -125,55 +111,3 @@ class ExecutionPolicy:
             "precision": self.precision,
             "verify": self.verify,
         }
-
-
-def coerce_policy(
-    policy: Optional[Any],
-    *,
-    engine: Optional[str] = None,
-    fallback: Optional[bool] = None,
-    retry: Optional[Any] = None,
-    injector: Optional[Any] = None,
-    where: str,
-    default_engine: str = "grouped",
-    stacklevel: int = 3,
-) -> ExecutionPolicy:
-    """Merge a ``policy`` argument with legacy kwargs into one policy.
-
-    The back-compat shim every redesigned entry point shares: pass
-    ``policy=`` going forward; the old ``engine=`` / ``fallback=`` /
-    ``retry=`` / ``injector=`` spellings still work but emit a
-    ``DeprecationWarning`` naming ``where``.  Mixing ``policy=`` with
-    any legacy kwarg is a ``TypeError`` (ambiguous intent).
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("engine", engine),
-            ("fallback", fallback or None),
-            ("retry", retry),
-            ("injector", injector),
-        )
-        if value is not None
-    }
-    if policy is not None:
-        if legacy:
-            raise TypeError(
-                f"{where}: pass either policy= or the legacy "
-                f"{'/'.join(sorted(legacy))} keyword(s), not both"
-            )
-        return ExecutionPolicy.of(policy, warn_on_str=True)
-    if not legacy:
-        return ExecutionPolicy(engine=default_engine)
-    warnings.warn(
-        f"{where}: the {'/'.join(sorted(legacy))} keyword(s) are deprecated; "
-        f"pass policy=repro.ExecutionPolicy(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionPolicy(
-        engine=engine if engine is not None else default_engine,
-        fallback=bool(fallback),
-        retry=retry,
-        injector=injector,
-    )

@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.core.problem import GemmBatch
 from repro.core.schedule import BatchSchedule
+from repro.kernels.engine import get_engine
+from repro.kernels.policy import ExecutionPolicy
 from repro.telemetry import get_tracer
 
 
@@ -56,22 +58,20 @@ def execute_schedule_strided(
     b: np.ndarray,
     c: np.ndarray,
     *,
-    policy: Optional[object] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> np.ndarray:
     """Run a schedule on strided-batch operands; returns ``(B, m, n)``.
 
-    ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` or engine
-    name -- selects the executor through the shared engine registry;
-    the default keeps this adapter on the ``reference`` per-slot walk
-    (its historical behaviour).  All engines are bit-identical, so the
-    choice only changes speed.
+    ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` -- selects
+    the executor through the shared engine registry; the default keeps
+    this adapter on the ``reference`` per-slot walk (its historical
+    behaviour).  All engines are bit-identical, so the choice only
+    changes speed.
     """
-    from repro.kernels import ExecutionPolicy, get_engine
-
     pol = (
         ExecutionPolicy(engine="reference")
         if policy is None
-        else ExecutionPolicy.of(policy, warn_on_str=False)
+        else ExecutionPolicy.of(policy)
     )
     run = get_engine(pol.engine)
     with get_tracer().span("execute.strided", gemms=len(batch), engine=pol.engine):

@@ -95,13 +95,8 @@ def label_with_best_heuristic(
 
     if len(heuristics) < 2:
         raise ValueError("need at least two candidate heuristics to select among")
-    from repro.core.options import Heuristic
-
     fw = CoordinatedFramework(device=device)
-    times = {
-        h: fw.simulate(batch, Heuristic.coerce(h, warn=False)).time_ms
-        for h in heuristics
-    }
+    times = {h: fw.simulate(batch, h).time_ms for h in heuristics}
     return TrainingSample(batch=batch, times_ms=times, heuristics=tuple(heuristics))
 
 

@@ -531,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"error: --{flag.replace('_', '-')} requires --supervise"
                 )
     try:
-        heuristic = Heuristic.coerce(args.heuristic, warn=False)
+        heuristic = Heuristic.coerce(args.heuristic)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 
@@ -575,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
                 planned = cache.warm(
                     scout.formed_batches,
                     config.heuristic,
-                    policy=config.execution_policy(),
+                    policy=config.policy,
                 )
                 cache.stats = CacheStats()  # report serving-time traffic only
                 print(

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.framework import HeuristicLike
-from repro.kernels import ENGINES, ExecutionPolicy
+from repro.kernels import ExecutionPolicy
 from repro.reliability import FaultPlan, RetryPolicy
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatcherConfig
@@ -63,14 +62,21 @@ class ServeConfig:
     policy (the one-off artifact compilation -- warm dispatches charge
     nothing extra).
 
-    ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` -- names
-    the numerical executor used when a formed batch carries operands.
-    Its reliability knobs (``fallback`` / ``retry`` / ``injector``)
-    must stay unset here: the serving pipeline's fault-tolerance
-    envelope comes from ``reliability`` (one source of truth).  The
-    pre-policy ``engine`` field still works behind a
-    ``DeprecationWarning`` and must not be mixed with ``policy``; use
-    :meth:`execution_policy` to read the effective policy.
+    ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy`, the
+    ``grouped`` engine by default -- names the numerical executor used
+    when a formed batch carries operands.  Only its ``engine`` applies
+    here, and every other field must stay unset:
+
+    * ``fallback`` / ``retry`` / ``injector`` -- the serving
+      pipeline's fault-tolerance envelope comes from ``reliability``
+      (one source of truth);
+    * ``precision`` -- precision rides on each request
+      (``submit(precision=)``, ``repro-serve --precision``) and on the
+      framework;
+    * ``verify`` -- the serving pipeline does not verify outputs.
+
+    A policy with any of them set is a ``ValueError`` rather than a
+    setting the server would silently drop.
 
     ``workers`` is the number of serve pipeline threads (planning +
     dispatch).
@@ -88,8 +94,7 @@ class ServeConfig:
     miss_overhead_us: float = 200.0
     hit_overhead_us: float = 5.0
     compile_overhead_us: float = 50.0
-    policy: Optional[ExecutionPolicy] = None
-    engine: Optional[str] = None
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
 
     def __post_init__(self) -> None:
@@ -101,39 +106,15 @@ class ServeConfig:
             raise ValueError(
                 f"compile_overhead_us must be >= 0, got {self.compile_overhead_us}"
             )
-        legacy = self.engine is not None
-        if self.policy is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either policy= or the legacy engine field, not both"
-                )
-            if self.policy.reliable:
-                raise ValueError(
-                    "ServeConfig policy must not carry fallback/retry/"
-                    "injector; the serving reliability envelope comes from "
-                    "ReliabilityConfig"
-                )
-        if self.engine is not None and self.engine not in ENGINES:
+        if not isinstance(self.policy, ExecutionPolicy):
+            raise TypeError(
+                "ServeConfig policy must be an ExecutionPolicy, got "
+                f"{type(self.policy).__name__}"
+            )
+        if self.policy != ExecutionPolicy(engine=self.policy.engine):
             raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                "ServeConfig policy may set only its engine: "
+                "fallback/retry/injector come from ReliabilityConfig, "
+                "precision rides on each request (submit(precision=), "
+                "--precision), and the server does not verify outputs"
             )
-        if legacy:
-            warnings.warn(
-                "ServeConfig engine is deprecated; pass "
-                "policy=repro.ExecutionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """The effective :class:`~repro.kernels.ExecutionPolicy`.
-
-        ``policy`` when set; otherwise the deprecated ``engine`` field
-        coerced (defaulting to the ``grouped`` engine).  Reliability knobs are never carried
-        here -- the server layers them on from ``reliability``.
-        """
-        if self.policy is not None:
-            return self.policy
-        return ExecutionPolicy(
-            engine=self.engine if self.engine is not None else "grouped"
-        )

@@ -184,11 +184,10 @@ def replay_trace(
     # is charged the one-off artifact compilation; warm dispatches of
     # the same plan charge nothing extra (the hot path is lookup +
     # interpreter only).
-    policy = config.execution_policy()
     compiled_seen: set[int] = set()
 
     def compile_charge_us(planned: PlannedBatch) -> float:
-        if policy.engine != "compiled":
+        if config.policy.engine != "compiled":
             return 0.0
         key = id(planned.report.schedule)
         if key in compiled_seen:

@@ -11,10 +11,10 @@ driver, built from the same parts (``DynamicBatcher``,
   batches on the size/window triggers;
 * ``config.workers`` **worker threads** pop formed batches, plan them
   through the cache, and resolve tickets -- numerically (the
-  execution engine named by ``config.execution_policy()``, grouped by
-  default; the ``compiled`` engine reuses a precompiled artifact per
-  cached schedule so warm requests skip lowering and compilation)
-  when every request in the batch carries operands, otherwise on the
+  engine named by ``config.policy``, grouped by default; the
+  ``compiled`` engine reuses a precompiled artifact per cached
+  schedule so warm requests skip lowering and compilation) when
+  every request in the batch carries operands, otherwise on the
   device model (the simulator);
 * ``close(drain=True)`` stops admissions, flushes whatever is pending
   through the pipeline, and joins every thread.
@@ -148,9 +148,8 @@ class GemmServer:
             if reliability.fault_plan is not None
             else None
         )
-        policy = self.config.execution_policy()
         self._executor = ReliableExecutor(
-            policy.engine,
+            self.config.policy.engine,
             retry=reliability.retry,
             fallback=reliability.fallback,
             failure_threshold=reliability.breaker_failure_threshold,

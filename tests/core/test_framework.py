@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.framework import CoordinatedFramework, PlanReport
 from repro.core.problem import Gemm, GemmBatch
+from repro.kernels import ExecutionPolicy
 from repro.kernels.reference import reference_batched_gemm
 
 
@@ -100,12 +101,18 @@ class TestExecution:
 
     def test_engines_bit_identical(self, framework, small_batch, rng):
         ops = small_batch.random_operands(rng)
-        grouped = framework.execute(small_batch, ops, engine="grouped")
-        reference = framework.execute(small_batch, ops, engine="reference")
+        grouped = framework.execute(
+            small_batch, ops, policy=ExecutionPolicy(engine="grouped")
+        )
+        reference = framework.execute(
+            small_batch, ops, policy=ExecutionPolicy(engine="reference")
+        )
         for g, r in zip(grouped, reference):
             np.testing.assert_array_equal(g, r)
 
     def test_unknown_engine_rejected(self, framework, small_batch, rng):
         ops = small_batch.random_operands(rng)
         with pytest.raises(ValueError, match="unknown execution engine"):
-            framework.execute(small_batch, ops, engine="quantum")
+            framework.execute(
+                small_batch, ops, policy=ExecutionPolicy(engine="quantum")
+            )

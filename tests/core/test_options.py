@@ -1,12 +1,26 @@
-"""Tests for the Heuristic enum and PlanOptions, incl. back-compat."""
+"""Tests for the Heuristic enum and PlanOptions.
 
+A heuristic may be spelled as a member or as its string value; both
+are accepted everywhere and neither warns.
+"""
+
+import contextlib
 import dataclasses
+import warnings
 
 import pytest
 
 from repro.core.framework import CoordinatedFramework
 from repro.core.options import PRECISIONS, Heuristic, PlanOptions
 from repro.gpu.specs import VOLTA_V100
+
+
+@contextlib.contextmanager
+def no_warnings():
+    """Context that turns any warning into a test failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 class TestHeuristicCoerce:
@@ -16,16 +30,12 @@ class TestHeuristicCoerce:
 
     @pytest.mark.parametrize("text", ["best", "BEST", "  Best  "])
     def test_string_matches_case_insensitively(self, text):
-        with pytest.warns(DeprecationWarning, match="bare string is deprecated"):
+        with no_warnings():
             assert Heuristic.coerce(text) is Heuristic.BEST
-
-    def test_warn_false_is_silent(self, recwarn):
-        assert Heuristic.coerce("one-per-block", warn=False) is Heuristic.ONE_PER_BLOCK
-        assert not recwarn.list
 
     def test_unknown_string_raises_with_catalogue(self):
         with pytest.raises(ValueError, match="unknown heuristic.*threshold"):
-            Heuristic.coerce("fastest", warn=False)
+            Heuristic.coerce("fastest")
 
     def test_wrong_type_raises(self):
         with pytest.raises(TypeError):
@@ -72,9 +82,8 @@ class TestPlanOptions:
         opts = PlanOptions(theta=128)
         assert PlanOptions.of(opts) is opts
         assert PlanOptions.of(Heuristic.AUTO).heuristic is Heuristic.AUTO
-        with pytest.warns(DeprecationWarning):
+        with no_warnings():
             assert PlanOptions.of("binary").heuristic is Heuristic.BINARY
-        assert PlanOptions.of("binary", warn_on_str=False).heuristic is Heuristic.BINARY
 
     def test_resolved_fills_only_none_fields(self):
         opts = PlanOptions(heuristic=Heuristic.THRESHOLD, theta=99)
@@ -110,11 +119,6 @@ class TestPlanOptions:
 
 
 class TestFrameworkEntryPoints:
-    def test_string_heuristic_still_works_but_warns(self, framework, uniform_batch):
-        with pytest.warns(DeprecationWarning):
-            report = framework.plan(uniform_batch, "threshold")
-        assert report.heuristic_used == "threshold"
-
     def test_enum_heuristic_does_not_warn(self, framework, uniform_batch, recwarn):
         report = framework.plan(uniform_batch, Heuristic.THRESHOLD)
         assert report.heuristic_used == "threshold"
@@ -142,7 +146,7 @@ class TestFrameworkEntryPoints:
             )
 
     def test_string_and_enum_produce_identical_plans(self, framework, uniform_batch):
-        with pytest.warns(DeprecationWarning):
+        with no_warnings():
             via_str = framework.plan(uniform_batch, "binary")
         via_enum = framework.plan(uniform_batch, Heuristic.BINARY)
         assert via_str.heuristic_used == via_enum.heuristic_used

@@ -1,5 +1,7 @@
 """Tests for the plan cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,8 @@ class TestPlanCache:
     def test_enum_and_string_share_the_entry(self, framework, uniform_batch):
         cache = PlanCache(framework)
         first = cache.plan(uniform_batch, Heuristic.BINARY)
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             second = cache.plan(uniform_batch, "binary")
         assert first is second
         assert cache.stats.hits == 1

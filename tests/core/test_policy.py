@@ -1,11 +1,11 @@
-"""Tests for ExecutionPolicy and the legacy-kwarg deprecation shims.
+"""Tests for ExecutionPolicy, the one spelling of every execution knob.
 
-One frozen policy object replaces the ``engine=`` / ``fallback=`` /
-``retry=`` / ``injector=`` kwarg sprawl across
-``CoordinatedFramework.execute``, ``PlanCache.execute`` and
-``ServeConfig``.  Every legacy spelling must keep working behind a
-``DeprecationWarning``, mixing old and new spellings must fail loudly,
-and the historical error contracts must survive the migration.
+One frozen policy object carries the engine and the reliability
+envelope into ``CoordinatedFramework.execute``, ``PlanCache.execute``
+and ``warm``, and ``ServeConfig``; the historical error contracts
+(unknown engines, reliability knobs on a serving config) hold on each
+surface.  The removed keyword and string spellings are pinned in
+``tests/kernels/test_engine_registry.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.plancache import PlanCache
-from repro.kernels import ExecutionPolicy, coerce_policy
+from repro.kernels import ExecutionPolicy
 from repro.kernels.grouped import execute_grouped
 from repro.reliability import RetryPolicy
 from repro.serve.config import ServeConfig
@@ -59,17 +59,6 @@ class TestExecutionPolicy:
             pol = ExecutionPolicy(engine="compiled")
             assert ExecutionPolicy.of(pol) is pol
 
-    def test_of_string_warns(self):
-        with pytest.warns(DeprecationWarning, match="bare string"):
-            pol = ExecutionPolicy.of("compiled")
-        assert pol.engine == "compiled"
-
-    def test_of_string_silent_when_asked(self):
-        with no_warnings():
-            assert ExecutionPolicy.of("reference", warn_on_str=False).engine == (
-                "reference"
-            )
-
     def test_of_rejects_other_types(self):
         with pytest.raises(TypeError, match="ExecutionPolicy"):
             ExecutionPolicy.of(42)
@@ -86,48 +75,12 @@ class TestExecutionPolicy:
         }
 
 
-class TestCoercePolicy:
-    def test_policy_plus_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_policy(ExecutionPolicy(), engine="grouped", where="here")
-
-    def test_no_arguments_yields_default(self):
-        with no_warnings():
-            pol = coerce_policy(None, where="here", default_engine="reference")
-        assert pol.engine == "reference"
-
-    def test_legacy_kwargs_warn_and_name_the_surface(self):
-        with pytest.warns(DeprecationWarning, match="here: the engine keyword"):
-            pol = coerce_policy(None, engine="compiled", where="here")
-        assert pol.engine == "compiled"
-
-    def test_fallback_false_counts_as_unset(self):
-        with no_warnings():
-            pol = coerce_policy(None, fallback=False, where="here")
-        assert not pol.fallback
-
-    def test_reliability_kwargs_carried(self):
-        retry = RetryPolicy(max_attempts=2)
-        with pytest.warns(DeprecationWarning, match="fallback/retry"):
-            pol = coerce_policy(None, fallback=True, retry=retry, where="here")
-        assert pol.fallback and pol.retry is retry and pol.reliable
-
-
 class TestFrameworkExecuteShims:
-    def test_policy_and_legacy_paths_agree(self, framework, small_batch, rng):
-        ops = small_batch.random_operands(rng)
-        with no_warnings():
-            via_policy = framework.execute(
-                small_batch, ops, policy=ExecutionPolicy(engine="compiled")
-            )
-        with pytest.warns(DeprecationWarning, match="CoordinatedFramework.execute"):
-            via_legacy = framework.execute(small_batch, ops, engine="grouped")
-        for a, b in zip(via_policy, via_legacy):
-            assert np.array_equal(a, b)
+    """``CoordinatedFramework.execute`` takes ``policy=`` and nothing else."""
 
     def test_mixing_rejected(self, framework, small_batch, rng):
         ops = small_batch.random_operands(rng)
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             framework.execute(
                 small_batch, ops, policy=ExecutionPolicy(), engine="grouped"
             )
@@ -150,6 +103,8 @@ class TestFrameworkExecuteShims:
 
 
 class TestPlanCacheShims:
+    """``PlanCache.execute`` / ``warm`` take ``policy=`` and nothing else."""
+
     def test_execute_policy_path(self, framework, small_batch, rng):
         cache = PlanCache(framework)
         ops = small_batch.random_operands(rng)
@@ -162,13 +117,6 @@ class TestPlanCacheShims:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
-    def test_execute_legacy_engine_warns(self, framework, small_batch, rng):
-        cache = PlanCache(framework)
-        ops = small_batch.random_operands(rng)
-        with pytest.warns(DeprecationWarning, match="PlanCache.execute"):
-            got = cache.execute(small_batch, ops, engine="grouped")
-        assert len(got) == len(small_batch)
-
     def test_warm_policy_path(self, framework, small_batch):
         cache = PlanCache(framework)
         with no_warnings():
@@ -177,24 +125,43 @@ class TestPlanCacheShims:
 
 
 class TestServeConfigShims:
+    """``ServeConfig.policy`` is the only engine field, with only its
+    engine set: the server would silently drop any other knob."""
+
     def test_policy_field_silent(self):
         with no_warnings():
             config = ServeConfig(policy=ExecutionPolicy(engine="compiled"))
-        assert config.execution_policy().engine == "compiled"
-
-    def test_legacy_engine_warns(self):
-        with pytest.warns(DeprecationWarning, match="ServeConfig engine is deprecated"):
-            config = ServeConfig(engine="compiled")
-        assert config.execution_policy().engine == "compiled"
+        assert config.policy.engine == "compiled"
 
     def test_default_resolves_to_grouped(self):
         with no_warnings():
-            assert ServeConfig().execution_policy() == ExecutionPolicy()
+            assert ServeConfig().policy == ExecutionPolicy()
+        assert ServeConfig().policy.engine == "grouped"
 
     def test_mixing_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             ServeConfig(policy=ExecutionPolicy(), engine="grouped")
 
     def test_reliable_policy_rejected(self):
         with pytest.raises(ValueError, match="ReliabilityConfig"):
             ServeConfig(policy=ExecutionPolicy(fallback=True))
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            ExecutionPolicy(verify=True),
+            ExecutionPolicy(engine="compiled", verify=True),
+            ExecutionPolicy(precision="fp16"),
+            ExecutionPolicy(precision="bf16"),
+            ExecutionPolicy(precision="fp32"),
+        ],
+        ids=["verify", "compiled-verify", "fp16", "bf16", "fp32"],
+    )
+    def test_verify_and_precision_rejected(self, policy):
+        with pytest.raises(ValueError, match=r"precision rides on each request"):
+            ServeConfig(policy=policy)
+
+    @pytest.mark.parametrize("policy", [None, "compiled"], ids=["none", "string"])
+    def test_non_policy_rejected(self, policy):
+        with pytest.raises(TypeError, match="must be an ExecutionPolicy"):
+            ServeConfig(policy=policy)

@@ -116,3 +116,18 @@ class TestHalfWidth:
                 V100, launch.blocks, compulsory_ab_bytes=launch.compulsory_ab_bytes
             )
         assert makespans["bf16"] == makespans["fp16"] < makespans["fp32"]
+
+    def test_tensor_core_issue_packing_applied(self):
+        """The cost model divides a half-width tile's issue term by the
+        Tensor-Core packing factor on parts that have Tensor Cores; the
+        cross-check must too, or fp16 launches run issue-bound in it and
+        drift from the fixed point (ratio 1.36 on inception4b without
+        the packing)."""
+        module = next(m for m in GOOGLENET_INCEPTIONS if m.name == "inception4b")
+        batch = inception_branch_batch(module)
+        fw = CoordinatedFramework(V100, precision="fp16")
+        launch = fw.plan(batch, Heuristic.THRESHOLD).kernel_launch()
+        events = simulate_kernel_events(
+            V100, launch.blocks, compulsory_ab_bytes=launch.compulsory_ab_bytes
+        )
+        assert events / simulate_kernel(V100, launch).cycles < 1.2

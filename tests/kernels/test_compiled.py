@@ -596,25 +596,11 @@ class TestArtifactMemo:
 
 class TestEngineRegistry:
     def test_compiled_engine_registered(self):
-        from repro.kernels import (
-            ENGINE_FALLBACKS,
-            ENGINES,
-            get_engine,
-            get_engine_object,
-        )
+        from repro.kernels import ENGINE_FALLBACKS, ENGINES, get_engine
 
         assert "compiled" in ENGINES
         assert get_engine("compiled") is execute_compiled
         assert ENGINE_FALLBACKS["compiled"] == ("compiled", "grouped", "reference")
-        engine = get_engine_object("compiled")
-        assert engine.name == "compiled"
-
-    def test_engine_protocol(self):
-        from repro.kernels.engine import Engine, get_engine_object
-
-        engine = get_engine_object("compiled")
-        assert isinstance(engine, Engine)
-        assert callable(engine.runner())
 
     def test_compiled_importable_independently(self):
         """The compiled engine must not pull in the persistent walk."""

@@ -5,17 +5,29 @@ Three engines remain: the reference walk (the oracle), ``grouped`` and
 are gone, and so is every knob that existed only for them: a removed
 engine name, ``workers`` field or CLI flag must fail loudly rather
 than be silently ignored.
+
+Every execution knob has one spelling, an ``ExecutionPolicy``: the
+loose ``engine=`` / ``fallback=`` / ``retry=`` / ``injector=``
+keywords, ``ServeConfig(engine=)``, bare-string policies and the
+``Engine`` protocol objects are gone too.  Heuristic strings stay an
+accepted spelling, and they plan without a warning.
 """
 
 from __future__ import annotations
 
+import warnings
+
+import numpy as np
 import pytest
 
+import repro
+import repro.kernels
 from repro.__main__ import main as repro_main
 from repro.core.options import PlanOptions
 from repro.core.plancache import PlanCache
 from repro.core.problem import GemmBatch
 from repro.kernels import ENGINE_FALLBACKS, ENGINES, ExecutionPolicy, get_engine
+from repro.reliability import RetryPolicy
 from repro.serve.cli import main as serve_main
 from repro.serve.config import ServeConfig
 
@@ -33,8 +45,47 @@ def warm_repeats(framework) -> int:
     return PlanCache(framework).warm([batch, batch, batch])
 
 
+def execute_small(target, **kwargs):
+    """Execute a two-GEMM batch through ``target.execute``."""
+    batch = GemmBatch.from_shapes([(16, 16, 16)] * 2)
+    ops = batch.random_operands(np.random.default_rng(0))
+    return target.execute(batch, ops, **kwargs)
+
+
+def silently(probe):
+    """``probe`` as a probe that fails on any warning it raises."""
+
+    def run(framework):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return probe(framework)
+
+    return run
+
+
+def string_heuristic_probes():
+    """Each string-heuristic entry point, as probe -> expected value."""
+    batch = GemmBatch.from_shapes([(32, 32, 32)] * 2)
+    ops = batch.random_operands(np.random.default_rng(1))
+    return {
+        "plan": (lambda fw: fw.plan(batch, "threshold").heuristic_used, "threshold"),
+        "simulate": (lambda fw: fw.simulate(batch, "binary").time_ms > 0, True),
+        "cache-plan": (
+            lambda fw: PlanCache(fw).plan(batch, "best").heuristic_used
+            in ("threshold", "binary"),
+            True,
+        ),
+        "cache-execute": (
+            lambda fw: len(PlanCache(fw).execute(batch, ops, "threshold")),
+            len(batch),
+        ),
+    }
+
+
 UNKNOWN_ENGINE = (ValueError, "unknown execution engine")
 UNEXPECTED_KEYWORD = (TypeError, "unexpected keyword argument")
+NOT_A_POLICY = (TypeError, "expected an ExecutionPolicy")
+NO_ATTRIBUTE = (AttributeError, "has no attribute")
 
 CASES = {
     "engines": (lambda fw: ENGINES, ("reference", "grouped", "compiled")),
@@ -70,6 +121,42 @@ CASES = {
         2,
     ),
     "warm-plans-a-repeated-batch-once": (warm_repeats, 1),
+    "execute-engine": (
+        lambda fw: execute_small(fw, engine="compiled"),
+        UNEXPECTED_KEYWORD,
+    ),
+    "execute-fallback": (
+        lambda fw: execute_small(fw, fallback=True),
+        UNEXPECTED_KEYWORD,
+    ),
+    "execute-retry": (
+        lambda fw: execute_small(fw, retry=RetryPolicy()),
+        UNEXPECTED_KEYWORD,
+    ),
+    "execute-injector": (
+        lambda fw: execute_small(fw, injector=object()),
+        UNEXPECTED_KEYWORD,
+    ),
+    "plancache-execute-engine": (
+        lambda fw: execute_small(PlanCache(fw), engine="compiled"),
+        UNEXPECTED_KEYWORD,
+    ),
+    "serve-config-engine": (
+        lambda fw: ServeConfig(engine="compiled"),
+        UNEXPECTED_KEYWORD,
+    ),
+    "policy-of-string": (lambda fw: ExecutionPolicy.of("compiled"), NOT_A_POLICY),
+    "kernels-get-engine-object": (
+        lambda fw: repro.kernels.get_engine_object,
+        NO_ATTRIBUTE,
+    ),
+    "kernels-engine-protocol": (lambda fw: repro.kernels.Engine, NO_ATTRIBUTE),
+    "kernels-coerce-policy": (lambda fw: repro.kernels.coerce_policy, NO_ATTRIBUTE),
+    "repro-get-engine-object": (lambda fw: repro.get_engine_object, NO_ATTRIBUTE),
+    **{
+        f"str-heuristic-{name}": (silently(probe), expected)
+        for name, (probe, expected) in string_heuristic_probes().items()
+    },
 }
 
 

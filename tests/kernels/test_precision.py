@@ -30,7 +30,7 @@ from repro.core.precision import (
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import ALL_BATCHED_STRATEGIES
-from repro.kernels.engine import get_engine_object
+from repro.kernels import get_engine
 from repro.kernels.persistent import execute_schedule
 from repro.kernels.verify import VerificationError, verify_outputs
 
@@ -103,7 +103,7 @@ def test_fp32_bit_identical_sha256_across_engines(strategy_index):
     ops = staged_operands(batch, Precision.FP32)
     want = digest(execute_schedule(schedule, batch, ops))
     for name in ENGINES_UNDER_TEST:
-        got = get_engine_object(name).run(schedule, batch, ops)
+        got = get_engine(name)(schedule, batch, ops)
         assert digest(got) == want, (
             f"{name} diverges from the reference walk on strategy "
             f"{ALL_BATCHED_STRATEGIES[strategy_index]} (fp32 is bit-exact)"
@@ -118,7 +118,7 @@ def test_reduced_precision_within_tolerance(strategy_index, precision, engine):
     batch = ragged_batch(strategy_index)
     schedule = forced_schedule(batch, strategy_index)
     staged = staged_operands(batch, precision)
-    outputs = get_engine_object(engine).run(schedule, batch, staged)
+    outputs = get_engine(engine)(schedule, batch, staged)
     outputs = quantize_outputs(outputs, precision)
     report = verify_outputs(
         batch, staged, outputs, precision, raise_on_failure=True
@@ -136,7 +136,7 @@ def test_outputs_live_on_the_storage_grid(precision):
     batch = ragged_batch(2)
     schedule = forced_schedule(batch, 2)
     staged = staged_operands(batch, precision)
-    outputs = get_engine_object("grouped").run(schedule, batch, staged)
+    outputs = get_engine("grouped")(schedule, batch, staged)
     outputs = quantize_outputs(outputs, precision)
     for out in outputs:
         requantized = precision.quantize(np.asarray(out, dtype=np.float64))
@@ -150,7 +150,7 @@ def test_verifier_catches_corruption_tolerance():
     batch = ragged_batch(1)
     schedule = forced_schedule(batch, 1)
     staged = staged_operands(batch, Precision.FP16)
-    outputs = get_engine_object("grouped").run(schedule, batch, staged)
+    outputs = get_engine("grouped")(schedule, batch, staged)
     outputs = [np.array(o) for o in outputs]
     outputs[0][0, 0] += 1000.0
     report = verify_outputs(batch, staged, outputs, Precision.FP16)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.options import Heuristic
 from repro.core.plancache import PlanCache
 from repro.core.problem import Gemm
+from repro.kernels import ExecutionPolicy
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatcherConfig
 from repro.serve.config import ServeConfig
@@ -124,7 +125,7 @@ class TestExecution:
         a = rng.standard_normal((16, 24))
         b = rng.standard_normal((24, 8))
         config = quick_config(
-            engine=engine,
+            policy=ExecutionPolicy(engine=engine),
             batcher=BatcherConfig(max_batch_size=1, max_wait_us=10.0),
         )
         with GemmServer(framework, config) as server:
@@ -153,7 +154,7 @@ class TestExecution:
 
     def test_unknown_engine_rejected_at_config(self):
         with pytest.raises(ValueError, match="engine"):
-            quick_config(engine="quantum")
+            quick_config(policy=ExecutionPolicy(engine="quantum"))
 
     def test_shared_cache_across_workers(self, framework):
         cache = PlanCache(framework, capacity=64)
