@@ -30,14 +30,16 @@ def test_event_sim_agreement(benchmark):
         ratios = []
         for batch in cases:
             plan = fw.plan(batch, heuristic="best")
-            blocks = plan.schedule.block_works(batch)
             comp = float(batch.compulsory_ab_bytes)
+            launch = KernelLaunch.of_classes(
+                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+            )
             static = simulate_kernel(
-                VOLTA_V100,
-                KernelLaunch("k", blocks, compulsory_ab_bytes=comp),
-                include_launch_overhead=False,
+                VOLTA_V100, launch, include_launch_overhead=False
             ).cycles
-            event = simulate_kernel_events(VOLTA_V100, blocks, compulsory_ab_bytes=comp)
+            event = simulate_kernel_events(
+                VOLTA_V100, launch.blocks, compulsory_ab_bytes=comp
+            )
             ratios.append(event / static)
         return ratios
 

@@ -48,16 +48,11 @@ def render_plan_trace(
                 + ", ".join(f"{k}={v}" for k, v in counters.items())
             )
     if device is not None and report is not None:
-        launch = report.kernel_launch()
         sections.append("")
         sections.append("simulated schedule timeline:")
         sections.append(
             render_timeline(
-                device,
-                launch.blocks,
-                launch.compulsory_ab_bytes,
-                width=width,
-                max_slots=max_slots,
+                device, report.kernel_launch(), width=width, max_slots=max_slots
             )
         )
     return "\n".join(sections)

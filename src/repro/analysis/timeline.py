@@ -3,18 +3,18 @@
 Given a launch, render how blocks pack onto SM residency slots over
 time -- the visual intuition behind waves, tails, and why batching
 monster blocks hurts.  Text-only (this repository ships no plotting
-dependency); each row is one slot, each glyph one time bucket.
+dependency); each row is one slot, each glyph one time bucket.  Block
+durations come from the simulator's fixed point over the launch's
+block classes (:class:`~repro.gpu.simulator.KernelLaunch`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.gpu.costmodel import BlockWork
 from repro.gpu.occupancy import occupancy
-from repro.gpu.simulator import _converge_kernel
+from repro.gpu.simulator import KernelLaunch, _converge_kernel
 from repro.gpu.specs import DeviceSpec
 
 #: Glyphs cycle per block so adjacent blocks are distinguishable.
@@ -30,8 +30,7 @@ class TimelineSlot:
 
 def build_timeline(
     device: DeviceSpec,
-    blocks: Sequence[BlockWork],
-    compulsory_ab_bytes: float | None = None,
+    launch: KernelLaunch,
     max_slots: int = 16,
 ) -> tuple[list[TimelineSlot], float]:
     """List-schedule the launch and return per-slot segments + makespan.
@@ -39,16 +38,14 @@ def build_timeline(
     Only the first ``max_slots`` slots are materialized (a V100 can
     have 560+; the picture repeats).
     """
-    if not blocks:
-        raise ValueError("no blocks to render")
-    first = blocks[0]
+    first = launch.classes[0]
     occ = occupancy(
         device, first.threads, first.registers_per_thread, first.shared_memory_bytes
     )
     if occ.blocks_per_sm == 0:
         raise ValueError("unlaunchable footprint")
     durations, makespan, _conc, _ctx = _converge_kernel(
-        device, blocks, occ.blocks_per_sm, compulsory_ab_bytes
+        device, launch, occ.blocks_per_sm
     )
     slots = device.num_sms * occ.blocks_per_sm
     heap = [(0.0, i) for i in range(slots)]
@@ -65,8 +62,7 @@ def build_timeline(
 
 def render_timeline(
     device: DeviceSpec,
-    blocks: Sequence[BlockWork],
-    compulsory_ab_bytes: float | None = None,
+    launch: KernelLaunch,
     width: int = 72,
     max_slots: int = 12,
 ) -> str:
@@ -77,13 +73,13 @@ def render_timeline(
     """
     if width < 8:
         raise ValueError(f"width must be >= 8, got {width}")
-    slots, makespan = build_timeline(device, blocks, compulsory_ab_bytes, max_slots)
+    slots, makespan = build_timeline(device, launch, max_slots)
     if makespan <= 0:
         makespan = 1.0
     scale = width / makespan
     lines = [
         f"makespan {device.cycles_to_ms(makespan) * 1e3:.1f} us across "
-        f"{len(blocks)} blocks ('.'=idle, one row per SM slot, "
+        f"{launch.num_blocks} blocks ('.'=idle, one row per SM slot, "
         f"first {len(slots)} slots):"
     ]
     for si, slot in enumerate(slots):

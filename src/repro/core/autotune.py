@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.core.batching import batch_tiles
 from repro.core.problem import GemmBatch
-from repro.core.schedule import build_schedule, enumerate_tiles
+from repro.core.schedule import build_schedule, tile_columns
 from repro.core.tiling import (
     BATCHED_STRATEGIES_128,
     BATCHED_STRATEGIES_256,
@@ -51,18 +51,17 @@ def _evaluate(
     decision = TilingDecision(
         strategies=tuple(strategies), threads=threads, tlp=0, trace=()
     )
-    tiles = enumerate_tiles(batch, decision)
     batching = batch_tiles(
-        tiles,
+        tile_columns(batch, decision),
         threads_per_block=threads,
         heuristic=heuristic,
         theta=device.batching_theta,
         tlp_threshold=device.tlp_threshold,
     )
     schedule = build_schedule(batch, decision, batching)
-    launch = KernelLaunch(
-        name="oracle",
-        blocks=schedule.block_works(batch),
+    launch = KernelLaunch.of_classes(
+        "oracle",
+        *schedule.block_classes(),
         compulsory_ab_bytes=float(batch.compulsory_ab_bytes),
     )
     return simulate_kernel(device, launch).time_ms

@@ -45,7 +45,7 @@ from repro.core.precision import (
     quantize_outputs,
 )
 from repro.core.problem import GemmBatch
-from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
+from repro.core.schedule import BatchSchedule, build_schedule, tile_columns
 from repro.core.selector import HeuristicSelector
 from repro.core.tiling import TilingDecision, select_tiling
 from repro.gpu.simulator import KernelLaunch, SimulationResult, simulate_kernel
@@ -66,7 +66,8 @@ class PlanReport:
     built under (no ``None`` fields); ``heuristic_requested`` /
     ``heuristic_used`` remain plain strings for backward
     compatibility (``used`` is always concrete -- never ``best`` /
-    ``auto``).
+    ``auto``).  Reports compare field by field: the schedule and the
+    batching by value, the batch by identity.
     """
 
     batch: GemmBatch
@@ -81,17 +82,17 @@ class PlanReport:
         """The fused kernel this plan launches, as the simulator prices it.
 
         The plan is priced at its resolved storage precision (fp32 when
-        the report carries no options).  The blocks come from
-        :meth:`BatchSchedule.block_works` at that width, and the
+        the report carries no options).  The block classes come from
+        :meth:`BatchSchedule.block_classes` at that width, and the
         batch's unique A/B footprint, stated at fp32 width, is rescaled
         to it (half the bytes at fp16/bf16).  Simulation, the cost
         breakdown and the timeline all price this one launch.
         """
         precision = self.options.precision if self.options is not None else None
         prec = Precision.coerce(precision or "fp32")
-        return KernelLaunch(
-            name="coordinated",
-            blocks=self.schedule.block_works(self.batch, precision=prec),
+        return KernelLaunch.of_classes(
+            "coordinated",
+            *self.schedule.block_classes(prec),
             compulsory_ab_bytes=(
                 float(self.batch.compulsory_ab_bytes) * prec.storage_bytes / 4.0
             ),
@@ -242,7 +243,7 @@ class CoordinatedFramework:
             backend=self._backend_of(opts),
             precision=opts.precision,
         )
-        tiles = enumerate_tiles(batch, decision)
+        tiles = tile_columns(batch, decision)
         tracer.counter("tiles_enumerated", len(tiles))
 
         requested = opts.heuristic
@@ -331,27 +332,27 @@ class CoordinatedFramework:
         from repro.gpu.simulator import _converge_kernel
 
         launch = report.kernel_launch()
-        blocks = launch.blocks
+        first = launch.classes[0]
         occ = occupancy(
             self.device,
-            blocks[0].threads,
-            blocks[0].registers_per_thread,
-            blocks[0].shared_memory_bytes,
+            first.threads,
+            first.registers_per_thread,
+            first.shared_memory_bytes,
         )
         durations, makespan, concurrency, ctx = _converge_kernel(
-            self.device, blocks, occ.blocks_per_sm, launch.compulsory_ab_bytes
+            self.device, launch, occ.blocks_per_sm
         )
         order = sorted(range(len(durations)), key=lambda i: -durations[i])
         lines = [
-            f"kernel: {len(blocks)} blocks x {blocks[0].threads} threads, "
+            f"kernel: {launch.num_blocks} blocks x {first.threads} threads, "
             f"occupancy {occ.blocks_per_sm}/SM (limited by {occ.limited_by})",
             f"converged concurrency {concurrency:.0f} blocks, "
             f"L2 hit fraction {ctx.l2_hit_fraction:.2f}, "
             f"makespan {self.device.cycles_to_ms(makespan) * 1e3:.1f} us",
-            f"critical blocks (of {len(blocks)}):",
+            f"critical blocks (of {launch.num_blocks}):",
         ]
         for i in order[:top]:
-            tiles = blocks[i].tiles
+            tiles = launch.classes[launch.class_of[i]].tiles
             ks = "+".join(str(t.k) for t in tiles)
             lines.append(
                 f"  block {i}: {len(tiles)} tile(s) "

@@ -14,7 +14,17 @@ arrays (Figure 6):
 The persistent-threads kernel (Figure 7) walks these arrays; our
 functional executor :mod:`repro.kernels.persistent` does the same walk
 in NumPy, and the cost model consumes the schedule via
-:meth:`BatchSchedule.block_works`.
+:meth:`BatchSchedule.block_classes`: the launch's distinct block
+compositions plus each block's class, which
+:meth:`KernelLaunch.of_classes <repro.gpu.simulator.KernelLaunch.of_classes>`
+hands to the simulator without regrouping.
+
+The planner stays on integer arrays from the tiling decision to the
+schedule: :func:`tile_columns` expands a decision into tile columns,
+the batching heuristics order them (:mod:`repro.core.batching`), and
+:func:`build_schedule` permutes and checks the columns.
+:func:`enumerate_tiles` is the :class:`~repro.core.problem.Tile` list
+view of the same columns.
 """
 
 from __future__ import annotations
@@ -23,14 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batching import BatchingResult
+from repro.core.batching import BatchingResult, TileColumns
+from repro.core.precision import Precision, PrecisionLike
 from repro.core.problem import GemmBatch, Tile
 from repro.core.tiling import TilingDecision, strategy_by_index
 from repro.gpu.costmodel import BlockWork, TileWork
 from repro.telemetry import get_tracer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchSchedule:
     """The five auxiliary arrays plus the kernel's unified footprint.
 
@@ -39,6 +50,9 @@ class BatchSchedule:
     ``shared_memory_bytes`` and ``registers_per_thread`` are the maxima
     over every strategy the schedule uses -- a fused CUDA kernel has a
     single static footprint.
+
+    Schedules compare by value (equal arrays, per-slot K and
+    footprint) and are unhashable.
     """
 
     tile_offsets: np.ndarray
@@ -149,10 +163,42 @@ class BatchSchedule:
         object.__setattr__(schedule, "_slot_k", slot_k)
         return schedule
 
-    def block_works(
-        self, batch: GemmBatch, precision: str = "fp32"
-    ) -> tuple[BlockWork, ...]:
-        """Lower the schedule to cost-model blocks.
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (
+            self.tile_offsets,
+            self.gemm_ids,
+            self.strategy_ids,
+            self.y_coords,
+            self.x_coords,
+            self._slot_k,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BatchSchedule):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays())) and (
+            self.threads_per_block,
+            self.shared_memory_bytes,
+            self.registers_per_thread,
+        ) == (
+            other.threads_per_block,
+            other.shared_memory_bytes,
+            other.registers_per_thread,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def block_classes(
+        self, precision: PrecisionLike = "fp32"
+    ) -> tuple[tuple[BlockWork, ...], tuple[int, ...]]:
+        """Lower the schedule to cost-model block classes.
+
+        Returns the distinct block compositions as :class:`BlockWork`
+        objects, in first-issue order, and each block's index into
+        them -- what :meth:`KernelLaunch.of_classes
+        <repro.gpu.simulator.KernelLaunch.of_classes>` takes.  A ragged
+        batch's ~100 blocks hold a handful of distinct compositions,
+        and equal (strategy, K) tiles share one :class:`TileWork`.
 
         Every tile runs with the full unified thread count (the unified
         thread structure leaves no idle threads); the block footprint is
@@ -163,62 +209,78 @@ class BatchSchedule:
         (staging tiles are linear in element bytes) -- halving the
         footprint is what lets occupancy admit more fp16/bf16 blocks.
         """
-        from repro.core.precision import Precision
-
         prec = Precision.coerce(precision)
+        # One integer per slot names its (strategy, K) pair: K < base.
+        base = int(self._slot_k.max()) + 1
+        keys = tuple((self.strategy_ids.astype(np.int64) * base + self._slot_k).tolist())
+        bounds = self.tile_offsets.tolist()
+        index: dict[tuple[int, ...], int] = {}
+        class_of = tuple(
+            [index.setdefault(keys[b:e], len(index)) for b, e in zip(bounds, bounds[1:])]
+        )
+        tiles = {
+            key: TileWork(
+                strategy=strategy_by_index(key // base),
+                k=key % base,
+                active_threads=self.threads_per_block,
+                precision=prec,
+            )
+            for key in {key for composition in index for key in composition}
+        }
         smem = self.shared_memory_bytes * prec.storage_bytes // 4
-        offsets = self.tile_offsets.tolist()
-        slots = list(zip(self.strategy_ids.tolist(), self._slot_k.tolist()))
-        # One TileWork per distinct (strategy, K) and one BlockWork per
-        # distinct slot sequence: a ragged batch's ~100 blocks hold a
-        # handful of distinct compositions, and equal blocks share one
-        # object.
-        tiles: dict[tuple[int, int], TileWork] = {}
-        blocks: dict[tuple[tuple[int, int], ...], BlockWork] = {}
-        works = []
-        for begin, end in zip(offsets[:-1], offsets[1:]):
-            key = tuple(slots[begin:end])
-            work = blocks.get(key)
-            if work is None:
-                for sk in key:
-                    if sk not in tiles:
-                        tiles[sk] = TileWork(
-                            strategy=strategy_by_index(sk[0]),
-                            k=sk[1],
-                            active_threads=self.threads_per_block,
-                            precision=prec,
-                        )
-                work = blocks[key] = BlockWork(
-                    threads=self.threads_per_block,
-                    registers_per_thread=self.registers_per_thread,
-                    shared_memory_bytes=smem,
-                    tiles=tuple(tiles[sk] for sk in key),
-                )
-            works.append(work)
-        return tuple(works)
+        classes = tuple(
+            BlockWork(
+                threads=self.threads_per_block,
+                registers_per_thread=self.registers_per_thread,
+                shared_memory_bytes=smem,
+                tiles=tuple(map(tiles.__getitem__, composition)),
+            )
+            for composition in index
+        )
+        return classes, class_of
+
+
+def _tile_grid(
+    batch: GemmBatch, decision: TilingDecision
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per GEMM, the ``(rows, cols)`` tile grid its strategy induces."""
+    grid = np.array(
+        [s.tiles_for(g) for g, s in zip(batch, decision.strategies)], dtype=np.int64
+    ).reshape(-1, 2)
+    return grid[:, 0], grid[:, 1]
+
+
+def tile_columns(batch: GemmBatch, decision: TilingDecision) -> TileColumns:
+    """Expand a tiling decision into tile columns, natural order.
+
+    GEMMs in batch order; within a GEMM, tiles row-major over the tile
+    grid.  This is the order threshold batching consumes.  The five
+    ``int64`` columns ``(gemm, y, x, strategy, k)`` are built with
+    ``np.repeat`` and ``divmod``, with no Python loop per tile.
+    """
+    rows, cols = _tile_grid(batch, decision)
+    counts = rows * cols
+    n_gemms = len(counts)
+    gemm = np.repeat(np.arange(n_gemms, dtype=np.int64), counts)
+    local = np.arange(len(gemm), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    y, x = np.divmod(local, np.repeat(cols, counts))
+    strategy = np.repeat(
+        np.array([s.index for s in decision.strategies[:n_gemms]], dtype=np.int64),
+        counts,
+    )
+    k = np.repeat(np.array([g.k for g in batch][:n_gemms], dtype=np.int64), counts)
+    return TileColumns(gemm=gemm, y=y, x=x, strategy=strategy, k=k)
 
 
 def enumerate_tiles(batch: GemmBatch, decision: TilingDecision) -> list[Tile]:
     """Expand a tiling decision into the flat tile list, natural order.
 
-    GEMMs in batch order; within a GEMM, tiles row-major over the tile
-    grid.  This is the order threshold batching consumes.
+    The :class:`Tile` view of :func:`tile_columns`, for callers that
+    index or edit individual tiles.
     """
-    tiles: list[Tile] = []
-    for gi, (gemm, strat) in enumerate(zip(batch, decision.strategies)):
-        rows, cols = strat.tiles_for(gemm)
-        for y in range(rows):
-            for x in range(cols):
-                tiles.append(
-                    Tile(
-                        gemm_index=gi,
-                        y=y,
-                        x=x,
-                        strategy_index=strat.index,
-                        k=gemm.k,
-                    )
-                )
-    return tiles
+    return tile_columns(batch, decision).tiles()
 
 
 def build_schedule(
@@ -242,43 +304,36 @@ def _build_schedule(
     decision: TilingDecision,
     batching: BatchingResult,
 ) -> BatchSchedule:
-    flat = [tile for block in batching.blocks for tile in block]
-    offsets = np.zeros(batching.num_blocks + 1, dtype=np.int32)
-    np.cumsum([len(block) for block in batching.blocks], out=offsets[1:])
-    slots = np.array(
-        [(t.gemm_index, t.strategy_index, t.y, t.x, t.k) for t in flat],
-        dtype=np.int64,
-    ).reshape(-1, 5)
-    gemm_ids, strategy_ids, ys, xs, ks = slots.T
+    slots = batching.slots()
+    gemm_ids, ys, xs, strategy_ids, ks = slots.arrays
 
     # The tile grid the decision induces: GEMM g owns the linear tile
     # ids [first[g], first[g + 1]), row-major over its rows x cols grid.
     want_strategy = np.array([s.index for s in decision.strategies], dtype=np.int64)
     want_k = np.array([g.k for g in batch], dtype=np.int64)
-    rows, cols = np.array(
-        [s.tiles_for(g) for g, s in zip(batch, decision.strategies)], dtype=np.int64
-    ).reshape(-1, 2).T
+    rows, cols = _tile_grid(batch, decision)
     first = np.concatenate(([0], np.cumsum(rows * cols)))
 
-    # Tile itself rejects negative GEMM ids and coordinates.
-    in_batch = gemm_ids < len(batch)
+    in_batch = (gemm_ids >= 0) & (gemm_ids < len(batch))
     g = np.where(in_batch, gemm_ids, 0)
     produced = (
         in_batch
         & (strategy_ids == want_strategy[g])
         & (ks == want_k[g])
+        & (ys >= 0)
+        & (xs >= 0)
         & (ys < rows[g])
         & (xs < cols[g])
     )
     if not produced.all():
-        bad = flat[int(np.argmin(produced))]
+        bad = slots.tile(int(np.argmin(produced)))
         raise ValueError(f"batching refers to a tile not produced by tiling: {bad}")
     tile_ids = first[gemm_ids] + ys * cols[gemm_ids] + xs
     counts = np.bincount(tile_ids, minlength=int(first[-1]))
     if (counts > 1).any():
-        first_seen = np.zeros(len(flat), dtype=bool)
+        first_seen = np.zeros(len(tile_ids), dtype=bool)
         first_seen[np.unique(tile_ids, return_index=True)[1]] = True
-        bad = flat[int(np.argmin(first_seen))]
+        bad = slots.tile(int(np.argmin(first_seen)))
         raise ValueError(f"batching assigns tile {bad} to more than one block")
     missing = int(np.count_nonzero(counts == 0))
     if missing:
@@ -296,7 +351,7 @@ def _build_schedule(
     regs = max(s.registers_per_thread for s in strategies)
 
     schedule = BatchSchedule(
-        tile_offsets=offsets,
+        tile_offsets=batching.offsets.astype(np.int32),
         gemm_ids=gemm_ids.astype(np.int32),
         strategy_ids=strategy_ids.astype(np.int32),
         y_coords=ys.astype(np.int32),
@@ -305,5 +360,5 @@ def _build_schedule(
         shared_memory_bytes=smem,
         registers_per_thread=regs,
     )
-    object.__setattr__(schedule, "_slot_k", ks.copy())
+    object.__setattr__(schedule, "_slot_k", ks)
     return schedule

@@ -10,9 +10,13 @@ Given the thread blocks of one kernel launch, the simulator:
    durations.  Three or four rounds converge for every launch shape,
    including badly imbalanced ones (a few monster blocks next to many
    minnows);
-3. prices every *distinct* block once per round -- a block's price
+3. prices every *block class* once per round -- a block's price
    depends only on its value and the round's context, so equal blocks
-   cost the same.  Each distinct tile's round-invariant terms
+   cost the same.  A :class:`KernelLaunch` holds its blocks as
+   classes: the planner's lowering hands them over directly
+   (:meth:`KernelLaunch.of_classes`), and only
+   ``KernelLaunch(name, blocks)`` groups blocks by value, once, when
+   the launch is built.  Each distinct tile's round-invariant terms
    (:class:`repro.gpu.costmodel.TileTerms`) are derived once per
    launch, and each round prices every distinct (tile, first-in-block)
    pair once;
@@ -50,14 +54,22 @@ from repro.telemetry import get_tracer
 _CONCURRENCY_ROUNDS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KernelLaunch:
-    """One kernel: a name plus the blocks it launches.
+    """One kernel: a name plus the blocks it launches, held as classes.
+
+    ``classes`` are the launch's distinct blocks in first-issue order,
+    and ``class_of[i]`` is the class of the ``i``-th block issued;
+    :attr:`blocks` expands them back into issue order.
+    ``KernelLaunch(name, blocks)`` groups equal blocks by value, once,
+    here; a caller that already knows the classes (the schedule
+    lowering, :meth:`repro.core.schedule.BatchSchedule.block_classes`)
+    passes them to :meth:`of_classes` and no grouping runs.
 
     The resource footprint for occupancy is taken from the first
-    block; a real CUDA kernel has a single static footprint, so all
+    class; a real CUDA kernel has a single static footprint, so all
     blocks of a launch must share ``threads``, ``registers_per_thread``
-    and ``shared_memory_bytes`` (validated).
+    and ``shared_memory_bytes`` (validated over the classes).
 
     ``compulsory_ab_bytes`` is the unique A/B operand footprint of the
     workload (bytes each matrix contributes once); when provided, the
@@ -66,23 +78,82 @@ class KernelLaunch:
     """
 
     name: str
-    blocks: tuple[BlockWork, ...]
+    classes: tuple[BlockWork, ...]
+    class_of: tuple[int, ...]
     compulsory_ab_bytes: float | None = None
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError(f"kernel {self.name!r} launches no blocks")
-        first = self.blocks[0]
-        for b in self.blocks:
+    def __init__(
+        self,
+        name: str,
+        blocks: Sequence[BlockWork],
+        compulsory_ab_bytes: float | None = None,
+    ) -> None:
+        # Identity first: callers that repeat one object per composition
+        # hash each object once.  The distinct objects are then grouped
+        # by value, so equal blocks built as separate objects (the
+        # baselines build one per block) share a class too.
+        blocks = tuple(blocks)
+        objects = dict(zip(map(id, blocks), blocks))
+        index: dict[BlockWork, int] = {}
+        class_of_object = {key: index.setdefault(b, len(index)) for key, b in objects.items()}
+        class_of = tuple(map(class_of_object.__getitem__, map(id, blocks)))
+        self._set(name, tuple(index), class_of, compulsory_ab_bytes)
+
+    @classmethod
+    def of_classes(
+        cls,
+        name: str,
+        classes: Sequence[BlockWork],
+        class_of: Sequence[int],
+        compulsory_ab_bytes: float | None = None,
+    ) -> "KernelLaunch":
+        """A launch from its block classes and each block's class index.
+
+        Every class must be issued at least once.
+        """
+        launch = object.__new__(cls)
+        launch._set(name, tuple(classes), tuple(class_of), compulsory_ab_bytes)
+        if set(launch.class_of) != set(range(len(launch.classes))):
+            raise ValueError(
+                f"kernel {name!r}: class_of must issue every one of its "
+                f"{len(launch.classes)} classes and name no other"
+            )
+        return launch
+
+    def _set(
+        self,
+        name: str,
+        classes: tuple[BlockWork, ...],
+        class_of: tuple[int, ...],
+        compulsory_ab_bytes: float | None,
+    ) -> None:
+        if not class_of:
+            raise ValueError(f"kernel {name!r} launches no blocks")
+        first = classes[0]
+        for b in classes:
             if (
                 b.threads != first.threads
                 or b.registers_per_thread != first.registers_per_thread
                 or b.shared_memory_bytes != first.shared_memory_bytes
             ):
                 raise ValueError(
-                    f"kernel {self.name!r} mixes block footprints: a CUDA kernel "
+                    f"kernel {name!r} mixes block footprints: a CUDA kernel "
                     "has one static resource footprint for every block"
                 )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "compulsory_ab_bytes", compulsory_ab_bytes)
+
+    @property
+    def num_blocks(self) -> int:
+        """Blocks the kernel launches."""
+        return len(self.class_of)
+
+    @property
+    def blocks(self) -> tuple[BlockWork, ...]:
+        """Every block in issue order (class objects repeated)."""
+        return tuple(map(self.classes.__getitem__, self.class_of))
 
 
 @dataclass(frozen=True)
@@ -129,42 +200,26 @@ def _schedule(durations: Iterable[float], slots: int) -> float:
     return makespan
 
 
-def _classify(blocks: Sequence[BlockWork]) -> tuple[list[BlockWork], list[int]]:
-    """Distinct blocks by value in first-issue order, and each block's class.
-
-    Blocks are grouped by object identity first: a lowered schedule
-    shares one object per distinct composition, so its ~100 blocks
-    hash as a handful.  The distinct objects are then grouped by value,
-    so equal blocks built as separate objects (the baselines build one
-    per block) share a class too.
-    """
-    objects = dict(zip(map(id, blocks), blocks))
-    index: dict[BlockWork, int] = {}
-    class_of_object = {key: index.setdefault(b, len(index)) for key, b in objects.items()}
-    class_of = list(map(class_of_object.__getitem__, map(id, blocks)))
-    return list(index), class_of
-
-
 def _converge_kernel(
     device: DeviceSpec,
-    blocks: Sequence[BlockWork],
+    launch: KernelLaunch,
     blocks_per_sm: int,
-    compulsory_ab_bytes: float | None = None,
 ) -> tuple[list[float], float, float, SmContext]:
     """Fixed-point estimate of (durations, makespan, concurrency, ctx).
 
     ``durations`` has one entry per block, in issue order.  Each round
-    prices every distinct (tile, first-in-block) pair once and each
-    block class as the dispatch cost plus its tile prices, added left
-    to right -- the same additions :func:`~repro.gpu.costmodel.block_cycles`
-    makes.  ``Σ durations`` is a left fold in issue order and the
-    makespan is the list schedule's, so every number is the one
-    pricing each block on its own gives, to the last bit.
+    prices every distinct (tile, first-in-block) pair once and each of
+    the launch's block classes as the dispatch cost plus its tile
+    prices, added left to right -- the same additions
+    :func:`~repro.gpu.costmodel.block_cycles` makes.  ``Σ durations``
+    is a left fold in issue order and the makespan is the list
+    schedule's, so every number is the one pricing each block on its
+    own gives, to the last bit.
     """
-    n = len(blocks)
+    classes, class_of = launch.classes, launch.class_of
+    n = len(class_of)
     slots = device.num_sms * blocks_per_sm
     concurrency = float(min(slots, n))
-    classes, class_of = _classify(blocks)
     multiplicity = Counter(class_of)
     tiles = {id(t): t for b in classes for t in b.tiles}
     # Integer byte counts: regrouping this sum by class is exact.
@@ -175,7 +230,7 @@ def _converge_kernel(
             for t in b.tiles
         )
     )
-    hit = l2_hit_fraction(device, compulsory_ab_bytes, traffic_ab)
+    hit = l2_hit_fraction(device, launch.compulsory_ab_bytes, traffic_ab)
     terms = {key: TileTerms.of(device, t, hit) for key, t in tiles.items()}
     # Every distinct (tile, first-in-block) pair, and each class as the
     # indices of its tiles' pairs in block order.
@@ -230,9 +285,9 @@ def simulate_kernel(
     """
     tracer = get_tracer()
     with tracer.span(
-        "simulate.kernel", kernel=kernel.name, blocks=len(kernel.blocks)
+        "simulate.kernel", kernel=kernel.name, blocks=kernel.num_blocks
     ) as span:
-        first = kernel.blocks[0]
+        first = kernel.classes[0]
         occ = occupancy(
             device,
             threads_per_block=first.threads,
@@ -246,7 +301,7 @@ def simulate_kernel(
             )
 
         _durations, makespan, concurrency, ctx = _converge_kernel(
-            device, kernel.blocks, occ.blocks_per_sm, kernel.compulsory_ab_bytes
+            device, kernel, occ.blocks_per_sm
         )
         launch_cycles = device.kernel_launch_us * 1e-6 * device.clock_ghz * 1e9
         total_cycles = makespan + (launch_cycles if include_launch_overhead else 0.0)
@@ -255,11 +310,11 @@ def simulate_kernel(
             name=kernel.name,
             cycles=makespan,
             time_ms=device.cycles_to_ms(total_cycles),
-            num_blocks=len(kernel.blocks),
+            num_blocks=kernel.num_blocks,
             blocks_per_sm=occ.blocks_per_sm,
             concurrency=concurrency,
-            active_sms=min(device.num_sms, len(kernel.blocks)),
-            waves=len(kernel.blocks) / slots,
+            active_sms=min(device.num_sms, kernel.num_blocks),
+            waves=kernel.num_blocks / slots,
             limited_by=occ.limited_by,
             trace=span if span.enabled else None,
         )
@@ -328,15 +383,13 @@ def simulate_streams_concurrent(
         jobs: list[tuple[float, float]] = []  # (release_cycle, duration)
         slot_candidates: list[int] = []
         for i, k in enumerate(kernels):
-            first = k.blocks[0]
+            first = k.classes[0]
             occ = occupancy(
                 device, first.threads, first.registers_per_thread, first.shared_memory_bytes
             )
             if occ.blocks_per_sm == 0:
                 raise ValueError(f"kernel {k.name!r} cannot launch")
-            durations, _m, _c, _ctx = _converge_kernel(
-                device, k.blocks, occ.blocks_per_sm, k.compulsory_ab_bytes
-            )
+            durations, _m, _c, _ctx = _converge_kernel(device, k, occ.blocks_per_sm)
             release = (i + 1) * gap_cycles
             jobs.extend((release, d) for d in durations)
             slot_candidates.append(occ.blocks_per_sm)

@@ -3,9 +3,9 @@
 The grouped engine (:mod:`repro.kernels.grouped`) removed the
 per-tile interpreter overhead, but each execution still *walks the
 lowered plan at Python level*: iterate ``TileGroup`` objects, build
-gather index stacks, allocate accumulators and window stacks, and run
-an ``np.add.at`` coverage pass -- per call, even when the schedule came
-straight out of a warm :class:`~repro.core.plancache.PlanCache`.  For
+gather index stacks, and allocate accumulators and window stacks --
+per call, even when the schedule came straight out of a warm
+:class:`~repro.core.plancache.PlanCache`.  For
 a serve hot path that executes the same few schedules millions of
 times, that is pure interpretation tax.
 
@@ -16,9 +16,9 @@ and Stream-K++ makes for kernel-configuration caching (see
 artifact, so steady-state dispatch is a lookup plus a minimal
 interpreter loop.  Compilation:
 
-* validates the schedule up front (GEMM/strategy id ranges and the
-  exactly-once output coverage check move from per-execution to
-  per-compile);
+* validates the schedule up front, through the grouped lowering
+  (GEMM/strategy id ranges and the exactly-once output coverage
+  check run once per compile, never per call);
 * flattens the tile groups into per-GEMM **chunk tables** (the
   ascending ``(k0, k_hi)`` ranges of the BK main loop) and, when a
   GEMM mixes BK depths, flat **gather/scatter element index arrays**
@@ -107,11 +107,7 @@ from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
 from repro.core.tiling import strategy_by_index
 from repro.kernels.blas import ChunkLoop, chunk_ranges
-from repro.kernels.grouped import (
-    _batch_token,
-    _check_coverage,
-    lower_schedule,
-)
+from repro.kernels.grouped import _batch_token, lower_schedule
 from repro.kernels.memo import MemoStats, PlanMemo
 from repro.telemetry import get_tracer
 
@@ -260,8 +256,7 @@ class CompiledPlan:
 
 
 def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
-    plan = lower_schedule(schedule, batch)
-    _check_coverage(plan, batch)  # once, at compile -- never per call
+    plan = lower_schedule(schedule, batch)  # checks coverage: once, never per call
 
     by_gemm: dict[int, dict[int, list]] = {}
     for group in plan.groups:

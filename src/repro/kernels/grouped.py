@@ -18,9 +18,10 @@ one shared chunk-accumulated full product* ``sum_c A[:,c] @ B[c,:]``
 (one BLAS call per ``BK`` chunk per GEMM, instead of one matmul per
 tile slot per chunk).  Each group then gathers its windows into a
 ``(G, by, bx)`` stack, applies the alpha/beta epilogue as one
-vectorized expression, and scatters the results back; output coverage
-is validated with one difference-array pass per GEMM instead of a
-per-element counter walk.
+vectorized expression, and scatters the results back.  Output coverage
+is validated once per lowering, with one difference-array pass over
+the whole batch instead of a per-element counter walk, so a lowered
+plan always tiles every output exactly once.
 
 **Bit-exactness contract.**  The grouped engine produces outputs that
 are bit-identical to :func:`repro.kernels.persistent.execute_schedule`.
@@ -129,8 +130,9 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     only matter to the performance model), so the lowering flattens
     them away and sorts slots by ``(gemm, strategy, interior)``.
     Raises ``IndexError`` for out-of-range GEMM or strategy ids, and
-    ``ValueError`` for a tile origin outside its matrix, like the
-    reference walk would on the offending slot.
+    ``ValueError`` for a tile origin outside its matrix or a schedule
+    that does not tile some GEMM exactly once, with the reference
+    walk's message.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -177,7 +179,12 @@ def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
         raise ValueError(
             f"tile origin ({y0[i]},{x0[i]}) outside matrix {m_of[i]}x{n_of[i]}"
         )
-    interior = (y0 + by_tab[strat_ids] <= m_of) & (x0 + bx_tab[strat_ids] <= n_of)
+    y1 = y0 + by_tab[strat_ids]
+    x1 = x0 + bx_tab[strat_ids]
+    _check_coverage(
+        ms[:-1], ns[:-1], gemm_ids, y0, np.minimum(y1, m_of), x0, np.minimum(x1, n_of)
+    )
+    interior = (y1 <= m_of) & (x1 <= n_of)
 
     # Composite bucket key; stable sort keeps slot order within a group.
     key = (gemm_ids * n_strats + strat_ids) * 2 + interior
@@ -250,9 +257,10 @@ def execute_grouped(
     Drop-in for :func:`repro.kernels.persistent.execute_schedule`
     (bit-identical outputs; inputs are not modified; raises
     ``ValueError`` on operand-shape mismatches or when the schedule
-    does not cover every output element exactly once).  ``plan``
-    optionally supplies a pre-lowered plan; by default the memoized
-    lowering of the schedule is used.
+    does not cover every output element exactly once -- the lowering
+    checks coverage).  ``plan`` optionally supplies a pre-lowered plan
+    (from :func:`lower_schedule`); by default the memoized lowering of
+    the schedule is used.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -314,8 +322,6 @@ def _execute_grouped(
             ):
                 tracer.histogram("grouped.tiles_per_matmul", group.size)
                 _epilogue_group(group, gemm, accs[strat.bk], c, outputs[gi], strat)
-
-    _check_coverage(plan, batch)
     return outputs
 
 
@@ -360,45 +366,83 @@ def _epilogue_group(
             ).astype(c.dtype)
 
 
-def _check_coverage(plan: GroupedPlan, batch: GemmBatch) -> None:
-    """Validate exactly-once output coverage, one pass per GEMM.
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, duplicates dropped (without bare ``np.unique``)."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
-    Tile origins were checked to lie inside their matrices when the
-    plan was lowered.  Coverage is counted with the 2-D
-    difference-array trick on the grid of distinct tile edges rather
-    than of elements: +1/-1 at the four corners of every tile
-    rectangle, then a double cumulative sum gives each grid cell's
-    coverage count.  A cell's area weights it in the error message,
-    which counts elements.
+
+def _check_coverage(
+    ms: np.ndarray,
+    ns: np.ndarray,
+    gemm_ids: np.ndarray,
+    y0: np.ndarray,
+    y1: np.ndarray,
+    x0: np.ndarray,
+    x1: np.ndarray,
+) -> None:
+    """Validate exactly-once output coverage in one pass over the batch.
+
+    Each slot covers the element rectangle ``[y0, y1) x [x0, x1)`` of
+    its GEMM ``g``, already clipped to the ``ms[g] x ns[g]`` matrix
+    (origins were checked to lie inside it).  Coverage is counted on
+    each GEMM's grid of its own distinct tile edges rather than of
+    elements: GEMM ``g``'s row edges are keyed into a range of their
+    own, and so are its column edges, so its grid is only as large as
+    its own tiling needs, and the grids lie back to back in one flat
+    row-major array.  A tile adds +1 at its left column and -1 at its
+    right column in every grid row it spans; each row then sums to
+    zero, so one flat cumulative sum restarts at every row by itself
+    and gives each cell's coverage count.  The last column lies past
+    ``n`` and counts zero, so the batch is tiled exactly once when the
+    counts sum to the number of cells inside the matrices and no count
+    exceeds one.  A cell's area weights it in the error message, which
+    counts the elements of the first GEMM that fails, like the
+    reference walk.
     """
-    rects: dict[int, list[np.ndarray]] = {}
-    for group in plan.groups:
-        strat = strategy_by_index(group.strategy_index)
-        rects.setdefault(group.gemm_index, []).append(
-            np.stack((group.y0, group.x0, group.y0 + strat.by, group.x0 + strat.bx))
-        )
-    no_tiles = [np.zeros((4, 0), dtype=np.int64)]
-    for gi, gemm in enumerate(batch):
-        m, n = gemm.m, gemm.n
-        y0, x0, y1, x1 = np.concatenate(rects.get(gi, no_tiles), axis=1)
-        y1 = np.minimum(y1, m)
-        x1 = np.minimum(x1, n)
-        ys = np.array(sorted({0, m, *y0.tolist(), *y1.tolist()}))
-        xs = np.array(sorted({0, n, *x0.tolist(), *x1.tolist()}))
-        r0, r1 = np.searchsorted(ys, y0), np.searchsorted(ys, y1)
-        c0, c1 = np.searchsorted(xs, x0), np.searchsorted(xs, x1)
-        diff = np.zeros((len(ys), len(xs)), dtype=np.int64)
-        np.add.at(diff, (r0, c0), 1)
-        np.add.at(diff, (r1, c0), -1)
-        np.add.at(diff, (r0, c1), -1)
-        np.add.at(diff, (r1, c1), 1)
-        # Cell (i, j) spans rows [ys[i], ys[i+1]) and columns [xs[j], xs[j+1]).
-        cov = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-        if not np.all(cov == 1):
-            area = np.outer(np.diff(ys), np.diff(xs))
-            uncovered = int(area[cov == 0].sum())
-            duplicated = int(area[cov > 1].sum())
-            raise ValueError(
-                f"schedule does not tile GEMM {gi} exactly once: "
-                f"{uncovered} elements uncovered, {duplicated} covered repeatedly"
-            )
+    n_gemms = len(ms)
+    # GEMM g's row edges are keyed into [start[g], start[g] + ms[g]] and
+    # its column edges into [start[n_gemms + g], start[n_gemms + g] + ns[g]].
+    start = np.concatenate(([0], np.cumsum(np.concatenate((ms, ns)) + 1)))
+    corner_y, corner_x = start[gemm_ids], start[gemm_ids + n_gemms]
+    corners = np.concatenate((y0 + corner_y, y1 + corner_y, x0 + corner_x, x1 + corner_x))
+    edges = _sorted_distinct(np.concatenate((start, start[1:] - 1, corners)))
+    # first[g] and first[n_gemms + g]: the ranks of GEMM g's first row
+    # and first column edge.
+    first = np.searchsorted(edges, start)
+    r0, r1, c0, c1 = np.searchsorted(edges, corners).reshape(4, -1)
+    ny, nx = np.diff(first[: n_gemms + 1]), np.diff(first[n_gemms:])
+    # Cell (i, j) of GEMM g, for edge ranks i and j, sits at
+    # base[g] + (i - first[g]) * nx[g] + (j - first[n_gemms + g]); the
+    # last row edge, m, starts no row of cells.
+    base = np.concatenate(([0], np.cumsum((ny - 1) * nx)))
+    cells = int(base[-1])
+    width = nx[gemm_ids]
+    shift = base[:-1] - first[:n_gemms] * nx - first[n_gemms:-1]
+    origin = shift[gemm_ids] + r0 * width + c0
+    # One entry per (tile, grid row it spans).
+    span = r1 - r0
+    runs = np.cumsum(span)
+    step = np.arange(span.sum()) - np.repeat(runs - span, span)
+    left = np.repeat(origin, span) + step * np.repeat(width, span)
+    right = left + np.repeat(c1 - c0, span)
+    cov = (np.bincount(left, minlength=cells) - np.bincount(right, minlength=cells)).cumsum()
+    # Non-negative integer counts are all 0 or 1 iff sum(c * c) == sum(c).
+    inside = cells - int(ny.sum()) + n_gemms
+    if cov.sum() == inside and cov @ cov == inside:
+        return
+    for gi in range(n_gemms):
+        grid = cov[base[gi] : base[gi + 1]].reshape(ny[gi] - 1, nx[gi])[:, :-1]
+        if (grid != 1).any():
+            break
+    ys = edges[first[gi] : first[gi + 1]]
+    xs = edges[first[n_gemms + gi] : first[n_gemms + gi + 1]]
+    area = np.outer(np.diff(ys), np.diff(xs))
+    uncovered = int(area[grid == 0].sum())
+    duplicated = int(area[grid > 1].sum())
+    raise ValueError(
+        f"schedule does not tile GEMM {gi} exactly once: "
+        f"{uncovered} elements uncovered, {duplicated} covered repeatedly"
+    )

@@ -7,6 +7,7 @@ from repro.core.framework import CoordinatedFramework
 from repro.core.problem import GemmBatch
 from repro.core.tiling import strategy_by_name
 from repro.gpu.costmodel import BlockWork, TileWork
+from repro.gpu.simulator import KernelLaunch
 from repro.gpu.specs import VOLTA_V100 as V100
 
 MEDIUM = strategy_by_name("medium", 256)
@@ -14,14 +15,13 @@ MEDIUM = strategy_by_name("medium", 256)
 
 def blocks_of(n, k=64):
     tile = TileWork(MEDIUM, k=k)
-    return (
-        BlockWork(
-            threads=MEDIUM.threads,
-            registers_per_thread=MEDIUM.registers_per_thread,
-            shared_memory_bytes=MEDIUM.shared_memory_bytes,
-            tiles=(tile,),
-        ),
-    ) * n
+    block = BlockWork(
+        threads=MEDIUM.threads,
+        registers_per_thread=MEDIUM.registers_per_thread,
+        shared_memory_bytes=MEDIUM.shared_memory_bytes,
+        tiles=(tile,),
+    )
+    return KernelLaunch("t", (block,) * n)
 
 
 class TestBuildTimeline:
@@ -44,7 +44,7 @@ class TestBuildTimeline:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_timeline(V100, [])
+            build_timeline(V100, KernelLaunch("t", ()))
 
 
 class TestRenderTimeline:
@@ -73,9 +73,5 @@ class TestRenderTimeline:
     def test_framework_schedule_renders(self, framework):
         batch = GemmBatch.uniform(64, 64, 32, 6)
         plan = framework.plan(batch, heuristic="binary")
-        text = render_timeline(
-            V100,
-            plan.schedule.block_works(batch),
-            compulsory_ab_bytes=float(batch.compulsory_ab_bytes),
-        )
+        text = render_timeline(V100, plan.kernel_launch())
         assert "makespan" in text

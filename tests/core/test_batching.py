@@ -178,6 +178,20 @@ class TestBatchingResult:
         assert r.num_tiles == 4
         assert r.mean_k_per_block == 50.0
 
+    def test_equal_results_compare_equal(self):
+        tiles = make_tiles([10, 20, 30, 40, 50])
+        for name in ("threshold", "binary", "one-per-block"):
+            assert batch_tiles(tiles, 256, name) == batch_tiles(list(tiles), 256, name)
+
+    def test_equality_is_by_blocks_not_representation(self):
+        r = binary_batching(make_tiles([10, 500, 40, 200]), 256)
+        assert BatchingResult.from_blocks(r.blocks, "binary", 256) == r
+        assert BatchingResult.from_blocks(r.blocks, "binary", 128) != r
+        assert BatchingResult.from_blocks(r.blocks[::-1], "binary", 256) != r
+        assert batch_tiles(make_tiles([10, 20]), 256, "threshold") != batch_tiles(
+            make_tiles([10, 21]), 256, "threshold"
+        )
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            BatchingResult(blocks=((),), heuristic="x", theta=1)
+            BatchingResult.from_blocks(((),), heuristic="x", theta=1)

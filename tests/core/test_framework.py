@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.framework import CoordinatedFramework, PlanReport
-from repro.core.problem import Gemm, GemmBatch
+from repro.core.options import Heuristic
+from repro.core.problem import Gemm, GemmBatch, Tile
+from repro.gpu.simulator import KernelLaunch
 from repro.kernels import ExecutionPolicy
 from repro.kernels.reference import reference_batched_gemm
+from repro.workloads.synthetic import random_cases
 
 
 class TestPlanning:
@@ -50,6 +53,53 @@ class TestPlanning:
         assert "binary" in text
         assert "256 threads" in text or "128 threads" in text
         assert "GEMM0" in text
+
+
+class TestPlanEquality:
+    def test_two_plans_of_one_batch_compare_equal(self, framework, small_batch):
+        first = framework.plan(small_batch, heuristic="best")
+        second = framework.plan(small_batch, heuristic="best")
+        assert first.schedule == second.schedule
+        assert first.batching == second.batching
+        assert first == second
+
+    def test_plans_of_different_heuristics_differ(self, framework, uniform_batch):
+        threshold = framework.plan(uniform_batch, heuristic="threshold")
+        binary = framework.plan(uniform_batch, heuristic="binary")
+        assert threshold.schedule != binary.schedule
+        assert threshold != binary
+
+
+class TestColdPlanShape:
+    """A cold ``Heuristic.BEST`` plan stays on integer arrays: no
+    per-tile objects, and the simulator receives block classes instead
+    of regrouping blocks by value."""
+
+    def test_best_plan_builds_no_tile_and_groups_nothing(self, monkeypatch):
+        batch = max(random_cases(64, seed=0, max_batch=8), key=len)
+        framework = CoordinatedFramework()
+        counts = {"tiles": 0, "groupings": 0}
+        tile_post_init = Tile.__post_init__
+        launch_init = KernelLaunch.__init__
+
+        def counting_tile(self):
+            counts["tiles"] += 1
+            tile_post_init(self)
+
+        def counting_launch(self, *args, **kwargs):
+            counts["groupings"] += 1
+            launch_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tile, "__post_init__", counting_tile)
+        monkeypatch.setattr(KernelLaunch, "__init__", counting_launch)
+        report = framework.plan(batch, Heuristic.BEST)
+        assert report.schedule.num_tiles > 100
+        assert counts == {"tiles": 0, "groupings": 0}
+        # The wrappers do count: expanding the plan's blocks builds Tiles,
+        # and a launch built from blocks groups them.
+        assert len(report.batching.blocks) == report.schedule.num_blocks
+        KernelLaunch("k", report.kernel_launch().blocks)
+        assert counts == {"tiles": report.schedule.num_tiles, "groupings": 1}
 
 
 class TestSimulation:

@@ -136,6 +136,23 @@ class TestPlanWithInfo:
         assert (hit_a, hit_b) == (False, True)
 
 
+class TestRestore:
+    def test_restored_schedule_equals_the_lost_one(self, framework):
+        batches = [
+            GemmBatch.from_shapes([(16, 32, 24), (65, 33, 17)]),
+            GemmBatch.from_shapes([(128, 128, 8)] * 3),
+        ]
+        old = PlanCache(framework)
+        lost = [old.plan(b) for b in batches]
+        fresh = PlanCache(framework)
+        assert fresh.restore(old.snapshot()) == len(batches)
+        for batch, report in zip(batches, lost):
+            restored = fresh.plan(batch)
+            assert restored is not report
+            assert restored.schedule == report.schedule
+            assert restored.batching == report.batching
+
+
 class TestWarm:
     def test_warm_counts_new_plans(self, framework):
         cache = PlanCache(framework)

@@ -43,7 +43,7 @@ class TestFigure6WorkedExample:
         blocks = [(t,) for t in t0] + [
             tuple(t1[i : i + 2]) for i in range(0, len(t1), 2)
         ]
-        batching = BatchingResult(blocks=tuple(blocks), heuristic="manual", theta=256)
+        batching = BatchingResult.from_blocks(blocks, heuristic="manual", theta=256)
         return batch, decision, build_schedule(batch, decision, batching)
 
     def test_block_structure(self, schedule):
@@ -106,7 +106,7 @@ class TestBuildScheduleValidation:
     def test_missing_tile_rejected(self, uniform_batch):
         decision = select_tiling(uniform_batch, 65536)
         tiles = enumerate_tiles(uniform_batch, decision)
-        bad = BatchingResult(blocks=tuple((t,) for t in tiles[:-1]), heuristic="x", theta=1)
+        bad = BatchingResult.from_blocks([(t,) for t in tiles[:-1]], heuristic="x", theta=1)
         with pytest.raises(ValueError, match="unassigned"):
             build_schedule(uniform_batch, decision, bad)
 
@@ -114,7 +114,7 @@ class TestBuildScheduleValidation:
         decision = select_tiling(uniform_batch, 65536)
         tiles = enumerate_tiles(uniform_batch, decision)
         blocks = tuple((t,) for t in tiles) + ((tiles[0],),)
-        bad = BatchingResult(blocks=blocks, heuristic="x", theta=1)
+        bad = BatchingResult.from_blocks(blocks, heuristic="x", theta=1)
         with pytest.raises(ValueError, match="more than one block"):
             build_schedule(uniform_batch, decision, bad)
 
@@ -122,7 +122,9 @@ class TestBuildScheduleValidation:
         decision = select_tiling(uniform_batch, 65536)
         tiles = enumerate_tiles(uniform_batch, decision)
         alien = Tile(gemm_index=0, y=99, x=99, strategy_index=tiles[0].strategy_index, k=64)
-        bad = BatchingResult(blocks=tuple((t,) for t in tiles) + ((alien,),), heuristic="x", theta=1)
+        bad = BatchingResult.from_blocks(
+            [(t,) for t in tiles] + [(alien,)], heuristic="x", theta=1
+        )
         with pytest.raises(ValueError, match="not produced by tiling"):
             build_schedule(uniform_batch, decision, bad)
 
@@ -131,8 +133,8 @@ class TestBuildScheduleValidation:
         decision = select_tiling(batch, 65536)
         tiles = enumerate_tiles(batch, decision)
         tiles[0] = replace(tiles[0], **changes)
-        return decision, BatchingResult(
-            blocks=tuple((t,) for t in tiles), heuristic="x", theta=1
+        return decision, BatchingResult.from_blocks(
+            [(t,) for t in tiles], heuristic="x", theta=1
         )
 
     def test_tile_with_wrong_k_rejected(self, uniform_batch):
@@ -159,6 +161,33 @@ class TestBuildScheduleValidation:
             build_schedule(uniform_batch, decision, bad)
 
 
+class TestScheduleEquality:
+    def test_serialized_round_trip_compares_equal(self, small_batch):
+        _, _, sched = plan(small_batch, heuristic="binary")
+        assert BatchSchedule.from_dict(sched.to_dict()) == sched
+
+    def test_one_changed_coordinate_compares_unequal(self, small_batch):
+        _, _, sched = plan(small_batch, heuristic="binary")
+        data = sched.to_dict()
+        data["x_coords"][-1] += 1
+        assert BatchSchedule.from_dict(data) != sched
+
+    def test_changed_footprint_or_k_compares_unequal(self, small_batch):
+        _, _, sched = plan(small_batch)
+        data = sched.to_dict()
+        assert BatchSchedule.from_dict({**data, "registers_per_thread": 1}) != sched
+        assert BatchSchedule.from_dict(
+            {**data, "slot_k": [k + 1 for k in data["slot_k"]]}
+        ) != sched
+
+    def test_unhashable(self, small_batch):
+        _, batching, sched = plan(small_batch)
+        with pytest.raises(TypeError):
+            hash(sched)
+        with pytest.raises(TypeError):
+            hash(batching)
+
+
 class TestBatchScheduleInvariants:
     def test_arrays_are_int32(self, uniform_batch):
         _, _, sched = plan(uniform_batch)
@@ -182,7 +211,8 @@ class TestBatchScheduleInvariants:
 
     def test_block_works_lowering(self, uniform_batch):
         _, batching, sched = plan(uniform_batch, heuristic="binary")
-        works = sched.block_works(uniform_batch)
+        classes, class_of = sched.block_classes()
+        works = [classes[c] for c in class_of]
         assert len(works) == sched.num_blocks
         assert sum(len(w.tiles) for w in works) == sched.num_tiles
         for w in works:

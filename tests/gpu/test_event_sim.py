@@ -74,14 +74,12 @@ class TestAgreementWithFixedPoint:
         fw = CoordinatedFramework(V100)
         for batch in random_cases(n_cases=4, seed=seed):
             plan = fw.plan(batch, heuristic="best")
-            blocks = plan.schedule.block_works(batch)
             comp = float(batch.compulsory_ab_bytes)
-            static = simulate_kernel(
-                V100,
-                KernelLaunch("k", blocks, compulsory_ab_bytes=comp),
-                include_launch_overhead=False,
-            ).cycles
-            event = simulate_kernel_events(V100, blocks, compulsory_ab_bytes=comp)
+            launch = KernelLaunch.of_classes(
+                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+            )
+            static = simulate_kernel(V100, launch, include_launch_overhead=False).cycles
+            event = simulate_kernel_events(V100, launch.blocks, compulsory_ab_bytes=comp)
             assert 0.5 <= event / static <= 2.0, (batch, event / static)
 
     def test_grid_cases_within_band(self):
@@ -89,15 +87,14 @@ class TestAgreementWithFixedPoint:
         ratios = []
         for cell in fig8_grid(batch_sizes=(4, 16), mn_values=(128,), k_values=(16, 256)):
             plan = fw.plan(cell.batch, heuristic="best")
-            blocks = plan.schedule.block_works(cell.batch)
             comp = float(cell.batch.compulsory_ab_bytes)
-            static = simulate_kernel(
-                V100,
-                KernelLaunch("k", blocks, compulsory_ab_bytes=comp),
-                include_launch_overhead=False,
-            ).cycles
+            launch = KernelLaunch.of_classes(
+                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+            )
+            static = simulate_kernel(V100, launch, include_launch_overhead=False).cycles
             ratios.append(
-                simulate_kernel_events(V100, blocks, compulsory_ab_bytes=comp) / static
+                simulate_kernel_events(V100, launch.blocks, compulsory_ab_bytes=comp)
+                / static
             )
         assert 0.7 <= float(np.median(ratios)) <= 1.4
 

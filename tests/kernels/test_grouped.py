@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,24 @@ class TestLowering:
         assert lower_schedule(sched, small_batch) is not lower_schedule(
             sched, small_batch
         )
+
+    def test_coverage_grid_spans_each_gemms_own_edges(self):
+        """A short-wide GEMM next to a tall-narrow one stays cheap to check.
+
+        Each GEMM's coverage grid holds only its own tile edges: about
+        8k cells per GEMM here, where one grid over the union of the
+        batch's column edges would hold ~16.8M cells (~134 MB per array).
+        """
+        batch = GemmBatch([Gemm(16, 65536, 8), Gemm(65536, 16, 8)])
+        sched = forced_schedule(batch, 0)  # 16x16 tiles
+        tracemalloc.start()
+        try:
+            plan = lower_schedule(sched, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.num_tiles == 8192
+        assert peak < 16 * 2**20
 
     def test_explicit_plan_accepted(self, small_batch, rng):
         ops = small_batch.random_operands(rng)

@@ -7,7 +7,8 @@ from repro.core.batching import batch_tiles
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling, strategy_by_index
-from repro.kernels.grouped import _check_coverage, lower_schedule
+from repro.gpu.simulator import KernelLaunch
+from repro.kernels.grouped import lower_schedule
 from repro.kernels.persistent import execute_schedule
 
 gemm_st = st.builds(
@@ -67,7 +68,8 @@ def test_offsets_are_cumulative(batch, heuristic):
 @given(batch=batch_st, heuristic=heuristic_st)
 def test_block_works_preserve_totals(batch, heuristic):
     _d, sched = build(batch, heuristic)
-    works = sched.block_works(batch)
+    works = KernelLaunch.of_classes("k", *sched.block_classes()).blocks
+    assert len(works) == sched.num_blocks
     total_iters = sum(w.total_iterations for w in works)
     expected = 0
     for slot in range(sched.num_tiles):
@@ -113,7 +115,7 @@ def tile_cover_st(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=tile_cover_st())
 def test_lowering_and_coverage_check_match_reference_walk(case):
-    """Lowering plus the edge-grid check raise what the reference walk raises.
+    """The lowering's edge-grid check raises what the reference walk raises.
 
     The walk counts coverage per element, so equal messages also mean
     the cell-area weighting counts the same elements.
@@ -140,5 +142,5 @@ def test_lowering_and_coverage_check_match_reference_walk(case):
         return None
 
     want = error_of(lambda: execute_schedule(sched, batch, ops))
-    got = error_of(lambda: _check_coverage(lower_schedule(sched, batch), batch))
+    got = error_of(lambda: lower_schedule(sched, batch))
     assert got == want

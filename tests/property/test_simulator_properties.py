@@ -98,13 +98,15 @@ def test_deeper_tiles_never_faster(launch, extra_k):
 
 @st.composite
 def mixed_launch_st(draw):
-    """A device and a fused launch mixing a few distinct block compositions.
+    """A device, drawn blocks and the fused launch built from them.
 
-    Some blocks repeat one object and some are fresh but equal objects,
-    so classes must be formed by value, not identity.  Tiles draw their
-    precision and may run on fewer threads than the block allocates;
-    the device may lack Tensor Cores.  Repeating the issue order up to
-    120 times gives launches of one wave and of many.
+    The blocks mix a few distinct compositions, some of them differing
+    from another in one field of one tile.  Some blocks repeat one
+    object and some are fresh but equal objects, so classes must be
+    formed by value, not identity.  Tiles draw their precision and may run on
+    fewer threads than the block allocates; the device may lack Tensor
+    Cores.  Repeating the issue order up to 120 times gives launches of
+    one wave and of many.
     """
     device = draw(st.sampled_from((V100, P100)))
     pool = draw(st.lists(strategy_st, min_size=1, max_size=3))
@@ -122,6 +124,25 @@ def mixed_launch_st(draw):
     shapes = draw(
         st.lists(st.lists(tile_st, min_size=0, max_size=3), min_size=1, max_size=5)
     )
+    # Near twins: a drawn composition with one field of one tile changed,
+    # so a grouping that ignores any field merges unequal blocks.
+    for twin_of in draw(st.lists(st.integers(0, len(shapes) - 1), max_size=3)):
+        twin = list(shapes[twin_of])
+        if not twin:
+            continue
+        i = draw(st.integers(0, len(twin) - 1))
+        s, k, threads, precision = twin[i]
+        field = draw(st.sampled_from(("strategy", "k", "threads", "precision")))
+        if field == "strategy" and any(p != s for p in pool):
+            s = next(p for p in pool if p != s)
+        elif field == "threads":
+            threads = (threads + 1) % 256
+        elif field == "precision":
+            precision = {"fp32": "fp16", "fp16": "bf16", "bf16": "fp32"}[precision]
+        else:
+            k = k % 512 + 1
+        twin[i] = (s, k, threads, precision)
+        shapes.append(twin)
     order = draw(
         st.lists(
             st.tuples(st.integers(0, len(shapes) - 1), st.booleans()),
@@ -138,7 +159,8 @@ def mixed_launch_st(draw):
     shared = [block(shape) for shape in shapes]
     blocks = tuple(block(shapes[i]) if fresh else shared[i] for i, fresh in order * repeats)
     compulsory = draw(st.one_of(st.none(), st.floats(1.0, 1e8)))
-    return device, KernelLaunch(name="mixed", blocks=blocks, compulsory_ab_bytes=compulsory)
+    launch = KernelLaunch(name="mixed", blocks=blocks, compulsory_ab_bytes=compulsory)
+    return device, blocks, launch
 
 
 def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
@@ -181,11 +203,13 @@ def _per_block_converge(device, blocks, blocks_per_sm, compulsory_ab_bytes):
 def test_class_pricing_matches_per_block_pricing(drawn):
     """Pricing distinct tiles and blocks once from hoisted terms changes
     no number, to the last bit."""
-    device, launch = drawn
-    first = launch.blocks[0]
+    device, blocks, launch = drawn
+    first = blocks[0]
     bps = occupancy(
         device, first.threads, first.registers_per_thread, first.shared_memory_bytes
     ).blocks_per_sm
-    got = _converge_kernel(device, launch.blocks, bps, launch.compulsory_ab_bytes)
-    want = _per_block_converge(device, launch.blocks, bps, launch.compulsory_ab_bytes)
+    got = _converge_kernel(device, launch, bps)
+    # The reference prices the drawn blocks, never the launch's grouping.
+    want = _per_block_converge(device, blocks, bps, launch.compulsory_ab_bytes)
     assert got == want
+    assert launch.blocks == blocks
