@@ -180,6 +180,12 @@ ALL_BATCHED_STRATEGIES: tuple[TilingStrategy, ...] = (
     BATCHED_STRATEGIES_256 + BATCHED_STRATEGIES_128
 )
 
+#: The BK depth all twelve batched strategies share (the unified thread
+#: structure of §4), so a GEMM's K main loop does not depend on which
+#: strategies tile it.  The unpacking fails at import if the table ever
+#: mixes depths.
+(BATCHED_BK,) = {s.bk for s in ALL_BATCHED_STRATEGIES}
+
 
 def strategy_by_index(index: int) -> TilingStrategy:
     """The batched strategy with the given 0-11 table index."""

@@ -16,10 +16,11 @@ answer, not just a wrong simulated time.
   same schedule lowered to bulk batched-matmul groups (the ``grouped``
   execution engine; bit-identical to the reference, much faster).
 * :mod:`repro.kernels.compiled` -- the compiled-plan engine: the
-  schedule lowered once into a flat :class:`CompiledPlan` artifact
-  with preallocated scratch, executed by a minimal allocation-free
-  interpreter loop (the ``compiled`` execution engine; bit-identical
-  to ``grouped``, fastest steady state).
+  schedule checked once and compiled into a flat :class:`CompiledPlan`
+  artifact -- one bound BK main loop per GEMM over one preallocated
+  arena -- executed by a minimal allocation-free loop (the
+  ``compiled`` execution engine; bit-identical to ``grouped``,
+  fastest steady state).
 
 Engine names live in the registry (:mod:`repro.kernels.engine` --
 ``ENGINES``, ``ENGINE_FALLBACKS`` and :func:`get_engine`, which maps a
@@ -29,8 +30,8 @@ and re-exported eagerly here.  Kernel submodules are imported lazily
 (PEP 562) so the engines stay importable without each other --
 ``import repro.kernels.grouped`` must not drag in
 ``repro.kernels.persistent`` or vice versa, and
-``repro.kernels.compiled`` (which builds on ``grouped``) must not drag
-in ``persistent`` either (CI guards this).
+``repro.kernels.compiled`` (which shares ``grouped``'s schedule
+check) must not drag in ``persistent`` either (CI guards this).
 """
 
 from __future__ import annotations

@@ -16,28 +16,26 @@ and Stream-K++ makes for kernel-configuration caching (see
 artifact, so steady-state dispatch is a lookup plus a minimal
 interpreter loop.  Compilation:
 
-* validates the schedule up front, through the grouped lowering
-  (GEMM/strategy id ranges and the exactly-once output coverage
-  check run once per compile, never per call);
-* flattens the tile groups into per-GEMM **chunk tables** (the
-  ascending ``(k0, k_hi)`` ranges of the BK main loop) and, when a
-  GEMM mixes BK depths, flat **gather/scatter element index arrays**
-  mapping each BK's accumulator to the output elements its tiles
-  cover (with a single BK -- every Table-2 strategy -- the epilogue
-  collapses to one full-matrix vectorized expression and no index
-  arrays are materialized);
+* checks the schedule's slot arrays once, with
+  :func:`~repro.kernels.grouped.check_schedule` (GEMM/strategy id
+  ranges, tile origins and exactly-once output coverage run once per
+  compile, never per call).  Nothing else of the schedule matters:
+  every Table-2 strategy shares one BK depth
+  (:data:`~repro.core.tiling.BATCHED_BK`, the unified thread
+  structure of §4), so once the slots tile each output exactly once,
+  a GEMM's result does not depend on which strategies tile it, and
+  compiling builds no tile groups;
 * allocates one float64 **arena** per artifact, sized by its largest
   GEMM: ``max(m*k + k*n + 2*m*n)`` elements.  The GEMMs run one after
   another under the artifact's lock, so each GEMM's staging -- the
   ``op(A)`` / ``op(B)`` copies ``a64`` / ``b64``, the accumulator
-  ``acc`` all its BK programs share, and the ``beta * C`` buffer
-  ``c64`` -- is a set of C-contiguous views into the front of that one
-  arena, the way the paper's persistent block (Figure 7) reuses one
-  staging footprint, sized by the largest strategy, for every tile it
-  takes;
-* binds each GEMM's BK main loops over its views
-  (:class:`~repro.kernels.blas.ChunkLoop`): one BLAS call per chunk,
-  its arguments built once.
+  ``acc`` and the ``beta * C`` buffer ``c64`` -- is a set of
+  C-contiguous views into the front of that one arena, the way the
+  paper's persistent block (Figure 7) reuses one staging footprint,
+  sized by the largest strategy, for every tile it takes;
+* binds each GEMM's BK main loop over its views
+  (:class:`~repro.kernels.blas.ChunkLoop`): one BLAS call per
+  ascending ``(k0, k_hi)`` chunk, its arguments built once.
 
 Execution (:meth:`CompiledPlan.run`) is then a fixed sequence per GEMM:
 copy the operands in, make the bound calls, and run the epilogue in
@@ -68,9 +66,9 @@ reference walk):
   accumulated in float64 in the same ascending order (that module
   explains why ``acc += A @ B`` rounds like ``tmp = A @ B; acc += tmp``);
 * the alpha/beta epilogue is elementwise, so evaluating it over the
-  full matrix (or through flat index gathers) performs the identical
-  float64 multiplies, add and final cast per element as the grouped
-  engine's per-window ``(alpha * acc + beta * c64).astype(c.dtype)``.
+  full matrix performs the identical float64 multiplies, add and
+  final cast per element as the grouped engine's per-window
+  ``(alpha * acc + beta * c64).astype(c.dtype)``.
   ``beta * C`` is computed in float64 (``dtype=np.float64``: NumPy 2
   would multiply a float32 C by a Python-float beta in float32), and
   the add casts its float64 sum into the output with
@@ -83,16 +81,18 @@ different arenas and run concurrently), trading a little parallelism
 for allocation-free steady state.
 
 Artifacts are memoized in a bounded weakref
-:class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity and
-batch shapes -- a schedule cached by the plan cache keeps its artifact
-alive, and a schedule that dies takes its artifact with it.  Memo
+:class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity, one
+entry per schedule, valid for the batch shapes it was compiled for --
+a schedule cached by the plan cache keeps its artifact alive, and a
+schedule that dies takes its artifact with it.  Memo
 traffic is observable via the ``compile.cache_hits`` /
 ``compile.cache_misses`` / ``compile.evictions`` counters and each
 compilation runs under a ``compile.plan`` span.
 
-This module builds on :mod:`repro.kernels.grouped` (the lowering is
-shared) but deliberately never imports :mod:`repro.kernels.persistent`
--- the oracle stays independent (CI guards this).
+This module shares only :func:`~repro.kernels.grouped.check_schedule`
+with :mod:`repro.kernels.grouped` (none of its lowering), and
+deliberately never imports :mod:`repro.kernels.persistent` -- the
+oracle stays independent (CI guards this).
 """
 
 from __future__ import annotations
@@ -105,14 +105,13 @@ import numpy as np
 
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
-from repro.core.tiling import strategy_by_index
+from repro.core.tiling import BATCHED_BK
 from repro.kernels.blas import ChunkLoop, chunk_ranges
-from repro.kernels.grouped import _batch_token, lower_schedule
+from repro.kernels.grouped import _batch_token, check_schedule
 from repro.kernels.memo import MemoStats, PlanMemo
 from repro.telemetry import get_tracer
 
 __all__ = [
-    "ChunkProgram",
     "CompiledGemm",
     "CompiledPlan",
     "compile_plan",
@@ -124,44 +123,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ChunkProgram:
-    """One BK depth's precompiled work for one GEMM.
-
-    ``scatter`` is ``None`` when this program's tiles cover the whole
-    output matrix (the single-BK fast path); otherwise it is the flat
-    int64 element-index array, into the row-major ``(m * n)`` output,
-    of exactly the elements this BK's tiles cover.  ``acc`` is the
-    GEMM's float64 accumulator (a view into the artifact's arena,
-    shared by all of the GEMM's programs), and ``loop`` the BK main
-    loop bound over it and the GEMM's staged operands: one BLAS call
-    per ascending ``(k0, k_hi)`` range in ``loop.chunks``.
-    """
-
-    bk: int
-    scatter: Optional[np.ndarray]
-    acc: np.ndarray = field(repr=False)
-    loop: ChunkLoop = field(repr=False)
-
-
-@dataclass(frozen=True)
 class CompiledGemm:
-    """One GEMM's compiled programs plus its staging views.
+    """One GEMM's staging views and its bound BK main loop.
 
     ``a64`` / ``b64`` stage the float64 ``op(A)`` / ``op(B)`` copies
-    the programs' loops read, and ``c64`` holds ``beta * C`` for the
-    epilogue.  All are C-contiguous views into the artifact's arena,
-    reused across calls -- :meth:`CompiledPlan.run` never allocates
-    them.
+    ``loop`` reads, ``acc`` is the float64 accumulator it adds each
+    chunk product into, and ``c64`` holds ``beta * C`` for the
+    epilogue.  All four are C-contiguous views into the artifact's
+    arena, reused across calls -- :meth:`CompiledPlan.run` never
+    allocates them.  ``loop`` makes one BLAS call per ascending
+    ``(k0, k_hi)`` range in ``loop.chunks``.
     """
 
-    gemm_index: int
     m: int
     n: int
     k: int
-    programs: tuple[ChunkProgram, ...]
     a64: np.ndarray = field(repr=False)
     b64: np.ndarray = field(repr=False)
+    acc: np.ndarray = field(repr=False)
     c64: np.ndarray = field(repr=False)
+    loop: ChunkLoop = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -171,9 +152,10 @@ class CompiledPlan:
     The artifact is valid for any batch whose shapes/transposes match
     ``batch_token`` -- alpha/beta are *not* baked in (they are read from
     the live batch at :meth:`run` time), matching the plan cache's
-    signature, which also excludes them.  ``arena`` is the one float64
-    buffer every GEMM's staging views point into, sized by the largest
-    GEMM.
+    signature, which also excludes them.  ``gemms`` holds one
+    :class:`CompiledGemm` per GEMM of the batch, in batch order.
+    ``arena`` is the one float64 buffer every GEMM's staging views
+    point into, sized by the largest GEMM.
     """
 
     num_tiles: int
@@ -187,22 +169,15 @@ class CompiledPlan:
     @property
     def num_chunks(self) -> int:
         """Total BK chunk-product BLAS calls one execution issues."""
-        return sum(len(p.loop.chunks) for g in self.gemms for p in g.programs)
+        return sum(len(g.loop.chunks) for g in self.gemms)
 
     @property
     def scratch_bytes(self) -> int:
         """Bytes of preallocated scratch the artifact holds.
 
-        The arena, plus each loop's fallback scratch, plus the scatter
-        index arrays.
+        The arena, plus each loop's fallback scratch.
         """
-        total = self.arena.nbytes
-        for g in self.gemms:
-            for p in g.programs:
-                total += p.loop.scratch_bytes
-                if p.scatter is not None:
-                    total += p.scatter.nbytes
-        return total
+        return self.arena.nbytes + sum(g.loop.scratch_bytes for g in self.gemms)
 
     def run(
         self,
@@ -225,107 +200,47 @@ class CompiledPlan:
         validate_operands(batch, operands)
         outputs: list[np.ndarray] = []
         with self._lock:
-            for cg in self.gemms:
-                gemm = batch[cg.gemm_index]
-                a, b, c = operands[cg.gemm_index]
+            for cg, gemm, (a, b, c) in zip(self.gemms, batch, operands):
                 # Exact float64 widening into the arena's contiguous
                 # views -- value- and layout-identical to the grouped
                 # engine's ascontiguousarray copies.
                 np.copyto(cg.a64, gemm.op_a(a))
                 np.copyto(cg.b64, gemm.op_b(b))
-                # The output allocation; every element is written below
-                # (coverage is checked at compile).
+                cg.loop.run()
+                # Elementwise alpha/beta epilogue in float64, in place;
+                # the per-element arithmetic and the final cast match
+                # the grouped engine bit for bit.  The output is the
+                # one allocation: the add writes every element of it.
+                np.multiply(cg.acc, gemm.alpha, out=cg.acc)
+                np.multiply(c, gemm.beta, out=cg.c64, dtype=np.float64)
                 out = np.empty((cg.m, cg.n), dtype=c.dtype)
-                for prog in cg.programs:
-                    acc = prog.acc
-                    prog.loop.run()
-                    # Elementwise alpha/beta epilogue in float64, in
-                    # place; the per-element arithmetic and the final
-                    # cast match the grouped engine bit for bit.
-                    np.multiply(acc, gemm.alpha, out=acc)
-                    np.multiply(c, gemm.beta, out=cg.c64, dtype=np.float64)
-                    if prog.scatter is None:
-                        np.add(acc, cg.c64, out=out, casting="unsafe")
-                    else:
-                        np.add(acc, cg.c64, out=acc)
-                        out.reshape(-1)[prog.scatter] = acc.reshape(-1)[
-                            prog.scatter
-                        ].astype(c.dtype)
+                np.add(cg.acc, cg.c64, out=out, casting="unsafe")
                 outputs.append(out)
         return outputs
 
 
 def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
-    plan = lower_schedule(schedule, batch)  # checks coverage: once, never per call
-
-    by_gemm: dict[int, dict[int, list]] = {}
-    for group in plan.groups:
-        strat = strategy_by_index(group.strategy_index)
-        by_gemm.setdefault(group.gemm_index, {}).setdefault(strat.bk, []).append(
-            group
-        )
-
+    check_schedule(schedule, batch)  # once per compile, never per call
     # One arena for the whole artifact: run() stages one GEMM at a
     # time, so every GEMM's views start at its front.
     arena = np.empty(
         max(g.m * g.k + g.k * g.n + 2 * g.m * g.n for g in batch),
         dtype=np.float64,
     )
-    compiled: list[CompiledGemm] = []
-    for gi, gemm in enumerate(batch):
+    gemms: list[CompiledGemm] = []
+    for gemm in batch:
         m, n, k = gemm.m, gemm.n, gemm.k
-        bk_groups = by_gemm.get(gi, {})
-        programs: list[ChunkProgram] = []
-        single_bk = len(bk_groups) == 1
         mk, kn, mn = m * k, k * n, m * n
         a64 = arena[:mk].reshape(m, k)
         b64 = arena[mk : mk + kn].reshape(k, n)
         acc = arena[mk + kn : mk + kn + mn].reshape(m, n)
         c64 = arena[mk + kn + mn : mk + kn + 2 * mn].reshape(m, n)
-        for bk in sorted(bk_groups):
-            scatter: Optional[np.ndarray] = None
-            if not single_bk:
-                # Flat element indices of every output element covered
-                # by this BK's tiles (disjoint across BKs: coverage is
-                # exactly-once).
-                idx_parts = []
-                for group in bk_groups[bk]:
-                    strat = strategy_by_index(group.strategy_index)
-                    for y0, x0 in zip(group.y0, group.x0):
-                        y_hi = min(int(y0) + strat.by, m)
-                        x_hi = min(int(x0) + strat.bx, n)
-                        rows = np.arange(int(y0), y_hi, dtype=np.int64)
-                        cols = np.arange(int(x0), x_hi, dtype=np.int64)
-                        idx_parts.append(
-                            (rows[:, None] * n + cols[None, :]).reshape(-1)
-                        )
-                scatter = np.concatenate(idx_parts) if idx_parts else np.empty(
-                    0, dtype=np.int64
-                )
-            programs.append(
-                ChunkProgram(
-                    bk=bk,
-                    scatter=scatter,
-                    acc=acc,
-                    loop=ChunkLoop(acc, a64, b64, chunk_ranges(k, bk)),
-                )
-            )
-        compiled.append(
-            CompiledGemm(
-                gemm_index=gi,
-                m=m,
-                n=n,
-                k=k,
-                programs=tuple(programs),
-                a64=a64,
-                b64=b64,
-                c64=c64,
-            )
-        )
+        loop = ChunkLoop(acc, a64, b64, chunk_ranges(k, BATCHED_BK))
+        gemms.append(CompiledGemm(m, n, k, a64, b64, acc, c64, loop))
     return CompiledPlan(
-        num_tiles=plan.num_tiles,
-        batch_token=plan.batch_token,
-        gemms=tuple(compiled),
+        num_tiles=schedule.num_tiles,
+        batch_token=_batch_token(batch),
+        gemms=tuple(gemms),
         arena=arena,
     )
 
@@ -333,10 +248,10 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
 def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     """Compile a schedule into a fresh :class:`CompiledPlan` artifact.
 
-    Validates id ranges and exactly-once coverage (raising the same
-    ``IndexError`` / ``ValueError`` the grouped engine would raise per
-    execution), then flattens chunk tables and gather/scatter indices
-    and allocates the artifact's arena.  Emits a ``compile.plan`` span.
+    Checks the schedule with :func:`~repro.kernels.grouped.check_schedule`
+    (raising the reference walk's ``IndexError`` / ``ValueError``),
+    then allocates the artifact's arena and binds one BK main loop per
+    GEMM over its views.  Emits a ``compile.plan`` span.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -357,12 +272,12 @@ _COMPILED_MEMO = PlanMemo(capacity=256, name="compiled")
 def compiled_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     """The memoized compiled artifact of a schedule (compile on miss).
 
-    Keyed by schedule identity and batch shapes in a bounded weakref
-    :class:`~repro.kernels.memo.PlanMemo`: schedules held by a
-    :class:`~repro.core.plancache.PlanCache` keep their artifact warm,
-    and evicted schedules release theirs.  Emits ``compile.cache_hits``
-    / ``compile.cache_misses`` counters, so a serve smoke test can
-    assert a warm hot path does zero compilation.
+    Held in a bounded weakref :class:`~repro.kernels.memo.PlanMemo`,
+    one entry per schedule, valid for the batch shapes it was compiled
+    for: schedules held by a :class:`~repro.core.plancache.PlanCache`
+    keep their artifact warm, and evicted schedules release theirs.
+    Emits ``compile.cache_hits`` / ``compile.cache_misses`` counters,
+    so a serve test can assert a warm hot path does zero compilation.
     """
     token = _batch_token(batch)
     tracer = get_tracer()

@@ -16,12 +16,17 @@ a GEMM's groups jointly tile its whole C matrix, the per-tile
 ``(by, chunk, bx)`` products of every group collapse onto *windows of
 one shared chunk-accumulated full product* ``sum_c A[:,c] @ B[c,:]``
 (one BLAS call per ``BK`` chunk per GEMM, instead of one matmul per
-tile slot per chunk).  Each group then gathers its windows into a
+tile slot per chunk; every Table-2 strategy has the same ``BK``,
+:data:`~repro.core.tiling.BATCHED_BK`, so one product serves all of a
+GEMM's groups).  Each group then gathers its windows into a
 ``(G, by, bx)`` stack, applies the alpha/beta epilogue as one
-vectorized expression, and scatters the results back.  Output coverage
-is validated once per lowering, with one difference-array pass over
-the whole batch instead of a per-element counter walk, so a lowered
-plan always tiles every output exactly once.
+vectorized expression, and scatters the results back.  The lowering
+first calls :func:`check_schedule`, which validates id ranges, tile
+origins and exactly-once output coverage, with one difference-array
+pass over the whole batch instead of a per-element counter walk, so a
+lowered plan always tiles every output exactly once.  The compiled
+engine (:mod:`repro.kernels.compiled`) runs the same check and
+nothing else of this module's lowering.
 
 **Bit-exactness contract.**  The grouped engine produces outputs that
 are bit-identical to :func:`repro.kernels.persistent.execute_schedule`.
@@ -68,7 +73,7 @@ import numpy as np
 
 from repro.core.problem import GemmBatch, validate_operands
 from repro.core.schedule import BatchSchedule
-from repro.core.tiling import ALL_BATCHED_STRATEGIES, strategy_by_index
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, BATCHED_BK, strategy_by_index
 from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.memo import PlanMemo
 from repro.telemetry import get_tracer
@@ -147,13 +152,26 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     return plan
 
 
-def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
+#: Tile height and width of each batched strategy, by table index.
+_BY = np.array([s.by for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
+_BX = np.array([s.bx for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
+
+
+def check_schedule(
+    schedule: BatchSchedule, batch: GemmBatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check that a schedule's slots tile every GEMM exactly once.
+
+    Runs the reference walk's checks on the slot arrays, in one pass
+    over the batch: raises ``IndexError`` for out-of-range GEMM or
+    strategy ids, and ``ValueError`` for a tile origin outside its
+    matrix or a schedule that does not tile some GEMM exactly once,
+    with the walk's message for the first offending slot or GEMM.
+    Returns each slot's element origin ``(y0, x0)`` as int64 arrays.
+    """
     gemm_ids = schedule.gemm_ids.astype(np.int64)
     strat_ids = schedule.strategy_ids.astype(np.int64)
     n_gemms, n_strats = len(batch), len(ALL_BATCHED_STRATEGIES)
-
-    by_tab = np.array([s.by for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
-    bx_tab = np.array([s.bx for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
     # A trailing 0x0 matrix stands in for out-of-range GEMM ids.
     ms = np.array([g.m for g in batch] + [0], dtype=np.int64)
     ns = np.array([g.n for g in batch] + [0], dtype=np.int64)
@@ -162,8 +180,8 @@ def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     bad_strat = (strat_ids < 0) | (strat_ids >= n_strats)
     safe_g = np.where(bad_gemm, n_gemms, gemm_ids)
     safe_s = np.where(bad_strat, 0, strat_ids)
-    y0 = schedule.y_coords.astype(np.int64) * by_tab[safe_s]
-    x0 = schedule.x_coords.astype(np.int64) * bx_tab[safe_s]
+    y0 = schedule.y_coords.astype(np.int64) * _BY[safe_s]
+    x0 = schedule.x_coords.astype(np.int64) * _BX[safe_s]
     m_of, n_of = ms[safe_g], ns[safe_g]
     negative = (y0 < 0) | (x0 < 0)
     bad = bad_gemm | bad_strat | negative | (y0 >= m_of) | (x0 >= n_of)
@@ -179,12 +197,23 @@ def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
         raise ValueError(
             f"tile origin ({y0[i]},{x0[i]}) outside matrix {m_of[i]}x{n_of[i]}"
         )
-    y1 = y0 + by_tab[strat_ids]
-    x1 = x0 + bx_tab[strat_ids]
+    y1 = y0 + _BY[strat_ids]
+    x1 = x0 + _BX[strat_ids]
     _check_coverage(
         ms[:-1], ns[:-1], gemm_ids, y0, np.minimum(y1, m_of), x0, np.minimum(x1, n_of)
     )
-    interior = (y1 <= m_of) & (x1 <= n_of)
+    return y0, x0
+
+
+def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
+    y0, x0 = check_schedule(schedule, batch)
+    gemm_ids = schedule.gemm_ids.astype(np.int64)
+    strat_ids = schedule.strategy_ids.astype(np.int64)
+    n_strats = len(ALL_BATCHED_STRATEGIES)
+    ms, ns = np.array([(g.m, g.n) for g in batch], dtype=np.int64).T
+    interior = (y0 + _BY[strat_ids] <= ms[gemm_ids]) & (
+        x0 + _BX[strat_ids] <= ns[gemm_ids]
+    )
 
     # Composite bucket key; stable sort keeps slot order within a group.
     key = (gemm_ids * n_strats + strat_ids) * 2 + interior
@@ -220,8 +249,9 @@ def grouped_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     """The memoized grouped plan of a schedule.
 
     Plans are held in a bounded weakref
-    :class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity
-    and batch shapes: a schedule cached by the plan cache keeps its
+    :class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity,
+    one entry per schedule, valid for the batch shapes it was lowered
+    for: a schedule cached by the plan cache keeps its
     lowering warm, an evicted or dropped schedule releases it (earlier
     revisions stashed the plan as a schedule attribute, which leaked
     lowered plans for as long as the schedule lived and kept no bound
@@ -298,18 +328,13 @@ def _execute_grouped(
         a64 = np.ascontiguousarray(gemm.op_a(a), dtype=np.float64)
         b64 = np.ascontiguousarray(gemm.op_b(b), dtype=np.float64)
 
-        # One shared chunk-accumulated full product per distinct BK
-        # among this GEMM's strategies (a single BK in practice: every
-        # Table-2 strategy uses BK=8).  Every tile of every group reads
-        # its window from this product.
-        accs: dict[int, np.ndarray] = {}
-        for group in groups:
-            bk = strategy_by_index(group.strategy_index).bk
-            if bk not in accs:
-                with tracer.span(
-                    "execute.product", gemm=gi, bk=bk, m=gemm.m, n=gemm.n, k=gemm.k
-                ):
-                    accs[bk] = _chunk_product(a64, b64, bk)
+        # One shared chunk-accumulated full product: every Table-2
+        # strategy has the same BK, so every tile of every group reads
+        # its window from it.
+        with tracer.span(
+            "execute.product", gemm=gi, bk=BATCHED_BK, m=gemm.m, n=gemm.n, k=gemm.k
+        ):
+            acc = _chunk_product(a64, b64)
 
         for group in groups:
             strat = strategy_by_index(group.strategy_index)
@@ -321,11 +346,11 @@ def _execute_grouped(
                 tiles=group.size,
             ):
                 tracer.histogram("grouped.tiles_per_matmul", group.size)
-                _epilogue_group(group, gemm, accs[strat.bk], c, outputs[gi], strat)
+                _epilogue_group(group, gemm, acc, c, outputs[gi], strat)
     return outputs
 
 
-def _chunk_product(a64: np.ndarray, b64: np.ndarray, bk: int) -> np.ndarray:
+def _chunk_product(a64: np.ndarray, b64: np.ndarray) -> np.ndarray:
     """``op(A) @ op(B)`` accumulated one BK chunk at a time.
 
     This is the K main loop of Figure 2 hoisted from per-tile staging
@@ -334,7 +359,7 @@ def _chunk_product(a64: np.ndarray, b64: np.ndarray, bk: int) -> np.ndarray:
     (:mod:`repro.kernels.blas`).
     """
     acc = np.empty((a64.shape[0], b64.shape[1]), dtype=np.float64)
-    ChunkLoop(acc, a64, b64, chunk_ranges(a64.shape[1], bk)).run()
+    ChunkLoop(acc, a64, b64, chunk_ranges(a64.shape[1], BATCHED_BK)).run()
     return acc
 
 

@@ -8,17 +8,20 @@ would reintroduce exactly the per-call plan-walking cost the artifact
 exists to remove, so each engine memoizes its artifact per schedule.
 
 Earlier revisions stashed the artifact as an attribute on the (frozen
-but not slotted) schedule object.  That coupling had two problems in
-long-lived serve processes: the artifact's lifetime was invisible (no
-bound, no eviction, no stats), and a schedule executed against many
-distinct batch shapes thrashed the single stashed slot.  This module
-replaces the stash with :class:`PlanMemo`:
+but not slotted) schedule object, so in long-lived serve processes the
+artifact's lifetime was invisible: no bound, no eviction, no stats.
+This module replaces the stash with :class:`PlanMemo`:
 
-* entries are keyed by the *identity* of the schedule object plus the
-  batch-shape token the artifact was lowered for;
+* entries are keyed by the *identity* of the schedule object, one
+  entry per schedule, and each records the batch-shape token its
+  artifact was derived for.  A lookup with another token is a miss
+  and drops the entry, so the next ``put`` replaces it: a schedule
+  executed against alternating batch shapes re-derives its artifact
+  every time.  The plan cache keys schedules by shapes and
+  transposes, so a schedule it holds meets one token;
 * the schedule is held **weakly** -- when a schedule falls out of the
   :class:`~repro.core.plancache.PlanCache` (eviction, ``clear()``) and
-  dies, its artifacts are purged automatically instead of leaking;
+  dies, its artifact is purged automatically instead of leaking;
 * the memo is LRU-bounded (``capacity``), thread-safe, and exposes
   hit/miss/eviction counters so cache behaviour is observable.
 
@@ -67,11 +70,12 @@ class PlanMemo:
     name:
         Label used in ``repr`` and telemetry emitted by callers.
 
-    Keys are ``(schedule, token)`` pairs where ``token`` captures the
-    batch shapes the artifact is valid for.  The schedule is referenced
-    weakly: a dead schedule's entry is removed by the weakref callback,
-    and ``id()`` recycling is guarded by re-checking the referent on
-    every lookup.
+    Each schedule holds at most one entry, keyed by its identity and
+    tagged with ``token``, the batch shapes the artifact is valid for;
+    a lookup with another token misses and drops the entry.  The
+    schedule is referenced weakly: a dead schedule's entry is removed
+    by the weakref callback, and ``id()`` recycling is guarded by
+    re-checking the referent on every lookup.
     """
 
     def __init__(self, capacity: int = 256, name: str = "plan"):

@@ -4,10 +4,10 @@ The contract is the grouped engine's, tightened: ``execute_compiled``
 must be **bit-identical** (``np.array_equal``) to ``execute_grouped``
 and the reference persistent-threads walk for every schedule -- all
 twelve Table-2 strategies, transposes, alpha/beta epilogues, ragged
-edges, and mixed-BK schedules (the scatter path) -- while doing all
-plan-walking and scratch allocation once, at compile time.  Every GEMM
-of an artifact stages in one arena, so these tests also check that
-nothing one GEMM leaves there reaches another's output.
+edges, and GEMMs tiled by more than one strategy -- while doing all
+schedule checking and scratch allocation once, at compile time.  Every
+GEMM of an artifact stages in one arena, so these tests also check
+that nothing one GEMM leaves there reaches another's output.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ import numpy as np
 import pytest
 
 from repro.core.batching import batch_tiles
+from repro.core.options import Heuristic
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
-from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, BATCHED_BK, select_tiling
 from repro.kernels import blas
+from repro.kernels.blas import chunk_ranges
 from repro.kernels.compiled import (
     CompiledPlan,
     clear_compiled_memo,
@@ -39,7 +41,15 @@ from repro.kernels.compiled import (
 from repro.kernels.grouped import execute_grouped
 from repro.kernels.persistent import execute_schedule
 from repro.kernels.reference import reference_batched_gemm
+from repro.nn.googlenet import GOOGLENET_INCEPTIONS, inception_branch_batch
 from repro.telemetry import tracing
+from repro.workloads.synthetic import random_cases
+
+
+#: The GoogLeNet inception4a branch batch (Figure 10 style).
+INCEPTION_4A = [
+    (g.m, g.n, g.k) for g in inception_branch_batch(GOOGLENET_INCEPTIONS[2])
+]
 
 
 def make_schedule(batch, heuristic="threshold", threshold=65536):
@@ -74,12 +84,14 @@ def forced_schedule(batch: GemmBatch, strategy_index: int) -> BatchSchedule:
     )
 
 
-def mixed_bk_schedule() -> tuple[GemmBatch, BatchSchedule]:
+def mixed_strategy_schedule() -> tuple[GemmBatch, BatchSchedule]:
     """A hand schedule mixing strategies 0 and 1 on one GEMM.
 
     One 32x32 tile (strategy 1) covers columns 0-31; two 16x16 tiles
     (strategy 0) cover the ragged columns 32-43.  Coverage is exactly
-    once, so the schedule is valid for every engine.
+    once, so the schedule is valid for every engine.  The planner gives
+    each GEMM one strategy, so only a hand schedule tiles a GEMM with
+    two.
     """
     batch = GemmBatch([Gemm(32, 44, 24, alpha=1.25, beta=-0.5)])
     gemm_ids = [0, 0, 0]
@@ -97,24 +109,6 @@ def mixed_bk_schedule() -> tuple[GemmBatch, BatchSchedule]:
         shared_memory_bytes=strat.shared_memory_bytes,
         registers_per_thread=strat.registers_per_thread,
     )
-
-
-def deep_bk_strategies(monkeypatch, *modules):
-    """Give strategy 1 a BK of 16 in ``modules``' strategy lookups.
-
-    Every Table-2 strategy uses BK=8, so the multi-program path is
-    unreachable with the real table; patching the lookup (in every
-    engine the test compares, so they agree) gives strategy 1 a deeper
-    main loop and forces per-BK scatter index arrays.
-    """
-    real = ALL_BATCHED_STRATEGIES
-
-    def deep_bk(index):
-        strat = real[index]
-        return dataclasses.replace(strat, bk=16) if index == 1 else strat
-
-    for module in modules:
-        monkeypatch.setattr(module, "strategy_by_index", deep_bk)
 
 
 def arena_bytes(batch: GemmBatch) -> int:
@@ -202,25 +196,11 @@ class TestBitExactEquivalence:
         got = assert_bit_identical(make_schedule(batch, "binary"), batch, ops)
         assert all(o.dtype == np.float32 for o in got)
 
-    def test_mixed_bk_scatter_path(self, rng, monkeypatch):
-        """GEMMs mixing BK depths exercise the gather/scatter epilogue."""
-        import repro.kernels.compiled as compiled_mod
-        import repro.kernels.grouped as grouped_mod
-
-        deep_bk_strategies(monkeypatch, grouped_mod, compiled_mod)
-
-        batch, sched = mixed_bk_schedule()
+    def test_mixed_strategy_schedule(self, rng):
+        """One GEMM tiled by two strategies reads one chunk product."""
+        batch, sched = mixed_strategy_schedule()
         ops = batch.random_operands(rng)
-        artifact = compile_plan(sched, batch)
-        programs = artifact.gemms[0].programs
-        assert len(programs) == 2, "expected one program per BK depth"
-        assert all(p.scatter is not None for p in programs)
-        assert programs[0].acc is programs[1].acc, "programs share one acc"
-        covered = np.concatenate([p.scatter for p in programs])
-        assert sorted(covered.tolist()) == list(range(32 * 44))
-        got = execute_compiled(sched, batch, ops, plan=artifact)
-        want = execute_grouped(sched, batch, ops)
-        assert np.array_equal(got[0], want[0])
+        got = assert_bit_identical(sched, batch, ops)
         oracle = reference_batched_gemm(batch, ops)
         np.testing.assert_allclose(got[0], oracle[0], rtol=1e-10, atol=1e-10)
 
@@ -251,8 +231,8 @@ class TestBoundBuffers:
     def test_loop_keeps_its_buffers_alive(self, small_batch):
         artifact = compile_plan(make_schedule(small_batch), small_batch)
         cg = artifact.gemms[0]
-        loop = cg.programs[0].loop
-        refs = [weakref.ref(buf) for buf in (cg.programs[0].acc, cg.a64, cg.b64)]
+        loop = cg.loop
+        refs = [weakref.ref(buf) for buf in (cg.acc, cg.a64, cg.b64)]
         del artifact, cg
         gc.collect()
         assert all(ref() is not None for ref in refs)
@@ -266,8 +246,7 @@ class TestBoundBuffers:
 
         def buffers(artifact):
             for cg in artifact.gemms:
-                yield from (cg.a64, cg.b64, cg.c64)
-                yield from (p.acc for p in cg.programs)
+                yield from (cg.a64, cg.b64, cg.acc, cg.c64)
 
         for mine in buffers(first):
             for theirs in buffers(second):
@@ -334,17 +313,12 @@ class TestArenaReuse:
                 assert have.dtype == expect.dtype
                 assert np.array_equal(have, expect), f"GEMM {gi} read stale arena data"
 
-    def test_nan_arena_on_a_mixed_bk_scatter_schedule(self, rng, monkeypatch):
-        """Both BK programs of one GEMM share, and re-zero, one accumulator."""
-        import repro.kernels.compiled as compiled_mod
-        import repro.kernels.persistent as persistent_mod
-
-        deep_bk_strategies(monkeypatch, persistent_mod, compiled_mod)
-        batch, sched = mixed_bk_schedule()
+    def test_nan_arena_on_a_mixed_strategy_schedule(self, rng):
+        """Two strategies' tiles of one GEMM share its zeroed accumulator."""
+        batch, sched = mixed_strategy_schedule()
         ops = batch.random_operands(rng)
         want = execute_schedule(sched, batch, ops)
         artifact = compile_plan(sched, batch)
-        assert len(artifact.gemms[0].programs) == 2
         for _ in range(2):
             artifact.arena.fill(np.nan)
             got = artifact.run(batch, ops)
@@ -514,10 +488,6 @@ class TestCompiledContract:
             for have, expect in zip(outs, want):
                 assert np.array_equal(have, expect)
 
-    @pytest.mark.skipif(
-        blas.DGEMM_SYMBOL is None,
-        reason="the np.matmul fallback adds one m x n scratch buffer per loop",
-    )
     @pytest.mark.parametrize(
         "shapes",
         [
@@ -525,26 +495,66 @@ class TestCompiledContract:
             [(96, 80, 40), (17, 23, 9)],
             [(1, 200, 64), (200, 1, 64), (8, 8, 8)],
             [(64, 64, 64)] * 4,
+            pytest.param(INCEPTION_4A, id="inception4a"),
         ],
     )
-    def test_scratch_is_the_largest_gemm(self, shapes):
-        """Single-BK batches on dgemm: scratch is exactly the arena."""
+    def test_scratch_is_the_largest_gemm(self, request, shapes):
+        """The arena is sized by the largest GEMM, on both chunk-loop paths.
+
+        On dgemm it is all the scratch; the ``np.matmul`` fallback adds
+        one m x n buffer per loop.  The last case is the batch
+        ``benchmarks/test_bench_compile.py`` times.
+        """
         batch = GemmBatch.from_shapes(shapes)
-        artifact = compile_plan(make_schedule(batch), batch)
-        assert all(len(cg.programs) == 1 for cg in artifact.gemms)
-        assert artifact.scratch_bytes == arena_bytes(batch)
+        sched = make_schedule(batch)
+        if blas.DGEMM_SYMBOL is not None:
+            artifact = compile_plan(sched, batch)
+            assert artifact.arena.nbytes == arena_bytes(batch)
+            assert artifact.scratch_bytes == arena_bytes(batch)
+        request.getfixturevalue("blas_fallback")
+        artifact = compile_plan(sched, batch)
+        assert artifact.arena.nbytes == arena_bytes(batch)
+        loops = 8 * sum(g.m * g.n for g in batch)
+        assert artifact.scratch_bytes == arena_bytes(batch) + loops
 
     def test_artifact_introspection(self, small_batch):
         sched = make_schedule(small_batch)
         artifact = compile_plan(sched, small_batch)
         assert isinstance(artifact, CompiledPlan)
         assert artifact.num_tiles == sched.num_tiles
-        assert artifact.num_chunks > 0
+        assert artifact.num_chunks == sum(-(-g.k // BATCHED_BK) for g in small_batch)
         assert artifact.scratch_bytes > 0
-        # Single-BK strategies: no scatter arrays are materialized.
-        for cg in artifact.gemms:
-            assert len(cg.programs) == 1
-            assert cg.programs[0].scatter is None
+        # One bound loop per GEMM, over the GEMM's own accumulator.
+        for cg, gemm in zip(artifact.gemms, small_batch):
+            assert (cg.m, cg.n, cg.k) == (gemm.m, gemm.n, gemm.k)
+            assert cg.loop.chunks == chunk_ranges(gemm.k, BATCHED_BK)
+            assert cg.acc.shape == (gemm.m, gemm.n)
+
+    def test_compiling_builds_no_tile_groups(self, framework, rng, monkeypatch):
+        """A compile checks the slot arrays and lowers nothing.
+
+        The schedule is a ``Heuristic.BEST`` plan of a Figure-11 batch
+        that tiles its GEMMs with four strategies.
+        """
+        import repro.kernels.grouped as grouped_mod
+
+        built = []
+        real = grouped_mod.TileGroup
+
+        def counting_tile_group(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grouped_mod, "TileGroup", counting_tile_group)
+        batch = random_cases(6, seed=0, max_batch=8)[5]
+        sched = framework.plan(batch, Heuristic.BEST).schedule
+        assert len(set(sched.strategy_ids.tolist())) == 4
+        artifact = compile_plan(sched, batch)
+        assert not built, f"compiling built {len(built)} tile groups"
+        ops = batch.random_operands(rng)
+        want = execute_schedule(sched, batch, ops)
+        for have, expect in zip(artifact.run(batch, ops), want):
+            assert np.array_equal(have, expect)
 
 
 class TestArtifactMemo:

@@ -8,6 +8,7 @@ from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, select_tiling, strategy_by_index
 from repro.gpu.simulator import KernelLaunch
+from repro.kernels.compiled import compile_plan
 from repro.kernels.grouped import lower_schedule
 from repro.kernels.persistent import execute_schedule
 
@@ -115,10 +116,11 @@ def tile_cover_st(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=tile_cover_st())
 def test_lowering_and_coverage_check_match_reference_walk(case):
-    """The lowering's edge-grid check raises what the reference walk raises.
+    """The lowering and the compile raise what the reference walk raises.
 
-    The walk counts coverage per element, so equal messages also mean
-    the cell-area weighting counts the same elements.
+    Both check the slots through the same edge-grid coverage pass.  The
+    walk counts coverage per element, so equal messages also mean the
+    cell-area weighting counts the same elements.
     """
     shapes, slots = case
     batch = GemmBatch([Gemm(m, n, 8) for m, n in shapes])
@@ -142,5 +144,5 @@ def test_lowering_and_coverage_check_match_reference_walk(case):
         return None
 
     want = error_of(lambda: execute_schedule(sched, batch, ops))
-    got = error_of(lambda: lower_schedule(sched, batch))
-    assert got == want
+    assert error_of(lambda: lower_schedule(sched, batch)) == want
+    assert error_of(lambda: compile_plan(sched, batch)) == want
