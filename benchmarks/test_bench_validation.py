@@ -32,7 +32,7 @@ def test_event_sim_agreement(benchmark):
             plan = fw.plan(batch, heuristic="best")
             comp = float(batch.compulsory_ab_bytes)
             launch = KernelLaunch.of_classes(
-                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+                "k", *plan.schedule.block_classes(batch), compulsory_ab_bytes=comp
             )
             static = simulate_kernel(
                 VOLTA_V100, launch, include_launch_overhead=False

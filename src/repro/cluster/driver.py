@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import deque
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -239,12 +240,16 @@ def replay_cluster_trace(
                 shard.admission.observe_service(latency_us)
 
     def compile_charge_us(shard: _Shard, planned) -> float:
+        # Charged on a plan's first dispatch; the entry dies with the
+        # schedule, whose id CPython may reuse (see serve/driver.py).
         if serve_cfg.policy.engine != "compiled":
             return 0.0
-        key = id(planned.report.schedule)
+        schedule = planned.report.schedule
+        key = id(schedule)
         if key in shard.compiled_seen:
             return 0.0
         shard.compiled_seen.add(key)
+        weakref.finalize(schedule, shard.compiled_seen.discard, key)
         return serve_cfg.compile_overhead_us
 
     def dispatch(shard: _Shard, now_us: float) -> None:

@@ -45,7 +45,7 @@ def signature_key(gemm, precision=None) -> str:
     Everything planning cares about per problem -- ``m x n x k``, the
     transpose flags, and (when given) the storage ``precision`` -- and
     nothing it does not (alpha/beta only touch the epilogue), mirroring
-    :func:`repro.core.plancache.batch_signature` at single-GEMM
+    :func:`repro.core.problem.batch_signature` at single-GEMM
     granularity so equal-signature requests share a shard and batch
     into repeating cache keys.  Tiling decisions are dtype-aware
     (strategy pools and occupancy shift at half-width storage), so an

@@ -20,7 +20,7 @@ Layout:
   engines together.
 """
 
-from repro.core.problem import Gemm, GemmBatch, Tile
+from repro.core.problem import Gemm, GemmBatch, Tile, batch_signature
 from repro.core.options import Heuristic, PlanOptions
 from repro.core.precision import (
     Precision,
@@ -56,7 +56,7 @@ from repro.core.batching import (
 from repro.core.schedule import BatchSchedule, build_schedule
 from repro.core.selector import HeuristicSelector, train_default_selector
 from repro.core.framework import CoordinatedFramework, PlanReport
-from repro.core.plancache import CacheStats, PlanCache, batch_signature
+from repro.core.plancache import CacheStats, PlanCache
 from repro.core.autotune import oracle_search, tiling_regret, OracleResult
 
 __all__ = [

@@ -61,7 +61,7 @@ def _evaluate(
     schedule = build_schedule(batch, decision, batching)
     launch = KernelLaunch.of_classes(
         "oracle",
-        *schedule.block_classes(),
+        *schedule.block_classes(batch),
         compulsory_ab_bytes=float(batch.compulsory_ab_bytes),
     )
     return simulate_kernel(device, launch).time_ms

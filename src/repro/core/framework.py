@@ -92,7 +92,7 @@ class PlanReport:
         prec = Precision.coerce(precision or "fp32")
         return KernelLaunch.of_classes(
             "coordinated",
-            *self.schedule.block_classes(prec),
+            *self.schedule.block_classes(self.batch, prec),
             compulsory_ab_bytes=(
                 float(self.batch.compulsory_ab_bytes) * prec.storage_bytes / 4.0
             ),

@@ -55,19 +55,8 @@ from typing import Iterable, Optional
 
 from repro.core.framework import CoordinatedFramework, HeuristicLike, PlanReport
 from repro.core.options import PlanOptions
-from repro.core.problem import Gemm, GemmBatch
+from repro.core.problem import Gemm, GemmBatch, batch_signature
 from repro.telemetry import get_tracer
-
-
-def batch_signature(batch: GemmBatch) -> tuple:
-    """A hashable identity of a batch's planning-relevant content.
-
-    Two batches with the same signature receive identical plans under
-    identical options (planning never looks at operand values).
-    alpha/beta are excluded: they only affect the epilogue arithmetic,
-    not the schedule.
-    """
-    return tuple((g.m, g.n, g.k, g.trans_a, g.trans_b) for g in batch)
 
 
 @dataclass
@@ -303,14 +292,13 @@ class PlanCache:
         :class:`PlanOptions` and the batch signature that keyed it --
         everything :meth:`restore` needs to re-derive the identical
         plan -- plus the admission policy's exported state when the
-        policy supports it (``export_state``).  Cheap: no schedule,
-        simulation, or compiled artifact is copied.
+        policy supports it (``export_state``).  The options are rebuilt
+        from the key, so they name the heuristic the lookup requested,
+        not the one a ``BEST`` or ``AUTO`` plan chose.  Cheap: no
+        schedule, simulation, or compiled artifact is copied.
         """
         with self._lock:
-            entries = tuple(
-                (report.options, batch_signature(report.batch))
-                for report in self._entries.values()
-            )
+            entries = tuple((PlanOptions(*opts), sig) for opts, sig in self._entries)
             admission_state = None
             exporter = getattr(self.admission, "export_state", None)
             if exporter is not None:

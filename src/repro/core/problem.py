@@ -185,6 +185,17 @@ class GemmBatch:
         return f"GemmBatch[{inner}]"
 
 
+def batch_signature(batch: GemmBatch) -> tuple:
+    """A hashable identity of a batch's planning-relevant content.
+
+    Two batches with the same signature receive identical plans under
+    identical options (planning never looks at operand values).
+    alpha/beta are excluded: they only affect the epilogue arithmetic,
+    not the schedule.
+    """
+    return tuple((g.m, g.n, g.k, g.trans_a, g.trans_b) for g in batch)
+
+
 @dataclass(frozen=True)
 class Tile:
     """One tile of one GEMM's C matrix, produced by the tiling engine.

@@ -19,6 +19,12 @@ compositions plus each block's class, which
 :meth:`KernelLaunch.of_classes <repro.gpu.simulator.KernelLaunch.of_classes>`
 hands to the simulator without regrouping.
 
+The arrays hold no K: as the kernel reads K from the GEMM size array
+(Figure 7 line 10), consumers that need it take the batch.
+:func:`check_schedule` is the contract every schedule meets before it
+runs, whoever built it; the engines run it, and
+:func:`~repro.core.validation.validate_schedule` reports its faults.
+
 The planner stays on integer arrays from the tiling decision to the
 schedule: :func:`tile_columns` expands a decision into tile columns,
 the batching heuristics order them (:mod:`repro.core.batching`), and
@@ -36,7 +42,7 @@ import numpy as np
 from repro.core.batching import BatchingResult, TileColumns
 from repro.core.precision import Precision, PrecisionLike
 from repro.core.problem import GemmBatch, Tile
-from repro.core.tiling import TilingDecision, strategy_by_index
+from repro.core.tiling import ALL_BATCHED_STRATEGIES, TilingDecision, strategy_by_index
 from repro.gpu.costmodel import BlockWork, TileWork
 from repro.telemetry import get_tracer
 
@@ -51,8 +57,8 @@ class BatchSchedule:
     over every strategy the schedule uses -- a fused CUDA kernel has a
     single static footprint.
 
-    Schedules compare by value (equal arrays, per-slot K and
-    footprint) and are unhashable.
+    Schedules compare by value (equal arrays and footprint) and are
+    unhashable.
     """
 
     tile_offsets: np.ndarray
@@ -93,41 +99,31 @@ class BatchSchedule:
     def num_tiles(self) -> int:
         return int(self.tile_offsets[-1])
 
-    def tiles_of_block(self, block_id: int) -> list[Tile]:
-        """Decode the tiles assigned to one block (the Figure 7 walk)."""
+    def tiles_of_block(self, block_id: int, batch: GemmBatch) -> list[Tile]:
+        """Decode the tiles assigned to one block (the Figure 7 walk).
+
+        Each tile's K is its GEMM's K in ``batch``.
+        """
         if not 0 <= block_id < self.num_blocks:
             raise IndexError(f"block_id {block_id} out of range 0-{self.num_blocks - 1}")
         begin = int(self.tile_offsets[block_id])
         end = int(self.tile_offsets[block_id + 1])
-        out = []
-        for slot in range(begin, end):
-            strat_id = int(self.strategy_ids[slot])
-            out.append(
-                Tile(
-                    gemm_index=int(self.gemm_ids[slot]),
-                    y=int(self.y_coords[slot]),
-                    x=int(self.x_coords[slot]),
-                    strategy_index=strat_id,
-                    k=self._tile_k(slot),
-                )
+        return [
+            Tile(gemm_index=g, y=y, x=x, strategy_index=s, k=batch[g].k)
+            for g, y, x, s in zip(
+                self.gemm_ids[begin:end].tolist(),
+                self.y_coords[begin:end].tolist(),
+                self.x_coords[begin:end].tolist(),
+                self.strategy_ids[begin:end].tolist(),
             )
-        return out
-
-    def _tile_k(self, slot: int) -> int:
-        # K is not stored in the device arrays (the kernel reads it from
-        # the GEMM size array, Figure 7 line 10); we stash the per-slot
-        # K alongside for host-side consumers.
-        return int(self._slot_k[slot])
-
-    # Populated by build_schedule via object.__setattr__ (frozen dataclass).
-    _slot_k: np.ndarray = None  # type: ignore[assignment]
+        ]
 
     def to_dict(self) -> dict:
         """Serialize the schedule (JSON-compatible).
 
         Real deployments cache plans keyed by batch signature; this is
-        the persistence format (five arrays + the fused footprint +
-        the per-slot K values the host keeps alongside).
+        the persistence format: the five arrays and the fused
+        footprint.
         """
         return {
             "tile_offsets": self.tile_offsets.tolist(),
@@ -138,14 +134,17 @@ class BatchSchedule:
             "threads_per_block": self.threads_per_block,
             "shared_memory_bytes": self.shared_memory_bytes,
             "registers_per_thread": self.registers_per_thread,
-            "slot_k": self._slot_k.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatchSchedule":
-        """Rebuild a schedule serialized by :meth:`to_dict`."""
+        """Rebuild a schedule serialized by :meth:`to_dict`.
+
+        Older payloads also carry a per-slot ``slot_k`` list; it is
+        ignored, since K is read from the batch.
+        """
         try:
-            schedule = cls(
+            return cls(
                 tile_offsets=np.asarray(data["tile_offsets"], dtype=np.int32),
                 gemm_ids=np.asarray(data["gemm_ids"], dtype=np.int32),
                 strategy_ids=np.asarray(data["strategy_ids"], dtype=np.int32),
@@ -157,11 +156,6 @@ class BatchSchedule:
             )
         except KeyError as exc:
             raise ValueError(f"serialized schedule missing field {exc}") from exc
-        slot_k = np.asarray(data["slot_k"], dtype=np.int64)
-        if slot_k.shape != (schedule.num_tiles,):
-            raise ValueError("serialized slot_k does not match the tile count")
-        object.__setattr__(schedule, "_slot_k", slot_k)
-        return schedule
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return (
@@ -170,7 +164,6 @@ class BatchSchedule:
             self.strategy_ids,
             self.y_coords,
             self.x_coords,
-            self._slot_k,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -189,7 +182,7 @@ class BatchSchedule:
     __hash__ = None  # type: ignore[assignment]
 
     def block_classes(
-        self, precision: PrecisionLike = "fp32"
+        self, batch: GemmBatch, precision: PrecisionLike = "fp32"
     ) -> tuple[tuple[BlockWork, ...], tuple[int, ...]]:
         """Lower the schedule to cost-model block classes.
 
@@ -199,6 +192,7 @@ class BatchSchedule:
         <repro.gpu.simulator.KernelLaunch.of_classes>` takes.  A ragged
         batch's ~100 blocks hold a handful of distinct compositions,
         and equal (strategy, K) tiles share one :class:`TileWork`.
+        Each tile's K is its GEMM's K in ``batch``.
 
         Every tile runs with the full unified thread count (the unified
         thread structure leaves no idle threads); the block footprint is
@@ -210,9 +204,10 @@ class BatchSchedule:
         footprint is what lets occupancy admit more fp16/bf16 blocks.
         """
         prec = Precision.coerce(precision)
+        slot_k = np.array([g.k for g in batch], dtype=np.int64)[self.gemm_ids]
         # One integer per slot names its (strategy, K) pair: K < base.
-        base = int(self._slot_k.max()) + 1
-        keys = tuple((self.strategy_ids.astype(np.int64) * base + self._slot_k).tolist())
+        base = int(slot_k.max()) + 1
+        keys = tuple((self.strategy_ids.astype(np.int64) * base + slot_k).tolist())
         bounds = self.tile_offsets.tolist()
         index: dict[tuple[int, ...], int] = {}
         class_of = tuple(
@@ -238,6 +233,166 @@ class BatchSchedule:
             for composition in index
         )
         return classes, class_of
+
+
+#: Tile height and width of each batched strategy, by table index.
+_BY = np.array([s.by for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
+_BX = np.array([s.bx for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
+
+
+def check_schedule(
+    schedule: BatchSchedule, batch: GemmBatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check that a schedule's slots tile every GEMM exactly once.
+
+    Runs the reference walk's checks on the slot arrays, in one pass
+    over the batch: raises ``IndexError`` for out-of-range GEMM or
+    strategy ids, and ``ValueError`` for a tile origin outside its
+    matrix or a schedule that does not tile some GEMM exactly once,
+    with the walk's message for the first offending slot or GEMM.
+    Returns each slot's element origin ``(y0, x0)`` as int64 arrays.
+    """
+    y0, x0, faults = _schedule_faults(schedule, batch)
+    if faults:
+        raise faults[0][1]
+    return y0, x0
+
+
+def _schedule_faults(
+    schedule: BatchSchedule, batch: GemmBatch
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int | None, Exception]]]:
+    """Each slot's element origin, and every fault, as ``(slot, error)`` pairs.
+
+    The errors carry the reference walk's types and messages: each slot
+    outside its matrix or the batch, in slot order, or else each GEMM
+    not tiled exactly once, in batch order, with ``slot`` ``None``.
+    """
+    gemm_ids = schedule.gemm_ids.astype(np.int64)
+    strat_ids = schedule.strategy_ids.astype(np.int64)
+    n_gemms, n_strats = len(batch), len(ALL_BATCHED_STRATEGIES)
+    # A trailing 0x0 matrix stands in for out-of-range GEMM ids.
+    ms = np.array([g.m for g in batch] + [0], dtype=np.int64)
+    ns = np.array([g.n for g in batch] + [0], dtype=np.int64)
+
+    bad_gemm = (gemm_ids < 0) | (gemm_ids >= n_gemms)
+    bad_strat = (strat_ids < 0) | (strat_ids >= n_strats)
+    safe_g = np.where(bad_gemm, n_gemms, gemm_ids)
+    safe_s = np.where(bad_strat, 0, strat_ids)
+    y0 = schedule.y_coords.astype(np.int64) * _BY[safe_s]
+    x0 = schedule.x_coords.astype(np.int64) * _BX[safe_s]
+    m_of, n_of = ms[safe_g], ns[safe_g]
+    negative = (y0 < 0) | (x0 < 0)
+    bad = bad_gemm | bad_strat | negative | (y0 >= m_of) | (x0 >= n_of)
+    if bad.any():
+        faults: list[tuple[int | None, Exception]] = []
+        for i in np.flatnonzero(bad).tolist():
+            # The reference walk's checks, in its order.
+            error: Exception
+            if bad_gemm[i]:
+                error = IndexError(f"gemm id {gemm_ids[i]} out of range 0-{n_gemms - 1}")
+            elif bad_strat[i]:
+                try:
+                    strategy_by_index(int(strat_ids[i]))
+                except IndexError as canonical:
+                    error = canonical
+            elif negative[i]:
+                error = ValueError("tile origin must be non-negative")
+            else:
+                error = ValueError(
+                    f"tile origin ({y0[i]},{x0[i]}) outside matrix {m_of[i]}x{n_of[i]}"
+                )
+            faults.append((i, error))
+        return y0, x0, faults
+    y1 = np.minimum(y0 + _BY[strat_ids], m_of)
+    x1 = np.minimum(x0 + _BX[strat_ids], n_of)
+    uncovered = _coverage_faults(ms[:-1], ns[:-1], gemm_ids, y0, y1, x0, x1)
+    return y0, x0, [(None, error) for error in uncovered]
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, duplicates dropped (without bare ``np.unique``)."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _coverage_faults(
+    ms: np.ndarray,
+    ns: np.ndarray,
+    gemm_ids: np.ndarray,
+    y0: np.ndarray,
+    y1: np.ndarray,
+    x0: np.ndarray,
+    x1: np.ndarray,
+) -> list[ValueError]:
+    """Check exactly-once output coverage in one pass over the batch.
+
+    Each slot covers the element rectangle ``[y0, y1) x [x0, x1)`` of
+    its GEMM ``g``, already clipped to the ``ms[g] x ns[g]`` matrix
+    (origins were checked to lie inside it).  Coverage is counted on
+    each GEMM's grid of its own distinct tile edges rather than of
+    elements: GEMM ``g``'s row edges are keyed into a range of their
+    own, and so are its column edges, so its grid is only as large as
+    its own tiling needs, and the grids lie back to back in one flat
+    row-major array.  A tile adds +1 at its left column and -1 at its
+    right column in every grid row it spans; each row then sums to
+    zero, so one flat cumulative sum restarts at every row by itself
+    and gives each cell's coverage count.  The last column lies past
+    ``n`` and counts zero, so the batch is tiled exactly once when the
+    counts sum to the number of cells inside the matrices and no count
+    exceeds one.  Returns one error per GEMM that fails, in batch
+    order; a cell's area weights it in the message, which counts the
+    GEMM's elements like the reference walk.
+    """
+    n_gemms = len(ms)
+    # GEMM g's row edges are keyed into [start[g], start[g] + ms[g]] and
+    # its column edges into [start[n_gemms + g], start[n_gemms + g] + ns[g]].
+    start = np.concatenate(([0], np.cumsum(np.concatenate((ms, ns)) + 1)))
+    corner_y, corner_x = start[gemm_ids], start[gemm_ids + n_gemms]
+    corners = np.concatenate((y0 + corner_y, y1 + corner_y, x0 + corner_x, x1 + corner_x))
+    edges = _sorted_distinct(np.concatenate((start, start[1:] - 1, corners)))
+    # first[g] and first[n_gemms + g]: the ranks of GEMM g's first row
+    # and first column edge.
+    first = np.searchsorted(edges, start)
+    r0, r1, c0, c1 = np.searchsorted(edges, corners).reshape(4, -1)
+    ny, nx = np.diff(first[: n_gemms + 1]), np.diff(first[n_gemms:])
+    # Cell (i, j) of GEMM g, for edge ranks i and j, sits at
+    # base[g] + (i - first[g]) * nx[g] + (j - first[n_gemms + g]); the
+    # last row edge, m, starts no row of cells.
+    base = np.concatenate(([0], np.cumsum((ny - 1) * nx)))
+    cells = int(base[-1])
+    width = nx[gemm_ids]
+    shift = base[:-1] - first[:n_gemms] * nx - first[n_gemms:-1]
+    origin = shift[gemm_ids] + r0 * width + c0
+    # One entry per (tile, grid row it spans).
+    span = r1 - r0
+    runs = np.cumsum(span)
+    step = np.arange(span.sum()) - np.repeat(runs - span, span)
+    left = np.repeat(origin, span) + step * np.repeat(width, span)
+    right = left + np.repeat(c1 - c0, span)
+    cov = (np.bincount(left, minlength=cells) - np.bincount(right, minlength=cells)).cumsum()
+    # Non-negative integer counts are all 0 or 1 iff sum(c * c) == sum(c).
+    inside = cells - int(ny.sum()) + n_gemms
+    if cov.sum() == inside and cov @ cov == inside:
+        return []
+    faults = []
+    for gi in range(n_gemms):
+        grid = cov[base[gi] : base[gi + 1]].reshape(ny[gi] - 1, nx[gi])[:, :-1]
+        if (grid == 1).all():
+            continue
+        ys = edges[first[gi] : first[gi + 1]]
+        xs = edges[first[n_gemms + gi] : first[n_gemms + gi + 1]]
+        area = np.outer(np.diff(ys), np.diff(xs))
+        uncovered = int(area[grid == 0].sum())
+        duplicated = int(area[grid > 1].sum())
+        faults.append(
+            ValueError(
+                f"schedule does not tile GEMM {gi} exactly once: "
+                f"{uncovered} elements uncovered, {duplicated} covered repeatedly"
+            )
+        )
+    return faults
 
 
 def _tile_grid(
@@ -350,7 +505,7 @@ def _build_schedule(
     smem = max(s.shared_memory_bytes for s in strategies)
     regs = max(s.registers_per_thread for s in strategies)
 
-    schedule = BatchSchedule(
+    return BatchSchedule(
         tile_offsets=batching.offsets.astype(np.int32),
         gemm_ids=gemm_ids.astype(np.int32),
         strategy_ids=strategy_ids.astype(np.int32),
@@ -360,5 +515,3 @@ def _build_schedule(
         shared_memory_bytes=smem,
         registers_per_thread=regs,
     )
-    object.__setattr__(schedule, "_slot_k", ks)
-    return schedule

@@ -4,10 +4,10 @@
 arrive from outside -- deserialized from :meth:`BatchSchedule.to_dict`
 payloads, or hand-constructed through the programming interface
 (Section 6 promises it can describe *any* scheme, which includes
-broken ones).  ``validate_schedule`` checks a schedule against a batch
-the way the device-side asserts of a debug kernel build would:
-coverage, bounds, footprint consistency -- and reports every problem,
-not just the first.
+broken ones).  ``validate_schedule`` reports every fault of the
+engines' own check, :func:`~repro.core.schedule.check_schedule`, not
+just the first, plus the two checks only a device launch needs: the
+unified thread structure and the fused footprint.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import GemmBatch
-from repro.core.schedule import BatchSchedule
+from repro.core.schedule import BatchSchedule, _schedule_faults
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, strategy_by_index
 
 
@@ -43,92 +43,51 @@ class ValidationReport:
 def validate_schedule(schedule: BatchSchedule, batch: GemmBatch) -> ValidationReport:
     """Check a schedule fully and safely against a batch.
 
-    Errors (schedule must not run): out-of-range GEMM or strategy ids,
-    coordinates outside the tile grid, K mismatches, thread-structure
-    violations, incomplete or duplicated output coverage, understated
-    fused footprint.  Warnings (legal but suspicious): bubble-free
-    invariants that hint at waste, e.g. blocks with very many tiles.
+    Errors (schedule must not run): every fault
+    :func:`~repro.core.schedule.check_schedule` would raise first --
+    each slot with an out-of-range GEMM or strategy id or a tile origin
+    outside its matrix, or else each GEMM not tiled exactly once --
+    plus each used strategy that breaks the unified thread structure or
+    that the fused footprint understates.  Warnings (legal but
+    suspicious): a GEMM tiled by several strategies (the engines run
+    it, the planner never builds it), and blocks with very many tiles.
     """
-    errors: list[str] = []
+    _y0, _x0, faults = _schedule_faults(schedule, batch)
+    errors = [str(e) if slot is None else f"slot {slot}: {e}" for slot, e in faults]
     warnings: list[str] = []
 
-    n_gemms = len(batch)
-    seen: dict[tuple[int, int, int], int] = {}
-
-    for slot in range(schedule.num_tiles):
-        gi = int(schedule.gemm_ids[slot])
-        if not 0 <= gi < n_gemms:
-            errors.append(f"slot {slot}: gemm id {gi} out of range 0-{n_gemms - 1}")
-            continue
-        sid = int(schedule.strategy_ids[slot])
-        if not 0 <= sid < len(ALL_BATCHED_STRATEGIES):
-            errors.append(f"slot {slot}: strategy id {sid} out of range 0-11")
-            continue
+    n_strats = len(ALL_BATCHED_STRATEGIES)
+    gemm_ids = schedule.gemm_ids.astype(np.int64)
+    strat_ids = schedule.strategy_ids.astype(np.int64)
+    known = (strat_ids >= 0) & (strat_ids < n_strats)
+    for sid in np.unique(strat_ids[known]).tolist():
         strat = strategy_by_index(sid)
         if strat.threads != schedule.threads_per_block:
             errors.append(
-                f"slot {slot}: strategy {strat} breaks the unified thread "
-                f"structure ({strat.threads} != {schedule.threads_per_block})"
+                f"strategy {strat} breaks the unified thread structure "
+                f"({strat.threads} != {schedule.threads_per_block})"
             )
         if strat.shared_memory_bytes > schedule.shared_memory_bytes:
             errors.append(
-                f"slot {slot}: fused shared-memory footprint "
-                f"{schedule.shared_memory_bytes} understates strategy {strat} "
-                f"({strat.shared_memory_bytes})"
+                f"fused shared-memory footprint {schedule.shared_memory_bytes} "
+                f"understates strategy {strat} ({strat.shared_memory_bytes})"
             )
         if strat.registers_per_thread > schedule.registers_per_thread:
             errors.append(
-                f"slot {slot}: fused register footprint understates strategy {strat}"
+                f"fused register footprint {schedule.registers_per_thread} "
+                f"understates strategy {strat} ({strat.registers_per_thread})"
             )
-        gemm = batch[gi]
-        rows, cols = strat.tiles_for(gemm)
-        y, x = int(schedule.y_coords[slot]), int(schedule.x_coords[slot])
-        if not (0 <= y < rows and 0 <= x < cols):
-            errors.append(
-                f"slot {slot}: tile ({y},{x}) outside GEMM {gi}'s {rows}x{cols} grid"
-            )
-            continue
-        if schedule._tile_k(slot) != gemm.k:
-            errors.append(
-                f"slot {slot}: stored K {schedule._tile_k(slot)} != GEMM {gi}'s "
-                f"K {gemm.k}"
-            )
-        key = (gi, y, x)
-        if key in seen:
-            errors.append(
-                f"slot {slot}: tile {key} already computed by slot {seen[key]}"
-            )
-        else:
-            seen[key] = slot
 
-    # Full-coverage check: with consistent per-GEMM strategies, every
-    # grid cell must appear exactly once.
-    if not errors:
-        per_gemm_strats: dict[int, set[int]] = {}
-        for slot in range(schedule.num_tiles):
-            per_gemm_strats.setdefault(int(schedule.gemm_ids[slot]), set()).add(
-                int(schedule.strategy_ids[slot])
-            )
-        for gi, strat_ids in per_gemm_strats.items():
-            if len(strat_ids) > 1:
-                errors.append(
-                    f"GEMM {gi}: mixed strategies {sorted(strat_ids)} within one GEMM"
-                )
-        for gi in range(n_gemms):
-            if gi not in per_gemm_strats:
-                errors.append(f"GEMM {gi}: no tiles scheduled")
-                continue
-            if len(per_gemm_strats[gi]) != 1:
-                continue
-            strat = strategy_by_index(next(iter(per_gemm_strats[gi])))
-            rows, cols = strat.tiles_for(batch[gi])
-            have = sum(1 for (g, _y, _x) in seen if g == gi)
-            if have != rows * cols:
-                errors.append(
-                    f"GEMM {gi}: {have} tiles scheduled, grid needs {rows * cols}"
-                )
+    # Distinct (GEMM, strategy) pairs, sorted by GEMM.
+    known &= (gemm_ids >= 0) & (gemm_ids < len(batch))
+    pairs = np.unique(gemm_ids[known] * n_strats + strat_ids[known])
+    gemm_of, strat_of = np.divmod(pairs, n_strats)
+    for gi in np.unique(gemm_of[1:][gemm_of[1:] == gemm_of[:-1]]).tolist():
+        warnings.append(
+            f"GEMM {gi} is tiled by strategies {strat_of[gemm_of == gi].tolist()}; "
+            "the engines run it, but the planner gives each GEMM one strategy"
+        )
 
-    # Heuristic warnings.
     sizes = np.diff(schedule.tile_offsets)
     if sizes.max(initial=0) >= 32:
         warnings.append(

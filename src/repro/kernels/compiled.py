@@ -16,8 +16,8 @@ and Stream-K++ makes for kernel-configuration caching (see
 artifact, so steady-state dispatch is a lookup plus a minimal
 interpreter loop.  Compilation:
 
-* checks the schedule's slot arrays once, with
-  :func:`~repro.kernels.grouped.check_schedule` (GEMM/strategy id
+* checks the schedule's slot arrays once, with the schedule contract
+  :func:`~repro.core.schedule.check_schedule` (GEMM/strategy id
   ranges, tile origins and exactly-once output coverage run once per
   compile, never per call).  Nothing else of the schedule matters:
   every Table-2 strategy shares one BK depth
@@ -89,10 +89,10 @@ traffic is observable via the ``compile.cache_hits`` /
 ``compile.cache_misses`` / ``compile.evictions`` counters and each
 compilation runs under a ``compile.plan`` span.
 
-This module shares only :func:`~repro.kernels.grouped.check_schedule`
-with :mod:`repro.kernels.grouped` (none of its lowering), and
-deliberately never imports :mod:`repro.kernels.persistent` -- the
-oracle stays independent (CI guards this).
+This module imports neither :mod:`repro.kernels.grouped` nor
+:mod:`repro.kernels.persistent`: it shares only the schedule contract
+in :mod:`repro.core.schedule` with them, and the oracle stays
+independent (CI guards both).
 """
 
 from __future__ import annotations
@@ -103,11 +103,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.problem import GemmBatch, validate_operands
-from repro.core.schedule import BatchSchedule
+from repro.core.problem import GemmBatch, batch_signature, validate_operands
+from repro.core.schedule import BatchSchedule, check_schedule
 from repro.core.tiling import BATCHED_BK
 from repro.kernels.blas import ChunkLoop, chunk_ranges
-from repro.kernels.grouped import _batch_token, check_schedule
 from repro.kernels.memo import MemoStats, PlanMemo
 from repro.telemetry import get_tracer
 
@@ -192,7 +191,7 @@ class CompiledPlan:
         mismatches.  Thread-safe: concurrent calls on one artifact
         serialize on its arena lock.
         """
-        if _batch_token(batch) != self.batch_token:
+        if batch_signature(batch) != self.batch_token:
             raise ValueError(
                 "batch shapes do not match the compiled plan "
                 "(recompile with compile_plan/compiled_plan_for)"
@@ -239,7 +238,7 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
         gemms.append(CompiledGemm(m, n, k, a64, b64, acc, c64, loop))
     return CompiledPlan(
         num_tiles=schedule.num_tiles,
-        batch_token=_batch_token(batch),
+        batch_token=batch_signature(batch),
         gemms=tuple(gemms),
         arena=arena,
     )
@@ -248,7 +247,7 @@ def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
 def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     """Compile a schedule into a fresh :class:`CompiledPlan` artifact.
 
-    Checks the schedule with :func:`~repro.kernels.grouped.check_schedule`
+    Checks the schedule with :func:`~repro.core.schedule.check_schedule`
     (raising the reference walk's ``IndexError`` / ``ValueError``),
     then allocates the artifact's arena and binds one BK main loop per
     GEMM over its views.  Emits a ``compile.plan`` span.
@@ -279,7 +278,7 @@ def compiled_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan
     Emits ``compile.cache_hits`` / ``compile.cache_misses`` counters,
     so a serve test can assert a warm hot path does zero compilation.
     """
-    token = _batch_token(batch)
+    token = batch_signature(batch)
     tracer = get_tracer()
     cached = _COMPILED_MEMO.get(schedule, token)
     if cached is not None:
@@ -318,7 +317,7 @@ def execute_compiled(
     memoized artifact of the schedule is used (compiled on first
     execution).
     """
-    if plan is None or plan.batch_token != _batch_token(batch):
+    if plan is None or plan.batch_token != batch_signature(batch):
         plan = compiled_plan_for(schedule, batch)
     tracer = get_tracer()
     with tracer.span(

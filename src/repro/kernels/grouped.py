@@ -21,12 +21,13 @@ tile slot per chunk; every Table-2 strategy has the same ``BK``,
 GEMM's groups).  Each group then gathers its windows into a
 ``(G, by, bx)`` stack, applies the alpha/beta epilogue as one
 vectorized expression, and scatters the results back.  The lowering
-first calls :func:`check_schedule`, which validates id ranges, tile
-origins and exactly-once output coverage, with one difference-array
-pass over the whole batch instead of a per-element counter walk, so a
-lowered plan always tiles every output exactly once.  The compiled
-engine (:mod:`repro.kernels.compiled`) runs the same check and
-nothing else of this module's lowering.
+first runs the schedule contract,
+:func:`~repro.core.schedule.check_schedule`, which validates id
+ranges, tile origins and exactly-once output coverage, with one
+difference-array pass over the whole batch instead of a per-element
+counter walk, so a lowered plan always tiles every output exactly
+once.  The compiled engine (:mod:`repro.kernels.compiled`) runs the
+same check and nothing of this module.
 
 **Bit-exactness contract.**  The grouped engine produces outputs that
 are bit-identical to :func:`repro.kernels.persistent.execute_schedule`.
@@ -71,17 +72,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.problem import GemmBatch, validate_operands
-from repro.core.schedule import BatchSchedule
+from repro.core.problem import GemmBatch, batch_signature, validate_operands
+from repro.core.schedule import _BX, _BY, BatchSchedule, check_schedule
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, BATCHED_BK, strategy_by_index
 from repro.kernels.blas import ChunkLoop, chunk_ranges
 from repro.kernels.memo import PlanMemo
 from repro.telemetry import get_tracer
-
-
-def _batch_token(batch: GemmBatch) -> tuple:
-    """The batch identity a lowered plan is valid for (shapes only)."""
-    return tuple((g.m, g.n, g.k, g.trans_a, g.trans_b) for g in batch)
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,7 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     Block boundaries are irrelevant to the numerical result (blocks
     only matter to the performance model), so the lowering flattens
     them away and sorts slots by ``(gemm, strategy, interior)``.
-    Raises ``IndexError`` for out-of-range GEMM or strategy ids, and
-    ``ValueError`` for a tile origin outside its matrix or a schedule
-    that does not tile some GEMM exactly once, with the reference
-    walk's message.
+    Raises what :func:`~repro.core.schedule.check_schedule` raises.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -150,59 +143,6 @@ def lower_schedule(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
             span.set_attr("interior_tiles", plan.interior_tiles)
             span.set_attr("edge_tiles", plan.edge_tiles)
     return plan
-
-
-#: Tile height and width of each batched strategy, by table index.
-_BY = np.array([s.by for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
-_BX = np.array([s.bx for s in ALL_BATCHED_STRATEGIES], dtype=np.int64)
-
-
-def check_schedule(
-    schedule: BatchSchedule, batch: GemmBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check that a schedule's slots tile every GEMM exactly once.
-
-    Runs the reference walk's checks on the slot arrays, in one pass
-    over the batch: raises ``IndexError`` for out-of-range GEMM or
-    strategy ids, and ``ValueError`` for a tile origin outside its
-    matrix or a schedule that does not tile some GEMM exactly once,
-    with the walk's message for the first offending slot or GEMM.
-    Returns each slot's element origin ``(y0, x0)`` as int64 arrays.
-    """
-    gemm_ids = schedule.gemm_ids.astype(np.int64)
-    strat_ids = schedule.strategy_ids.astype(np.int64)
-    n_gemms, n_strats = len(batch), len(ALL_BATCHED_STRATEGIES)
-    # A trailing 0x0 matrix stands in for out-of-range GEMM ids.
-    ms = np.array([g.m for g in batch] + [0], dtype=np.int64)
-    ns = np.array([g.n for g in batch] + [0], dtype=np.int64)
-
-    bad_gemm = (gemm_ids < 0) | (gemm_ids >= n_gemms)
-    bad_strat = (strat_ids < 0) | (strat_ids >= n_strats)
-    safe_g = np.where(bad_gemm, n_gemms, gemm_ids)
-    safe_s = np.where(bad_strat, 0, strat_ids)
-    y0 = schedule.y_coords.astype(np.int64) * _BY[safe_s]
-    x0 = schedule.x_coords.astype(np.int64) * _BX[safe_s]
-    m_of, n_of = ms[safe_g], ns[safe_g]
-    negative = (y0 < 0) | (x0 < 0)
-    bad = bad_gemm | bad_strat | negative | (y0 >= m_of) | (x0 >= n_of)
-    if bad.any():
-        # The reference walk's checks, for the first offending slot.
-        i = int(np.argmax(bad))
-        if bad_gemm[i]:
-            raise IndexError(f"gemm id {gemm_ids[i]} out of range 0-{n_gemms - 1}")
-        if bad_strat[i]:
-            strategy_by_index(int(strat_ids[i]))  # raises the canonical IndexError
-        if negative[i]:
-            raise ValueError("tile origin must be non-negative")
-        raise ValueError(
-            f"tile origin ({y0[i]},{x0[i]}) outside matrix {m_of[i]}x{n_of[i]}"
-        )
-    y1 = y0 + _BY[strat_ids]
-    x1 = x0 + _BX[strat_ids]
-    _check_coverage(
-        ms[:-1], ns[:-1], gemm_ids, y0, np.minimum(y1, m_of), x0, np.minimum(x1, n_of)
-    )
-    return y0, x0
 
 
 def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
@@ -237,7 +177,7 @@ def _lower(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     return GroupedPlan(
         num_tiles=schedule.num_tiles,
         groups=tuple(groups),
-        batch_token=_batch_token(batch),
+        batch_token=batch_signature(batch),
     )
 
 
@@ -259,7 +199,7 @@ def grouped_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> GroupedPlan:
     the later ``put`` wins -- the plans are identical, mirroring the
     plan cache's plan-outside-the-lock policy.
     """
-    token = _batch_token(batch)
+    token = batch_signature(batch)
     cached = _GROUPED_MEMO.get(schedule, token)
     if cached is not None:
         return cached
@@ -309,7 +249,7 @@ def _execute_grouped(
     plan: GroupedPlan | None,
 ) -> list[np.ndarray]:
     validate_operands(batch, operands)
-    if plan is None or plan.batch_token != _batch_token(batch):
+    if plan is None or plan.batch_token != batch_signature(batch):
         plan = grouped_plan_for(schedule, batch)
 
     tracer = get_tracer()
@@ -389,85 +329,3 @@ def _epilogue_group(
             out[y0:yh, x0:xh] = (
                 gemm.alpha * valid + gemm.beta * c[y0:yh, x0:xh].astype(np.float64)
             ).astype(c.dtype)
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """``values`` sorted, duplicates dropped (without bare ``np.unique``)."""
-    ordered = np.sort(values)
-    keep = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _check_coverage(
-    ms: np.ndarray,
-    ns: np.ndarray,
-    gemm_ids: np.ndarray,
-    y0: np.ndarray,
-    y1: np.ndarray,
-    x0: np.ndarray,
-    x1: np.ndarray,
-) -> None:
-    """Validate exactly-once output coverage in one pass over the batch.
-
-    Each slot covers the element rectangle ``[y0, y1) x [x0, x1)`` of
-    its GEMM ``g``, already clipped to the ``ms[g] x ns[g]`` matrix
-    (origins were checked to lie inside it).  Coverage is counted on
-    each GEMM's grid of its own distinct tile edges rather than of
-    elements: GEMM ``g``'s row edges are keyed into a range of their
-    own, and so are its column edges, so its grid is only as large as
-    its own tiling needs, and the grids lie back to back in one flat
-    row-major array.  A tile adds +1 at its left column and -1 at its
-    right column in every grid row it spans; each row then sums to
-    zero, so one flat cumulative sum restarts at every row by itself
-    and gives each cell's coverage count.  The last column lies past
-    ``n`` and counts zero, so the batch is tiled exactly once when the
-    counts sum to the number of cells inside the matrices and no count
-    exceeds one.  A cell's area weights it in the error message, which
-    counts the elements of the first GEMM that fails, like the
-    reference walk.
-    """
-    n_gemms = len(ms)
-    # GEMM g's row edges are keyed into [start[g], start[g] + ms[g]] and
-    # its column edges into [start[n_gemms + g], start[n_gemms + g] + ns[g]].
-    start = np.concatenate(([0], np.cumsum(np.concatenate((ms, ns)) + 1)))
-    corner_y, corner_x = start[gemm_ids], start[gemm_ids + n_gemms]
-    corners = np.concatenate((y0 + corner_y, y1 + corner_y, x0 + corner_x, x1 + corner_x))
-    edges = _sorted_distinct(np.concatenate((start, start[1:] - 1, corners)))
-    # first[g] and first[n_gemms + g]: the ranks of GEMM g's first row
-    # and first column edge.
-    first = np.searchsorted(edges, start)
-    r0, r1, c0, c1 = np.searchsorted(edges, corners).reshape(4, -1)
-    ny, nx = np.diff(first[: n_gemms + 1]), np.diff(first[n_gemms:])
-    # Cell (i, j) of GEMM g, for edge ranks i and j, sits at
-    # base[g] + (i - first[g]) * nx[g] + (j - first[n_gemms + g]); the
-    # last row edge, m, starts no row of cells.
-    base = np.concatenate(([0], np.cumsum((ny - 1) * nx)))
-    cells = int(base[-1])
-    width = nx[gemm_ids]
-    shift = base[:-1] - first[:n_gemms] * nx - first[n_gemms:-1]
-    origin = shift[gemm_ids] + r0 * width + c0
-    # One entry per (tile, grid row it spans).
-    span = r1 - r0
-    runs = np.cumsum(span)
-    step = np.arange(span.sum()) - np.repeat(runs - span, span)
-    left = np.repeat(origin, span) + step * np.repeat(width, span)
-    right = left + np.repeat(c1 - c0, span)
-    cov = (np.bincount(left, minlength=cells) - np.bincount(right, minlength=cells)).cumsum()
-    # Non-negative integer counts are all 0 or 1 iff sum(c * c) == sum(c).
-    inside = cells - int(ny.sum()) + n_gemms
-    if cov.sum() == inside and cov @ cov == inside:
-        return
-    for gi in range(n_gemms):
-        grid = cov[base[gi] : base[gi + 1]].reshape(ny[gi] - 1, nx[gi])[:, :-1]
-        if (grid != 1).any():
-            break
-    ys = edges[first[gi] : first[gi + 1]]
-    xs = edges[first[n_gemms + gi] : first[n_gemms + gi + 1]]
-    area = np.outer(np.diff(ys), np.diff(xs))
-    uncovered = int(area[grid == 0].sum())
-    duplicated = int(area[grid > 1].sum())
-    raise ValueError(
-        f"schedule does not tile GEMM {gi} exactly once: "
-        f"{uncovered} elements uncovered, {duplicated} covered repeatedly"
-    )

@@ -30,9 +30,10 @@ def execute_schedule(
 ) -> list[np.ndarray]:
     """Execute a batch schedule numerically; returns the C results.
 
-    Inputs are not modified.  Raises ``ValueError`` when operand shapes
-    do not match the batch, or when the schedule does not cover every
-    output element exactly once (a schedule-construction bug).
+    Inputs are not modified.  Raises ``IndexError`` for an out-of-range
+    GEMM or strategy id, and ``ValueError`` when operand shapes do not
+    match the batch, or when the schedule does not cover every output
+    element exactly once (a schedule-construction bug).
     """
     tracer = get_tracer()
     with tracer.span(
@@ -64,6 +65,8 @@ def _execute_schedule(
         end = int(schedule.tile_offsets[block_id + 1])
         for slot in range(begin, end):
             ind = int(schedule.gemm_ids[slot])
+            if not 0 <= ind < len(batch):
+                raise IndexError(f"gemm id {ind} out of range 0-{len(batch) - 1}")
             gemm = batch[ind]
             c = operands[ind][2]
             a, b = op_views[ind]

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.problem import GemmBatch
-from repro.core.schedule import BatchSchedule
+from repro.core.schedule import BatchSchedule, check_schedule
 from repro.core.tiling import strategy_by_index
 from repro.nn.layers import ConvLayer, conv_to_gemm
 
@@ -108,7 +108,8 @@ def execute_schedule_implicit(
     whatever the coordinated framework planned for it.  Each scheduled
     tile gathers its B operand from the layer's input tensor on the
     fly -- demonstrating the paper's claim that the framework batches
-    implicit GEMM unchanged.
+    implicit GEMM unchanged.  The schedule is checked first
+    (:func:`~repro.core.schedule.check_schedule`).
     """
     if not (len(layers) == len(inputs) == len(weights) == len(batch)):
         raise ValueError("layers, inputs, weights and batch must align")
@@ -119,6 +120,7 @@ def execute_schedule_implicit(
                 f"{conv_to_gemm(layer)}"
             )
 
+    origin_y, origin_x = check_schedule(schedule, batch)
     outputs = [
         np.zeros((g.m, g.n), dtype=inputs[i].dtype) for i, g in enumerate(batch)
     ]
@@ -131,8 +133,7 @@ def execute_schedule_implicit(
             layer = layers[ind]
             a = weights[ind].reshape(gemm.m, gemm.k)
             strat = strategy_by_index(int(schedule.strategy_ids[slot]))
-            y0 = int(schedule.y_coords[slot]) * strat.by
-            x0 = int(schedule.x_coords[slot]) * strat.bx
+            y0, x0 = int(origin_y[slot]), int(origin_x[slot])
             y_hi = min(y0 + strat.by, gemm.m)
             x_hi = min(x0 + strat.bx, gemm.n)
             acc = np.zeros((y_hi - y0, x_hi - x0), dtype=np.float64)

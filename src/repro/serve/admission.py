@@ -14,9 +14,17 @@ applies two checks at submission time:
 
 The estimate starts at zero, so until the first batch completes only
 already-expired deadlines are refused; it then sharpens as traffic
-flows.  The controller is thread-safe (the wall-clock server calls
-``admit`` from the submission thread and ``observe_service`` from
-workers).
+flows.
+
+Only completed work moves the estimate, so after an overload burst an
+estimate above every deadline would refuse everything forever.  So
+once the controller has admitted nothing for longer than its estimate
+plus slack (since its last admission, or its first refusal), it admits
+the next infeasible request whose deadline has not passed as a
+**probe**, whose completion feeds the estimate.
+
+The controller is thread-safe (the wall-clock server calls ``admit``
+from the submission thread and ``observe_service`` from workers).
 """
 
 from __future__ import annotations
@@ -65,6 +73,8 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._service_estimate_us = 0.0
         self._observations = 0
+        # Last admission (or first refusal); probes count from it.
+        self._quiet_since_us: Optional[float] = None
 
     @property
     def service_estimate_us(self) -> float:
@@ -99,7 +109,8 @@ class AdmissionController:
         DeadlineBudget` query: the request is admitted iff its budget
         still affords the current service estimate (plus the
         configured slack) -- the entry point of the end-to-end budget
-        thread that the batcher, planner, and executor continue.
+        thread that the batcher, planner, and executor continue -- or
+        as a probe (see the module docstring).
         """
         if pending_count >= self.config.queue_capacity:
             return Rejected(
@@ -109,13 +120,18 @@ class AdmissionController:
                 reason=REASON_QUEUE_FULL,
             )
         budget = DeadlineBudget(request.deadline_us)
-        if budget.bounded:
-            estimate = self.service_estimate_us + self.config.deadline_slack_us
-            if not budget.affords(estimate, now_us=now_us):
-                return Rejected(
-                    request_id=request.request_id,
-                    finish_us=now_us,
-                    latency_us=max(0.0, now_us - request.arrival_us),
-                    reason=REASON_DEADLINE,
-                )
+        with self._lock:
+            estimate = self._service_estimate_us + self.config.deadline_slack_us
+            if budget.bounded and not budget.affords(estimate, now_us=now_us):
+                if self._quiet_since_us is None:
+                    self._quiet_since_us = now_us
+                probe = now_us - self._quiet_since_us > estimate
+                if not probe or budget.exhausted(now_us):
+                    return Rejected(
+                        request_id=request.request_id,
+                        finish_us=now_us,
+                        latency_us=max(0.0, now_us - request.arrival_us),
+                        reason=REASON_DEADLINE,
+                    )
+            self._quiet_since_us = now_us
         return None

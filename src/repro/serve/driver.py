@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import deque
 from typing import Optional, Sequence
 
@@ -183,16 +184,19 @@ def replay_trace(
     # Under a compiled policy the first dispatch of each distinct plan
     # is charged the one-off artifact compilation; warm dispatches of
     # the same plan charge nothing extra (the hot path is lookup +
-    # interpreter only).
+    # interpreter only).  A schedule's entry dies with it, as its
+    # compiled artifact does: CPython reuses a dead schedule's id.
     compiled_seen: set[int] = set()
 
     def compile_charge_us(planned: PlannedBatch) -> float:
         if config.policy.engine != "compiled":
             return 0.0
-        key = id(planned.report.schedule)
+        schedule = planned.report.schedule
+        key = id(schedule)
         if key in compiled_seen:
             return 0.0
         compiled_seen.add(key)
+        weakref.finalize(schedule, compiled_seen.discard, key)
         tracer.counter("serve.compiles_charged")
         return config.compile_overhead_us
 

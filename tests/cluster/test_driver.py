@@ -12,6 +12,7 @@ from repro.cluster.report import REASON_SHARD_KILLED
 from repro.serve.config import AdmissionConfig, BatcherConfig, ServeConfig
 from repro.serve.loadgen import poisson_trace
 from repro.serve.request import REASON_QUEUE_FULL, REASON_STRANDED
+from tests.serve.test_driver import burst_then_calm
 
 HOT_SHAPES = ((64, 784, 192), (96, 784, 192), (128, 196, 480))
 
@@ -222,6 +223,23 @@ class TestBackpressure:
         ]
         assert reasons  # shard-level queue_full rejections occurred
         assert report.settlement_share == 1.0
+
+
+class TestAdmissionLockIn:
+    def test_one_shard_completes_calm_traffic_after_an_overload_burst(
+        self, framework_module
+    ):
+        """The single-server lock-in reproducer, on a one-shard tier.
+
+        Four shards split the burst and never lock in; one shard takes
+        all of it.
+        """
+        trace, n_calm = burst_then_calm()
+        report = replay_cluster_trace(trace, framework_module, _config(shards=1))
+        (shard,) = report.shards
+        calm = [r for r in shard.report.results if r.request_id >= len(trace) - n_calm]
+        assert len(calm) == n_calm == 155
+        assert sum(r.ok for r in calm) >= 140
 
 
 class TestReportShape:

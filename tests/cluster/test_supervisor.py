@@ -116,22 +116,25 @@ class TestRestartTracker:
 class TestManifestHandoff:
     """The warm-respawn handoff: cache manifest + Bloom state."""
 
-    def plan_some(self, cache, shapes):
+    def plan_some(self, cache, shapes, heuristic=Heuristic.THRESHOLD):
         for shape in shapes:
-            cache.plan(GemmBatch.from_shapes([shape]), Heuristic.THRESHOLD)
+            cache.plan(GemmBatch.from_shapes([shape]), heuristic)
 
     def test_snapshot_restore_replans_the_same_keys(self, framework):
-        old = PlanCache(framework, capacity=8)
-        self.plan_some(old, [(16, 32, 24), (40, 40, 40), (64, 64, 64)])
-        manifest = old.snapshot()
-        assert len(manifest) == 3
+        """Under ``BEST`` too, whose plans record the heuristic they chose."""
+        shapes = [(16, 32, 24), (40, 40, 40), (64, 64, 64)]
+        for heuristic in (Heuristic.THRESHOLD, Heuristic.BEST):
+            old = PlanCache(framework, capacity=8)
+            self.plan_some(old, shapes, heuristic)
+            manifest = old.snapshot()
+            assert len(manifest) == 3
 
-        fresh = PlanCache(framework, capacity=8)
-        assert fresh.restore(manifest) == 3
-        # The restored cache serves the predecessor's working set hot.
-        self.plan_some(fresh, [(16, 32, 24), (40, 40, 40), (64, 64, 64)])
-        assert fresh.stats.hits == 3
-        assert fresh.stats.misses == 0
+            fresh = PlanCache(framework, capacity=8)
+            assert fresh.restore(manifest) == 3
+            # The restored cache serves the predecessor's working set hot.
+            self.plan_some(fresh, shapes, heuristic)
+            assert fresh.stats.hits == 3, heuristic
+            assert fresh.stats.misses == 0, heuristic
 
     def test_restore_bypasses_stats(self, framework):
         old = PlanCache(framework, capacity=8)

@@ -138,19 +138,27 @@ class TestPlanWithInfo:
 
 class TestRestore:
     def test_restored_schedule_equals_the_lost_one(self, framework):
+        """A restored key hits on its first lookup, under the meta heuristics too.
+
+        A ``BEST`` or ``AUTO`` plan records the heuristic it chose; the
+        manifest must carry the one the lookup requested.
+        """
         batches = [
             GemmBatch.from_shapes([(16, 32, 24), (65, 33, 17)]),
             GemmBatch.from_shapes([(128, 128, 8)] * 3),
         ]
-        old = PlanCache(framework)
-        lost = [old.plan(b) for b in batches]
-        fresh = PlanCache(framework)
-        assert fresh.restore(old.snapshot()) == len(batches)
-        for batch, report in zip(batches, lost):
-            restored = fresh.plan(batch)
-            assert restored is not report
-            assert restored.schedule == report.schedule
-            assert restored.batching == report.batching
+        for heuristic in (Heuristic.BEST, Heuristic.AUTO):
+            old = PlanCache(framework)
+            lost = [old.plan(b, heuristic) for b in batches]
+            fresh = PlanCache(framework)
+            assert fresh.restore(old.snapshot()) == len(batches)
+            for batch, report in zip(batches, lost):
+                restored, hit = fresh.plan_with_info(batch, heuristic)
+                assert hit, heuristic
+                assert restored is not report
+                assert restored.schedule == report.schedule
+                assert restored.batching == report.batching
+            assert fresh.stats.misses == 0
 
 
 class TestWarm:

@@ -61,8 +61,8 @@ class TestFigure6WorkedExample:
 
     def test_third_block_decodes_like_the_paper(self, schedule):
         """Block 2 runs tiles [2,4) of GEMM 1 at (0,0) and (0,1)."""
-        _, _, sched = schedule
-        tiles = sched.tiles_of_block(2)
+        batch, _, sched = schedule
+        tiles = sched.tiles_of_block(2, batch)
         assert len(tiles) == 2
         assert all(t.gemm_index == 1 for t in tiles)
         assert [(t.y, t.x) for t in tiles] == [(0, 0), (0, 1)]
@@ -172,13 +172,17 @@ class TestScheduleEquality:
         data["x_coords"][-1] += 1
         assert BatchSchedule.from_dict(data) != sched
 
-    def test_changed_footprint_or_k_compares_unequal(self, small_batch):
+    def test_changed_footprint_compares_unequal(self, small_batch):
         _, _, sched = plan(small_batch)
         data = sched.to_dict()
         assert BatchSchedule.from_dict({**data, "registers_per_thread": 1}) != sched
-        assert BatchSchedule.from_dict(
-            {**data, "slot_k": [k + 1 for k in data["slot_k"]]}
-        ) != sched
+
+    def test_older_payload_slot_k_is_ignored(self, small_batch):
+        """K is read from the batch: a payload's ``slot_k`` list is not read."""
+        _, _, sched = plan(small_batch)
+        data = sched.to_dict()
+        assert "slot_k" not in data
+        assert BatchSchedule.from_dict({**data, "slot_k": [0]}) == sched
 
     def test_unhashable(self, small_batch):
         _, batching, sched = plan(small_batch)
@@ -205,13 +209,13 @@ class TestBatchScheduleInvariants:
     def test_tiles_of_block_bounds(self, uniform_batch):
         _, _, sched = plan(uniform_batch)
         with pytest.raises(IndexError):
-            sched.tiles_of_block(sched.num_blocks)
+            sched.tiles_of_block(sched.num_blocks, uniform_batch)
         with pytest.raises(IndexError):
-            sched.tiles_of_block(-1)
+            sched.tiles_of_block(-1, uniform_batch)
 
     def test_block_works_lowering(self, uniform_batch):
         _, batching, sched = plan(uniform_batch, heuristic="binary")
-        classes, class_of = sched.block_classes()
+        classes, class_of = sched.block_classes(uniform_batch)
         works = [classes[c] for c in class_of]
         assert len(works) == sched.num_blocks
         assert sum(len(w.tiles) for w in works) == sched.num_tiles

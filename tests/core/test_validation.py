@@ -42,7 +42,7 @@ class TestBrokenSchedules:
         sched = plan_schedule(framework, small_batch)
         sched.strategy_ids[0] = 55
         assert any(
-            "strategy id" in e for e in validate_schedule(sched, small_batch).errors
+            "strategy index" in e for e in validate_schedule(sched, small_batch).errors
         )
 
     def test_coordinate_outside_grid(self, framework, small_batch):
@@ -57,7 +57,7 @@ class TestBrokenSchedules:
         sched.gemm_ids[1] = sched.gemm_ids[0]
         sched.strategy_ids[1] = sched.strategy_ids[0]
         errors = validate_schedule(sched, small_batch).errors
-        assert any("already computed" in e for e in errors)
+        assert any("covered repeatedly" in e for e in errors)
 
     def test_wrong_batch_detected(self, framework, small_batch):
         """A schedule validated against the wrong batch must fail."""
@@ -78,7 +78,6 @@ class TestBrokenSchedules:
 
         sched = plan_schedule(framework, uniform_batch)
         shrunk = dataclasses.replace(sched, shared_memory_bytes=16)
-        object.__setattr__(shrunk, "_slot_k", sched._slot_k)
         errors = validate_schedule(shrunk, uniform_batch).errors
         assert any("understates" in e for e in errors)
 

@@ -76,7 +76,7 @@ class TestAgreementWithFixedPoint:
             plan = fw.plan(batch, heuristic="best")
             comp = float(batch.compulsory_ab_bytes)
             launch = KernelLaunch.of_classes(
-                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+                "k", *plan.schedule.block_classes(plan.batch), compulsory_ab_bytes=comp
             )
             static = simulate_kernel(V100, launch, include_launch_overhead=False).cycles
             event = simulate_kernel_events(V100, launch.blocks, compulsory_ab_bytes=comp)
@@ -89,7 +89,7 @@ class TestAgreementWithFixedPoint:
             plan = fw.plan(cell.batch, heuristic="best")
             comp = float(cell.batch.compulsory_ab_bytes)
             launch = KernelLaunch.of_classes(
-                "k", *plan.schedule.block_classes(), compulsory_ab_bytes=comp
+                "k", *plan.schedule.block_classes(plan.batch), compulsory_ab_bytes=comp
             )
             static = simulate_kernel(V100, launch, include_launch_overhead=False).cycles
             ratios.append(

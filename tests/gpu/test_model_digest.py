@@ -107,7 +107,10 @@ def _result_record(result) -> tuple:
     )
 
 
-def _schedule_bytes(schedule) -> bytes:
+def _schedule_bytes(schedule, batch) -> bytes:
+    # Each slot's K, read from its GEMM: the bytes the schedule's
+    # per-slot K column hashed to before K left the schedule.
+    slot_k = np.array([g.k for g in batch], dtype=np.int64)[schedule.gemm_ids]
     parts = [
         np.ascontiguousarray(arr, dtype="<i8").tobytes()
         for arr in (
@@ -116,7 +119,7 @@ def _schedule_bytes(schedule) -> bytes:
             schedule.strategy_ids,
             schedule.y_coords,
             schedule.x_coords,
-            schedule._slot_k,
+            slot_k,
         )
     ]
     footprint = (
@@ -139,7 +142,7 @@ def _coordinated_records(batches, heuristic, precision="fp32"):
     fw = CoordinatedFramework(device=VOLTA_V100, precision=precision)
     for batch in batches:
         report = fw.plan(batch, heuristic)
-        yield _schedule_bytes(report.schedule)
+        yield _schedule_bytes(report.schedule, batch)
         yield _result_record(fw.simulate_plan(report))
 
 

@@ -210,6 +210,36 @@ class TestBitExactEquivalenceFallback(TestBitExactEquivalence):
     """The same equivalences on the ``np.matmul`` + ``np.add`` chunk loop."""
 
 
+def test_mixed_strategy_schedule_validates_round_trips_and_prices():
+    """A schedule from the public constructor is a whole schedule.
+
+    It validates (with a mixed-strategy warning), serializes, decodes
+    and simulates, like one :func:`build_schedule` returns.
+    """
+    from repro.core.validation import validate_schedule
+    from repro.gpu.simulator import KernelLaunch, simulate_kernel
+    from repro.gpu.specs import VOLTA_V100
+
+    batch, sched = mixed_strategy_schedule()
+    report = validate_schedule(sched, batch)
+    assert report.ok, report.errors
+    assert report.warnings == (
+        "GEMM 0 is tiled by strategies [0, 1]; the engines run it, "
+        "but the planner gives each GEMM one strategy",
+    )
+    assert BatchSchedule.from_dict(sched.to_dict()) == sched
+    tiles = sched.tiles_of_block(0, batch)
+    assert [(t.strategy_index, t.y, t.x, t.k) for t in tiles] == [
+        (1, 0, 0, 24),
+        (0, 0, 2, 24),
+        (0, 1, 2, 24),
+    ]
+    launch = KernelLaunch.of_classes(
+        "k", *sched.block_classes(batch), compulsory_ab_bytes=float(batch.compulsory_ab_bytes)
+    )
+    assert simulate_kernel(VOLTA_V100, launch).time_ms > 0
+
+
 class TestBoundBuffers:
     """The bound BLAS calls hold raw pointers into each artifact's buffers."""
 

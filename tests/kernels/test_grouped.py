@@ -200,37 +200,58 @@ class TestExecuteGroupedContract:
 
 
 class TestOutOfMatrixTiles:
-    """Hand-built tiles whose origin lies outside their matrix.
+    """Hand-built tiles that lie outside their matrix, or outside the batch.
 
     The reference walk rejects the first such slot when it reaches it,
     before it counts coverage.  Every other engine must raise the same
     error rather than clip the tile to zero area (origin at row ``m``),
-    fail on an index (origin beyond row ``m``), report the first bad
-    tile in another order, or report a coverage error instead.
+    fail on an index (origin beyond row ``m``), wrap a negative GEMM id
+    to the last GEMM, report the first bad tile in another order, or
+    report a coverage error instead.
     """
 
     # Strategy 1 is 32x32, so tile (y, x) starts at element (32y, 32x)
     # and one tile covers a 32x32 GEMM.
     STRATEGY = ALL_BATCHED_STRATEGIES[1]
-    # name: (number of 32x32x32 GEMMs, (gemm, y, x) per slot, error)
+    # name: (number of 32x32x32 GEMMs, (gemm, y, x) per slot, error type, message)
     CASES = {
-        "row m": (1, [(0, 0, 0), (0, 1, 0)], "tile origin (32,0) outside matrix 32x32"),
+        "row m": (
+            1,
+            [(0, 0, 0), (0, 1, 0)],
+            ValueError,
+            "tile origin (32,0) outside matrix 32x32",
+        ),
         "beyond row m": (
             1,
             [(0, 0, 0), (0, 2, 0)],
+            ValueError,
             "tile origin (64,0) outside matrix 32x32",
         ),
-        "negative": (1, [(0, 0, 0), (0, -1, 0)], "tile origin must be non-negative"),
+        "negative": (
+            1,
+            [(0, 0, 0), (0, -1, 0)],
+            ValueError,
+            "tile origin must be non-negative",
+        ),
+        # Python indexing would wrap GEMM -1 to the last GEMM.
+        "negative gemm id": (
+            1,
+            [(0, 0, 0), (-1, 0, 0)],
+            IndexError,
+            "gemm id -1 out of range 0-0",
+        ),
         # GEMM 0 has no tile at all, but the outside origin is reported.
         "after an uncovered GEMM": (
             2,
             [(1, 0, 0), (1, 1, 0)],
+            ValueError,
             "tile origin (32,0) outside matrix 32x32",
         ),
         # Grouping sorts GEMM 0 first; the walk meets GEMM 1's slot first.
         "first in slot order": (
             2,
             [(1, 1, 0), (0, 0, 1), (0, 0, 0)],
+            ValueError,
             "tile origin (32,0) outside matrix 32x32",
         ),
     }
@@ -247,7 +268,6 @@ class TestOutOfMatrixTiles:
                 "threads_per_block": cls.STRATEGY.threads,
                 "shared_memory_bytes": cls.STRATEGY.shared_memory_bytes,
                 "registers_per_thread": cls.STRATEGY.registers_per_thread,
-                "slot_k": [32] * len(slots),
             }
         )
 
@@ -257,11 +277,12 @@ class TestOutOfMatrixTiles:
         from repro.kernels import get_engine
 
         run = get_engine(engine)
-        n_gemms, slots, message = self.CASES[case]
+        n_gemms, slots, error, message = self.CASES[case]
         batch = GemmBatch.from_shapes([(32, 32, 32)] * n_gemms)
         ops = batch.random_operands(rng)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(error) as err:
             run(self.schedule(slots), batch, ops)
+        assert type(err.value) is error
         assert str(err.value) == message
 
 

@@ -111,6 +111,30 @@ class TestBatchedImplicit:
             want = conv2d_direct(x, w, l)
             np.testing.assert_allclose(out, want, rtol=1e-3, atol=1e-3)
 
+    def test_schedule_not_tiling_the_batch_rejected(self, rng):
+        """A repeated tile leaves another uncovered: an error, not zeros."""
+        layers = [ConvLayer("a", 2, 4, 3, 7, 7, padding=1), ConvLayer("b", 3, 8, 1, 5, 5)]
+        batch = GemmBatch(conv_to_gemm(l) for l in layers)
+        decision = select_tiling(batch, 65536)
+        tiles = enumerate_tiles(batch, decision)
+        schedule = build_schedule(
+            batch, decision, batch_tiles(tiles, decision.threads, "one-per-block")
+        )
+        assert schedule.gemm_ids[:2].tolist() == [0, 0]
+        schedule.y_coords[0], schedule.x_coords[0] = schedule.y_coords[1], schedule.x_coords[1]
+        inputs = [
+            rng.standard_normal((l.in_channels, l.in_h, l.in_w)).astype(np.float32)
+            for l in layers
+        ]
+        weights = [
+            rng.standard_normal((l.out_channels, l.in_channels, l.kernel, l.kernel)).astype(
+                np.float32
+            )
+            for l in layers
+        ]
+        with pytest.raises(ValueError, match="does not tile GEMM 0 exactly once"):
+            execute_schedule_implicit(schedule, batch, layers, inputs, weights)
+
     def test_mismatched_batch_rejected(self, rng):
         layers = [ConvLayer("b", 4, 4, 1, 4, 4)]
         wrong_batch = GemmBatch.from_shapes([(3, 3, 3)])

@@ -224,7 +224,6 @@ def test_array_path_matches_the_object_per_tile_reference(case):
         assert schedule.strategy_ids.tolist() == [t.strategy_index for t in flat]
         assert schedule.y_coords.tolist() == [t.y for t in flat]
         assert schedule.x_coords.tolist() == [t.x for t in flat]
-        assert schedule._slot_k.tolist() == [t.k for t in flat]
 
         works = ref_block_works(
             offsets,
@@ -236,7 +235,7 @@ def test_array_path_matches_the_object_per_tile_reference(case):
             precision,
         )
         launch = KernelLaunch.of_classes(
-            "coordinated", *schedule.block_classes(precision), compulsory_ab_bytes=compulsory
+            "coordinated", *schedule.block_classes(batch, precision), compulsory_ab_bytes=compulsory
         )
         assert launch.blocks == works, heuristic
         want = simulate_kernel(V100, KernelLaunch("coordinated", works, compulsory))

@@ -56,4 +56,4 @@ def test_schedule_round_trip_preserves_decode(batch):
     rebuilt = BatchSchedule.from_dict(json.loads(json.dumps(schedule.to_dict())))
     assert rebuilt.num_blocks == schedule.num_blocks
     for b in range(schedule.num_blocks):
-        assert rebuilt.tiles_of_block(b) == schedule.tiles_of_block(b)
+        assert rebuilt.tiles_of_block(b, batch) == schedule.tiles_of_block(b, batch)

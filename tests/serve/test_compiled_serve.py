@@ -11,6 +11,7 @@ distinct plan (the ``serve.compiles_charged`` counter).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.options import Heuristic
 from repro.core.plancache import PlanCache
@@ -20,7 +21,7 @@ from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatcherConfig
 from repro.serve.config import ServeConfig
 from repro.serve.driver import replay_trace
-from repro.serve.loadgen import TraceRequest
+from repro.serve.loadgen import TraceRequest, poisson_trace
 from repro.serve.request import RequestStatus
 from repro.serve.server import GemmServer
 from repro.telemetry import tracing
@@ -133,6 +134,24 @@ class TestReplayCompileCharging:
         counters = tracer.metrics.to_dict()["counters"]
         # Four identical 4-batches -> one distinct plan -> one charge.
         assert counters.get("serve.compiles_charged", 0) == 1
+
+    @pytest.mark.parametrize("capacity", [1, 2, 4, 64])
+    def test_every_miss_charged_once_under_eviction(self, framework, capacity):
+        """A new plan is charged even when it reuses an evicted plan's id.
+
+        Batches of 24 shapes rarely repeat, so the plan cache evicts
+        at every capacity here; an evicted schedule dies, and CPython
+        hands its id to a later schedule.
+        """
+        rng = np.random.default_rng(5)
+        shapes = [tuple(int(v) for v in rng.integers(16, 257, size=3)) for _ in range(24)]
+        trace = poisson_trace(20_000.0, None, n_requests=3000, shapes=shapes, seed=5)
+        cache = PlanCache(framework, capacity=capacity)
+        with tracing() as tracer:
+            report = replay_trace(trace, framework, compiled_config(), cache=cache)
+        counters = tracer.metrics.to_dict()["counters"]
+        assert report.cache.evictions > 0
+        assert counters["serve.compiles_charged"] == report.cache.misses
 
     def test_grouped_policy_charges_nothing(self, framework):
         config = compiled_config(policy=ExecutionPolicy(engine="grouped"))

@@ -1,5 +1,7 @@
 """Tests for the deterministic virtual-time replay driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.plancache import PlanCache
@@ -126,6 +128,39 @@ class TestAdmissionAndShedding:
         # Shed at formation (expired by then), not completed-late:
         # formation happens at window expiry 1010us > deadline 510us.
         assert report.n_shed_deadline == 1 or report.n_deadline_misses == 1
+
+
+def burst_then_calm():
+    """A 0.2 s overload burst, then 3 s of calm traffic from t = 1 s.
+
+    Every request carries a 20 ms deadline.  The burst drives the
+    admission estimate past the deadline; returns the whole trace and
+    the number of calm requests at its end.
+    """
+    shapes = ((512, 512, 512), (768, 768, 768), (1024, 512, 256))
+    burst = poisson_trace(200_000.0, 0.2, shapes=shapes, seed=1, deadline_us=20_000.0)
+    calm = [
+        dataclasses.replace(r, arrival_us=r.arrival_us + 1e6, deadline_us=r.deadline_us + 1e6)
+        for r in poisson_trace(50.0, 3.0, shapes=shapes, seed=2, deadline_us=20_000.0)
+    ]
+    return burst + calm, len(calm)
+
+
+class TestAdmissionLockIn:
+    def test_calm_traffic_completes_after_an_overload_burst(self, framework):
+        """Refusing everything is a state the shard leaves.
+
+        Only completed work moves the admission estimate; without
+        probes, the burst's estimate outlives the burst and the calm
+        phase is refused whole (0 of its 155 requests complete).
+        """
+        trace, n_calm = burst_then_calm()
+        report = replay_trace(
+            trace, framework, ServeConfig(batcher=BatcherConfig(max_batch_size=4))
+        )
+        calm = report.results[-n_calm:]
+        assert n_calm == 155
+        assert sum(r.ok for r in calm) >= 140
 
 
 class TestCacheInteraction:
