@@ -1,16 +1,18 @@
 """Deterministic virtual-time replay of a trace across a shard cluster.
 
-:func:`replay_cluster_trace` is the cluster-scale twin of
-:func:`repro.serve.driver.replay_trace`: one discrete-event loop on a
-virtual clock drives N complete per-shard serving pipelines (dynamic
-batcher, admission controller, planner stage over a private
-:class:`~repro.core.plancache.PlanCache` -- with second-hit
-:class:`~repro.cluster.bloom.BloomAdmission` when configured) behind
-the shared :class:`~repro.cluster.router.Router`.  Nothing reads a
-wall clock, so the same trace, config, and kill schedule always
-produce the byte-identical :class:`~repro.cluster.report.ClusterReport`
--- including identical shard assignments -- which is the contract
-``BENCH_cluster.json`` and the CI cluster smoke step pin.
+:func:`replay_cluster_trace` drives one
+:class:`~repro.serve.driver.ReplayPipeline` per shard -- the pipeline
+:func:`repro.serve.driver.replay_trace` drives, on one shared event
+heap -- behind the :class:`~repro.cluster.router.Router`, and keeps
+only what the tier adds: global backpressure, routing, kills with
+failover, and respawn.  Each shard plans through a private
+:class:`~repro.core.plancache.PlanCache` (with second-hit
+:class:`~repro.cluster.bloom.BloomAdmission` when configured) and
+honours ``config.serve.reliability``.  Nothing reads a wall clock, so
+the same trace, config, and kill schedule always produce the
+byte-identical :class:`~repro.cluster.report.ClusterReport` --
+including identical shard assignments -- which is the contract
+``BENCH_cluster.json`` and the cluster CLI tests pin.
 
 Admission is two-level, exactly as in the live tier: a request first
 passes the **global** backpressure bound (total queued work across
@@ -33,9 +35,10 @@ Event kinds, one heap ordered by (time, insertion sequence):
   equal timestamps, so a kill at t settles before a t-arrival
   routes);
 * ``arrive`` -- global backpressure, routing (affinity / failover /
-  stealing), per-shard admission, batcher offer;
-* ``window`` -- re-poll one shard's batcher;
-* ``complete`` -- a shard worker finished a batch (ignored if the
+  stealing), then the shard pipeline's admission and batcher;
+* ``window`` -- re-poll one shard's batcher (the shard's *current*
+  pipeline: the payload is the shard id);
+* ``complete`` -- a shard worker finished a batch (dropped if the
   shard died while the batch was in flight -- those requests were
   already settled at kill time);
 * ``respawn`` -- a supervised shard's restart backoff elapsed: a
@@ -62,18 +65,15 @@ fully deterministically:
 * the respawned pipeline restores the predecessor's cache manifest
   (signatures re-planned; Bloom admission generations imported) and
   inherits its results/occupancy history, so the shard's report spans
-  every incarnation and no settlement is lost.
+  every incarnation and no settlement is lost.  Its ``reliability``
+  counters are the current incarnation's, as in the live tier.
 
-Without ``config.supervisor`` the PR-7 behavior is byte-identical:
-kills are permanent and casualties settle ``error:ShardKilled``.
+Without ``config.supervisor`` kills are permanent and casualties
+settle ``error:ShardKilled``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import weakref
-from collections import deque
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -88,73 +88,16 @@ from repro.cluster.router import Router, ShardState, signature_key
 from repro.cluster.supervisor import RestartTracker, SupervisorStats
 from repro.core.framework import CoordinatedFramework
 from repro.core.plancache import PlanCache
-from repro.serve.admission import AdmissionController
-from repro.serve.batcher import DynamicBatcher, FormedBatch
+from repro.serve.driver import EventHeap, ReplayPipeline
 from repro.serve.loadgen import TraceRequest
-from repro.serve.planner import PlannerStage
-from repro.serve.report import compile_report
 from repro.serve.request import (
     REASON_BUDGET_EXHAUSTED,
-    REASON_DEADLINE,
     REASON_FAILOVER_EXHAUSTED,
-    Completed,
-    Rejected,
     ServeRequest,
-    ServeResult,
-    TimedOut,
-    error_reason,
 )
 from repro.telemetry import get_tracer
 
 __all__ = ["replay_cluster_trace"]
-
-
-class _Shard:
-    """One shard's complete pipeline state inside the event loop."""
-
-    def __init__(self, shard_id: int, framework, config: ClusterConfig):
-        serve = config.serve
-        self.shard_id = shard_id
-        self.batcher = DynamicBatcher(serve.batcher)
-        self.admission = AdmissionController(serve.admission)
-        self.bloom: Optional[BloomAdmission] = (
-            BloomAdmission(
-                config.bloom.capacity,
-                config.bloom.fp_rate,
-                rotate_after=config.bloom.rotate_after,
-            )
-            if config.bloom is not None
-            else None
-        )
-        self.cache = PlanCache(
-            framework, capacity=config.cache_capacity, admission=self.bloom
-        )
-        self.planner = PlannerStage(
-            framework,
-            self.cache,
-            heuristic=serve.heuristic,
-            miss_overhead_us=serve.miss_overhead_us,
-            hit_overhead_us=serve.hit_overhead_us,
-        )
-        self.fifo: deque[FormedBatch] = deque()
-        self.free_workers = serve.workers
-        self.results: dict[int, ServeResult] = {}
-        self.occupancies: list[int] = []
-        self.formed_batches: list = []
-        # token -> (planned, dispatch_us): batches a worker is holding,
-        # settled as ShardKilled if the shard dies before completion.
-        self.inflight: dict[int, tuple] = {}
-        self.alive = True
-        self.compiled_seen: set[int] = set()
-
-    @property
-    def depth(self) -> int:
-        """Queued work: pending + formed-but-undispatched + in flight."""
-        return (
-            self.batcher.pending_count
-            + sum(fb.occupancy for fb in self.fifo)
-            + sum(p.formed.occupancy for p, _ in self.inflight.values())
-        )
 
 
 def replay_cluster_trace(
@@ -177,7 +120,6 @@ def replay_cluster_trace(
     """
     framework = framework if framework is not None else CoordinatedFramework()
     config = config if config is not None else ClusterConfig()
-    serve_cfg = config.serve
     sup_cfg = config.supervisor
     sup_stats = SupervisorStats()
     trackers = {i: RestartTracker() for i in range(config.shards)}
@@ -186,139 +128,39 @@ def replay_cluster_trace(
         vnodes=config.vnodes,
         steal_threshold=config.steal_threshold,
     )
-    shards = [_Shard(i, framework, config) for i in range(config.shards)]
     tracer = get_tracer()
+    events = EventHeap()
 
-    seq = itertools.count()
-    token_seq = itertools.count()
-    events: list[tuple[float, int, str, object]] = []
+    def pipeline(shard_id: int) -> ReplayPipeline:
+        bloom = (
+            BloomAdmission(
+                config.bloom.capacity,
+                config.bloom.fp_rate,
+                rotate_after=config.bloom.rotate_after,
+            )
+            if config.bloom is not None
+            else None
+        )
+        cache = PlanCache(framework, capacity=config.cache_capacity, admission=bloom)
+        return ReplayPipeline(
+            framework, config.serve, events, cache=cache, key=shard_id
+        )
 
-    def push(time_us: float, kind: str, payload: object) -> None:
-        heapq.heappush(events, (time_us, next(seq), kind, payload))
+    shards = [pipeline(i) for i in range(config.shards)]
 
     # Kills first so a kill at time t settles before a t-arrival routes.
     for shard_id, time_us in kill:
         if not 0 <= shard_id < config.shards:
             raise ValueError(f"kill: unknown shard {shard_id}")
-        push(float(time_us), "kill", shard_id)
-    for i, tr in enumerate(sorted(trace, key=lambda t: t.arrival_us)):
-        push(
-            tr.arrival_us,
-            "arrive",
-            ServeRequest(
-                request_id=i,
-                gemm=tr.gemm,
-                arrival_us=tr.arrival_us,
-                deadline_us=tr.deadline_us,
-                timeout_us=tr.timeout_us,
-                priority=tr.priority,
-                precision=getattr(tr, "precision", None),
-            ),
-        )
+        events.push(float(time_us), "kill", shard_id)
+    events.push_arrivals(trace)
 
     n_rejected_global = 0
-    makespan_us = 0.0
 
-    def depths() -> dict[int, int]:
-        return {s.shard_id: s.depth for s in shards}
-
-    def total_depth() -> int:
-        return sum(s.depth for s in shards if s.alive)
-
-    def reject(
-        shard: _Shard, requests, now_us: float, reason: str, *, observe=False
-    ) -> None:
-        for r in requests:
-            latency_us = max(0.0, now_us - r.arrival_us)
-            shard.results[r.request_id] = Rejected(
-                request_id=r.request_id,
-                finish_us=now_us,
-                latency_us=latency_us,
-                reason=reason,
-            )
-            if observe:
-                shard.admission.observe_service(latency_us)
-
-    def compile_charge_us(shard: _Shard, planned) -> float:
-        # Charged on a plan's first dispatch; the entry dies with the
-        # schedule, whose id CPython may reuse (see serve/driver.py).
-        if serve_cfg.policy.engine != "compiled":
-            return 0.0
-        schedule = planned.report.schedule
-        key = id(schedule)
-        if key in shard.compiled_seen:
-            return 0.0
-        shard.compiled_seen.add(key)
-        weakref.finalize(schedule, shard.compiled_seen.discard, key)
-        return serve_cfg.compile_overhead_us
-
-    def dispatch(shard: _Shard, now_us: float) -> None:
-        while shard.alive and shard.free_workers > 0 and shard.fifo:
-            fb = shard.fifo.popleft()
-            try:
-                planned = shard.planner.plan(fb)
-            except Exception as exc:
-                reject(shard, fb.requests, now_us, error_reason(exc), observe=True)
-                continue
-            shard.free_workers -= 1
-            token = next(token_seq)
-            shard.inflight[token] = (planned, now_us)
-            push(
-                now_us + compile_charge_us(shard, planned) + planned.service_us,
-                "complete",
-                (shard.shard_id, token),
-            )
-
-    def form(shard: _Shard, now_us: float) -> None:
-        if not shard.alive:
-            return
-        while True:
-            fb = shard.batcher.poll(now_us)
-            if fb is None:
-                break
-            reject(shard, fb.shed, now_us, REASON_DEADLINE)
-            if fb.requests:
-                shard.occupancies.append(fb.occupancy)
-                shard.formed_batches.append(fb.to_gemm_batch())
-                shard.fifo.append(fb)
-        dispatch(shard, now_us)
-
-    def complete(shard: _Shard, token: int, now_us: float) -> None:
-        held = shard.inflight.pop(token, None)
-        if held is None or not shard.alive:
-            # The shard died while this batch was in flight; its
-            # requests were settled as ShardKilled at the kill instant.
-            return
-        planned, dispatch_us = held
-        shard.free_workers += 1
-        batch_size = planned.formed.occupancy
-        for r in planned.formed.requests:
-            latency_us = now_us - r.arrival_us
-            if r.timeout_us is not None and latency_us > r.timeout_us:
-                shard.results[r.request_id] = TimedOut(
-                    request_id=r.request_id,
-                    finish_us=now_us,
-                    latency_us=latency_us,
-                    batch_id=planned.formed.batch_id,
-                )
-            else:
-                shard.results[r.request_id] = Completed(
-                    request_id=r.request_id,
-                    finish_us=now_us,
-                    latency_us=latency_us,
-                    batch_id=planned.formed.batch_id,
-                    batch_size=batch_size,
-                    queue_us=dispatch_us - r.arrival_us,
-                    service_us=planned.service_us,
-                    deadline_met=r.deadline_us is None or now_us <= r.deadline_us,
-                )
-            shard.admission.observe_service(latency_us)
-        dispatch(shard, now_us)
-
-    def settle_casualties(shard: _Shard, requests, now_us: float) -> None:
+    def settle_casualties(shard: ReplayPipeline, requests, now_us: float) -> None:
         """Settle (or fail over) the requests a kill orphaned.
 
-        Unsupervised: the PR-7 typed ``error:ShardKilled``.  Supervised,
+        Unsupervised: the typed ``error:ShardKilled``.  Supervised,
         each casualty takes exactly one of three typed paths:
 
         * deadline budget already spent at the kill instant -- settle
@@ -329,59 +171,51 @@ def replay_cluster_trace(
         * over the limit -- settle ``failover_exhausted``.
         """
         if sup_cfg is None:
-            reject(shard, requests, now_us, REASON_SHARD_KILLED)
+            shard.reject(requests, now_us, REASON_SHARD_KILLED)
             return
         for r in requests:
             if r.deadline_us is not None and r.deadline_us <= now_us:
                 sup_stats.budget_exhausted += 1
-                reject(shard, [r], now_us, REASON_BUDGET_EXHAUSTED)
+                shard.reject([r], now_us, REASON_BUDGET_EXHAUSTED)
             elif r.failover < sup_cfg.failover_limit:
                 sup_stats.resubmissions += 1
-                push(now_us, "arrive", replace(r, failover=r.failover + 1))
+                events.push(now_us, "arrive", replace(r, failover=r.failover + 1))
             else:
                 sup_stats.failover_exhausted += 1
-                reject(shard, [r], now_us, REASON_FAILOVER_EXHAUSTED)
+                shard.reject([r], now_us, REASON_FAILOVER_EXHAUSTED)
 
-    def kill_shard(shard: _Shard, now_us: float) -> None:
-        if not shard.alive:
+    def kill_shard(shard_id: int, now_us: float) -> None:
+        if router.state(shard_id) is not ShardState.ACTIVE:
             return
-        shard.alive = False
-        router.mark_dead(shard.shard_id)
-        settle_casualties(shard, shard.batcher.drain_pending(), now_us)
-        while shard.fifo:
-            settle_casualties(shard, shard.fifo.popleft().requests, now_us)
-        for planned, _ in shard.inflight.values():
-            settle_casualties(shard, planned.formed.requests, now_us)
-        shard.inflight.clear()
+        shard = shards[shard_id]
+        router.mark_dead(shard_id)
+        settle_casualties(shard, shard.kill(), now_us)
         tracer.counter("cluster.shard_killed")
         if sup_cfg is None:
             return
-        tracker = trackers[shard.shard_id]
+        tracker = trackers[shard_id]
         if tracker.may_restart(now_us, sup_cfg):
             # Snapshot the warm state at the kill instant -- keys only,
             # so the manifest survives the crash by construction.
-            manifest = shard.cache.snapshot()
-            push(
-                now_us + tracker.backoff_us(sup_cfg),
-                "respawn",
-                (shard.shard_id, manifest),
+            manifest = shard.planner.cache.snapshot()
+            events.push(
+                now_us + tracker.backoff_us(sup_cfg), "respawn", (shard_id, manifest)
             )
         else:
-            router.eject(shard.shard_id)
-            sup_stats.record_ejection(shard.shard_id)
+            router.eject(shard_id)
+            sup_stats.record_ejection(shard_id)
 
     def respawn_shard(shard_id: int, manifest, now_us: float) -> None:
-        old = shards[shard_id]
-        if old.alive or router.state(shard_id) is not ShardState.DEAD:
+        if router.state(shard_id) is not ShardState.DEAD:
             return  # revived or permanently ejected in the meantime
-        fresh = _Shard(shard_id, framework, config)
+        old, fresh = shards[shard_id], pipeline(shard_id)
         # The shard's report spans every incarnation: settlements,
         # occupancy history, and cache counters all carry over.
         fresh.results = old.results
         fresh.occupancies = old.occupancies
         fresh.formed_batches = old.formed_batches
-        fresh.cache.stats = old.cache.stats_snapshot()
-        fresh.cache.restore(manifest)
+        fresh.planner.cache.stats = old.planner.cache.stats_snapshot()
+        fresh.planner.cache.restore(manifest)
         shards[shard_id] = fresh
         router.rejoin(shard_id)
         trackers[shard_id].record(now_us)
@@ -392,54 +226,43 @@ def replay_cluster_trace(
 
     def arrive(req: ServeRequest, now_us: float) -> None:
         nonlocal n_rejected_global
+        # A dead shard holds nothing, so its depth adds zero.
+        depths = {i: s.depth for i, s in enumerate(shards)}
         if (
             config.global_queue_capacity is not None
-            and total_depth() >= config.global_queue_capacity
+            and sum(depths.values()) >= config.global_queue_capacity
         ):
             n_rejected_global += 1
             return
         try:
-            decision = router.route(
-                signature_key(req.gemm, getattr(req, "precision", None)), depths()
-            )
+            decision = router.route(signature_key(req.gemm, req.precision), depths)
         except LookupError:
             # Every shard is gone; the tier itself refuses the request.
             n_rejected_global += 1
             return
         router.record(decision)
-        shard = shards[decision.shard]
-        shard_req = req
-        rejection = shard.admission.admit(
-            shard_req, shard.batcher.pending_count, now_us
-        )
-        if rejection is not None:
-            shard.results[req.request_id] = rejection
-            return
-        shard.batcher.offer(shard_req)
-        push(now_us + serve_cfg.batcher.max_wait_us, "window", shard.shard_id)
-        form(shard, now_us)
+        shards[decision.shard].arrive(req, now_us)
 
     with tracer.span(
         "cluster.replay", requests=len(trace), shards=config.shards
     ) as span:
-        while events:
-            now_us, _, kind, payload = heapq.heappop(events)
-            makespan_us = max(makespan_us, now_us)
+        for now_us, seq, kind, payload in events:
             if kind == "arrive":
                 arrive(payload, now_us)  # type: ignore[arg-type]
             elif kind == "window":
-                form(shards[payload], now_us)  # type: ignore[index]
+                shards[payload].poll(now_us)  # type: ignore[index]
             elif kind == "complete":
-                shard_id, token = payload  # type: ignore[misc]
-                complete(shards[shard_id], token, now_us)
+                shards[payload].complete(seq, now_us)  # type: ignore[index]
             elif kind == "respawn":
                 shard_id, manifest = payload  # type: ignore[misc]
                 respawn_shard(shard_id, manifest, now_us)
             else:  # kill
-                kill_shard(shards[payload], now_us)  # type: ignore[index]
+                kill_shard(payload, now_us)  # type: ignore[arg-type]
+        makespan_us = events.now_us
         if span.enabled:
             span.set_attr("makespan_us", makespan_us)
 
+    blooms = {i: s.planner.cache.admission for i, s in enumerate(shards)}
     if tracer.enabled:
         tracer.counter("cluster.requests", len(trace))
         tracer.counter("cluster.steals", router.steals)
@@ -449,42 +272,23 @@ def replay_cluster_trace(
             tracer.counter("supervisor.restarts", sup_stats.restarts)
             tracer.counter("failover.resubmissions", sup_stats.resubmissions)
             tracer.counter("budget.exhausted", sup_stats.budget_exhausted)
-        for s in shards:
-            tracer.gauge(f"cluster.shard_depth.{s.shard_id}", s.depth)
+        for i, s in enumerate(shards):
+            tracer.gauge(f"cluster.shard_depth.{i}", s.depth)
             tracer.gauge(
-                f"cluster.shard_hit_rate.{s.shard_id}",
-                s.cache.stats_snapshot().hit_rate,
+                f"cluster.shard_hit_rate.{i}",
+                s.planner.cache.stats_snapshot().hit_rate,
             )
-            if s.bloom is not None:
-                tracer.counter(
-                    "cluster.admission_deferred", s.bloom.deferred
-                )
+            if blooms[i] is not None:
+                tracer.counter("cluster.admission_deferred", blooms[i].deferred)
 
-    shard_reports = {
-        s.shard_id: compile_report(
-            results=s.results,
-            occupancies=s.occupancies,
-            makespan_us=makespan_us,
-            cache=s.cache.stats_snapshot(),
-            max_batch_size=serve_cfg.batcher.max_batch_size,
-            time_base="virtual",
-            formed_batches=s.formed_batches,
-        )
-        for s in shards
-    }
     return compile_cluster_report(
-        shard_reports=shard_reports,
+        shard_reports={i: s.report(makespan_us) for i, s in enumerate(shards)},
         assigned=dict(router.routed),
         states=router.states(),
         router=router.snapshot(),
         n_rejected_global=n_rejected_global,
         makespan_us=makespan_us,
         time_base="virtual",
-        bloom={
-            s.shard_id: s.bloom.snapshot()
-            for s in shards
-            if s.bloom is not None
-        }
-        or None,
+        bloom={i: b.snapshot() for i, b in blooms.items() if b is not None} or None,
         supervisor=sup_stats.to_dict() if sup_cfg is not None else None,
     )

@@ -108,10 +108,12 @@ class BatchSchedule:
             raise IndexError(f"block_id {block_id} out of range 0-{self.num_blocks - 1}")
         begin = int(self.tile_offsets[block_id])
         end = int(self.tile_offsets[block_id + 1])
+        gemm_ids = self.gemm_ids[begin:end]
+        _check_gemm_ids(gemm_ids, len(batch))
         return [
             Tile(gemm_index=g, y=y, x=x, strategy_index=s, k=batch[g].k)
             for g, y, x, s in zip(
-                self.gemm_ids[begin:end].tolist(),
+                gemm_ids.tolist(),
                 self.y_coords[begin:end].tolist(),
                 self.x_coords[begin:end].tolist(),
                 self.strategy_ids[begin:end].tolist(),
@@ -204,6 +206,7 @@ class BatchSchedule:
         footprint is what lets occupancy admit more fp16/bf16 blocks.
         """
         prec = Precision.coerce(precision)
+        _check_gemm_ids(self.gemm_ids, len(batch))
         slot_k = np.array([g.k for g in batch], dtype=np.int64)[self.gemm_ids]
         # One integer per slot names its (strategy, K) pair: K < base.
         base = int(slot_k.max()) + 1
@@ -233,6 +236,17 @@ class BatchSchedule:
             for composition in index
         )
         return classes, class_of
+
+
+def _gemm_id_error(gemm_id: int, n_gemms: int) -> IndexError:
+    return IndexError(f"gemm id {gemm_id} out of range 0-{n_gemms - 1}")
+
+
+def _check_gemm_ids(gemm_ids: np.ndarray, n_gemms: int) -> None:
+    """Raise the contract's error for the first GEMM id outside the batch."""
+    if gemm_ids.size and (gemm_ids.min() < 0 or gemm_ids.max() >= n_gemms):
+        bad = gemm_ids[(gemm_ids < 0) | (gemm_ids >= n_gemms)]
+        raise _gemm_id_error(int(bad[0]), n_gemms)
 
 
 #: Tile height and width of each batched strategy, by table index.
@@ -289,7 +303,7 @@ def _schedule_faults(
             # The reference walk's checks, in its order.
             error: Exception
             if bad_gemm[i]:
-                error = IndexError(f"gemm id {gemm_ids[i]} out of range 0-{n_gemms - 1}")
+                error = _gemm_id_error(int(gemm_ids[i]), n_gemms)
             elif bad_strat[i]:
                 try:
                     strategy_by_index(int(strat_ids[i]))

@@ -384,17 +384,19 @@ def _build_config(args: argparse.Namespace, heuristic: Heuristic):
     )
 
 
-def _run_live(
-    trace, framework, config, cache, time_scale: float, operands_seed=None
-):
-    from repro.serve.server import GemmServer
+def _run_live(target, trace, time_scale: float, kills=(), operands_seed=None):
+    """Pace ``trace`` in wall time into a started server or cluster frontend.
 
+    ``kills`` are ``(shard, time_us)`` pairs, fired before the first
+    arrival at or past their time; ``operands_seed`` draws random
+    operands for every request.  Returns the summary and a health probe.
+    """
     operand_rng = None
     if operands_seed is not None:
         import numpy as np
 
         operand_rng = np.random.default_rng(operands_seed)
-    server = GemmServer(framework, config, cache=cache).start()
+    pending_kills = sorted(kills, key=lambda kt: kt[1])
     prev_us = 0.0
     tickets = []
     for tr in trace:
@@ -402,6 +404,8 @@ def _run_live(
         if gap_s > 0:
             time.sleep(gap_s)
         prev_us = tr.arrival_us
+        while pending_kills and tr.arrival_us >= pending_kills[0][1]:
+            target.kill(pending_kills.pop(0)[0])
         operands = None
         if operand_rng is not None:
             g = tr.gemm
@@ -410,7 +414,7 @@ def _run_live(
                 operand_rng.standard_normal((g.k, g.n)),
             )
         tickets.append(
-            server.submit(
+            target.submit(
                 tr.gemm,
                 operands=operands,
                 deadline_us=(
@@ -421,13 +425,17 @@ def _run_live(
                 precision=tr.precision,
             )
         )
-    # Snapshot liveness while the server still accepts -- after close()
+    for shard, _ in pending_kills:  # kills scheduled past the last arrival
+        target.kill(shard)
+    # Snapshot liveness while the target still accepts -- after close()
     # a health probe would only ever say "shutting down".
-    health = server.health()
-    server.close(drain=True)
+    health = (
+        target.cluster_health() if hasattr(target, "cluster_health") else target.health()
+    )
+    target.close(drain=True)
     for t in tickets:
         t.result(timeout=30.0)
-    return server.summary(), health
+    return target.summary(), health
 
 
 def _parse_kills(specs: list[str], shards: int) -> list[tuple[int, float]]:
@@ -471,40 +479,6 @@ def _build_cluster_config(args: argparse.Namespace, serve_config):
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-
-
-def _run_cluster_live(trace, framework, cluster_config, time_scale: float, kills):
-    from repro.cluster import ClusterFrontend
-
-    frontend = ClusterFrontend(framework, cluster_config).start()
-    pending_kills = sorted(kills, key=lambda kt: kt[1])
-    prev_us = 0.0
-    tickets = []
-    for tr in trace:
-        gap_s = (tr.arrival_us - prev_us) / 1e6 * time_scale
-        if gap_s > 0:
-            time.sleep(gap_s)
-        prev_us = tr.arrival_us
-        while pending_kills and tr.arrival_us >= pending_kills[0][1]:
-            frontend.kill(pending_kills.pop(0)[0])
-        tickets.append(
-            frontend.submit(
-                tr.gemm,
-                deadline_us=(
-                    None if tr.deadline_us is None else tr.deadline_us - tr.arrival_us
-                ),
-                timeout_us=tr.timeout_us,
-                priority=tr.priority,
-                precision=tr.precision,
-            )
-        )
-    for shard, _ in pending_kills:  # kills scheduled past the last arrival
-        frontend.kill(shard)
-    health = frontend.cluster_health()
-    frontend.close(drain=True)
-    for t in tickets:
-        t.result(timeout=30.0)
-    return frontend.summary(), health
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -559,9 +533,10 @@ def main(argv: list[str] | None = None) -> int:
             cluster_config = _build_cluster_config(args, config)
             kills = _parse_kills(args.kill_shard, args.shards)
             if args.live:
-                report, health = _run_cluster_live(
-                    trace, framework, cluster_config, args.time_scale, kills
-                )
+                from repro.cluster import ClusterFrontend
+
+                frontend = ClusterFrontend(framework, cluster_config).start()
+                report, health = _run_live(frontend, trace, args.time_scale, kills)
             else:
                 from repro.cluster import replay_cluster_trace
 
@@ -582,11 +557,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"warm-start: pre-planned {planned} batch mixes", file=sys.stderr
                 )
             if args.live:
+                from repro.serve.server import GemmServer
+
+                server = GemmServer(framework, config, cache=cache).start()
                 report, health = _run_live(
+                    server,
                     trace,
-                    framework,
-                    config,
-                    cache,
                     args.time_scale,
                     operands_seed=args.seed if args.operands else None,
                 )

@@ -10,10 +10,14 @@ scheduling, so the same trace, config and cache state always produce
 the *identical* report -- the property the serving benchmarks and the
 ``repro-serve`` CLI rely on.
 
-Event kinds, in one heap ordered by (time, insertion sequence):
+The per-server pipeline, :class:`ReplayPipeline`, is defined once
+here; :func:`repro.cluster.driver.replay_cluster_trace` drives one per
+shard.  Event kinds, in one :class:`EventHeap` ordered by (time,
+insertion sequence):
 
 * ``arrive`` -- admission-check the request, queue it, schedule its
-  wait-window expiry.
+  wait-window expiry.  A refused request settles with its typed
+  rejection and polls nothing, as in the live server's ``submit``.
 * ``window`` -- re-poll the batcher (the oldest waiter's window may
   have tripped).
 * ``complete`` -- a worker finished a batch: resolve its requests,
@@ -47,7 +51,7 @@ import heapq
 import itertools
 import weakref
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core.framework import CoordinatedFramework
 from repro.core.plancache import PlanCache
@@ -70,6 +74,294 @@ from repro.serve.request import (
 from repro.telemetry import get_tracer
 
 
+class EventHeap:
+    """Virtual-time events, popped in (time, insertion sequence) order.
+
+    Each :class:`ReplayPipeline` pushes its ``window`` and ``complete``
+    events with its ``key`` as payload, so the replay loop hands an
+    event to whichever pipeline holds that key *when it fires*.  A
+    ``complete`` event's sequence number is its batch's token: unique
+    across every pipeline on the heap, so a killed incarnation's
+    completion finds nothing in its successor's in-flight table.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, str, object]] = []
+        self._seq = itertools.count()
+        #: The latest event time popped so far: the run's makespan.
+        self.now_us = 0.0
+
+    def push(self, time_us: float, kind: str, payload: object) -> int:
+        """Schedule one event; returns its sequence number."""
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (time_us, seq, kind, payload))
+        return seq
+
+    def push_arrivals(self, trace: Sequence[TraceRequest]) -> None:
+        """Schedule one ``arrive`` per trace entry, numbered in arrival order."""
+        for i, tr in enumerate(sorted(trace, key=lambda t: t.arrival_us)):
+            self.push(
+                tr.arrival_us,
+                "arrive",
+                ServeRequest(
+                    request_id=i,
+                    gemm=tr.gemm,
+                    arrival_us=tr.arrival_us,
+                    deadline_us=tr.deadline_us,
+                    timeout_us=tr.timeout_us,
+                    priority=tr.priority,
+                    precision=getattr(tr, "precision", None),
+                ),
+            )
+
+    def __iter__(self) -> Iterator[tuple[float, int, str, object]]:
+        """Pop events until none is left, including those pushed meanwhile."""
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            self.now_us = max(self.now_us, event[0])
+            yield event
+
+
+class ReplayPipeline:
+    """One server's serving pipeline on a virtual-time :class:`EventHeap`.
+
+    Holds admission, the batcher, the planner stage with its fault
+    injector and retry loop, the worker slots, the batches in flight,
+    compile charging, settlement, the ``serve.*`` telemetry, and the
+    server's :class:`ServeReport`.  The replay loop feeds it the events
+    carrying its ``key``: ``window`` to :meth:`poll` and ``complete``
+    (with the event's sequence number) to :meth:`complete`.
+    """
+
+    def __init__(
+        self,
+        framework: CoordinatedFramework,
+        config: ServeConfig,
+        events: EventHeap,
+        *,
+        cache: Optional[PlanCache] = None,
+        key: object = None,
+    ):
+        self.config = config
+        self._key = key
+        self._events = events
+        self._tracer = get_tracer()
+        fault_plan = config.reliability.fault_plan
+        # sleep=None: slow faults are charged into virtual time, not slept.
+        self.injector = (
+            FaultInjector(fault_plan, sleep=None) if fault_plan is not None else None
+        )
+        self.batcher = DynamicBatcher(config.batcher)
+        self.admission = AdmissionController(config.admission)
+        self.planner = PlannerStage(
+            framework,
+            cache,
+            heuristic=config.heuristic,
+            miss_overhead_us=config.miss_overhead_us,
+            hit_overhead_us=config.hit_overhead_us,
+            injector=self.injector,
+        )
+        self.fifo: deque[FormedBatch] = deque()
+        self.free_workers = config.workers
+        # token -> (planned, dispatch_us): the batches workers hold.
+        self.inflight: dict[int, tuple[PlannedBatch, float]] = {}
+        self.results: dict[int, ServeResult] = {}
+        self.occupancies: list[int] = []
+        self.formed_batches: list = []
+        self.planner_retries = 0
+        self.batch_failures = 0
+        # Under a compiled policy the first dispatch of each distinct
+        # plan is charged the one-off artifact compilation; warm
+        # dispatches of the same plan charge nothing extra (the hot
+        # path is lookup + interpreter only).  A schedule's entry dies
+        # with it, as its compiled artifact does: CPython reuses a dead
+        # schedule's id.
+        self._compiled_seen: set[int] = set()
+
+    @property
+    def depth(self) -> int:
+        """Queued work: pending + formed-but-undispatched + in flight."""
+        return (
+            self.batcher.pending_count
+            + sum(fb.occupancy for fb in self.fifo)
+            + sum(p.formed.occupancy for p, _ in self.inflight.values())
+        )
+
+    def arrive(self, request: ServeRequest, now_us: float) -> None:
+        """Admit ``request`` and poll the batcher; a refusal polls nothing."""
+        tracer = self._tracer
+        tracer.gauge("serve.queue_depth", self.batcher.pending_count)
+        rejection = self.admission.admit(request, self.batcher.pending_count, now_us)
+        if rejection is not None:
+            self.results[request.request_id] = rejection
+            tracer.counter("serve.requests_rejected")
+            return
+        self.batcher.offer(request)
+        tracer.counter("serve.requests_accepted")
+        self._events.push(now_us + self.config.batcher.max_wait_us, "window", self._key)
+        self.poll(now_us)
+
+    def poll(self, now_us: float) -> None:
+        """Form every batch due at ``now_us`` and dispatch to free workers."""
+        tracer = self._tracer
+        while (fb := self.batcher.poll(now_us)) is not None:
+            if fb.shed:
+                self.reject(fb.shed, now_us, REASON_DEADLINE)
+                tracer.counter("serve.requests_shed", len(fb.shed))
+            if fb.requests:
+                self.occupancies.append(fb.occupancy)
+                self.formed_batches.append(fb.to_gemm_batch())
+                tracer.histogram("serve.batch_occupancy", fb.occupancy)
+                tracer.counter("serve.batches_formed")
+                self.fifo.append(fb)
+        self._dispatch(now_us)
+
+    def complete(self, token: int, now_us: float) -> None:
+        """Settle the batch dispatched under ``token`` and dispatch more.
+
+        A token the pipeline does not hold belongs to a killed
+        incarnation, whose requests settled at the kill: it is dropped.
+        """
+        held = self.inflight.pop(token, None)
+        if held is None:
+            return
+        planned, dispatch_us = held
+        self.free_workers += 1
+        tracer = self._tracer
+        batch_id = planned.formed.batch_id
+        for r in planned.formed.requests:
+            latency_us = now_us - r.arrival_us
+            if r.timeout_us is not None and latency_us > r.timeout_us:
+                self.results[r.request_id] = TimedOut(
+                    request_id=r.request_id,
+                    finish_us=now_us,
+                    latency_us=latency_us,
+                    batch_id=batch_id,
+                )
+                tracer.counter("serve.requests_timeout")
+            else:
+                self.results[r.request_id] = Completed(
+                    request_id=r.request_id,
+                    finish_us=now_us,
+                    latency_us=latency_us,
+                    batch_id=batch_id,
+                    batch_size=planned.formed.occupancy,
+                    queue_us=dispatch_us - r.arrival_us,
+                    service_us=planned.service_us,
+                    deadline_met=r.deadline_us is None or now_us <= r.deadline_us,
+                )
+                tracer.counter("serve.requests_completed")
+                tracer.histogram("serve.latency_us", latency_us)
+            self.admission.observe_service(latency_us)
+        self._dispatch(now_us)
+
+    def kill(self) -> list[ServeRequest]:
+        """Empty the pipeline as a crash does and return what it held.
+
+        Pending requests come first, then the formed FIFO, then the
+        batches in flight, whose ``complete`` events are then dropped.
+        """
+        held = self.batcher.drain_pending()
+        while self.fifo:
+            held.extend(self.fifo.popleft().requests)
+        for planned, _ in self.inflight.values():
+            held.extend(planned.formed.requests)
+        self.inflight.clear()
+        return held
+
+    def reject(
+        self, requests, now_us: float, reason: str, *, observe: bool = False
+    ) -> None:
+        """Settle ``requests`` as ``Rejected(reason)`` at ``now_us``.
+
+        ``observe`` feeds each latency to the admission EWMA, as the
+        live server's error path does.
+        """
+        for r in requests:
+            latency_us = now_us - r.arrival_us
+            self.results[r.request_id] = Rejected(
+                request_id=r.request_id,
+                finish_us=now_us,
+                latency_us=latency_us,
+                reason=reason,
+            )
+            if observe:
+                self.admission.observe_service(latency_us)
+
+    def report(self, makespan_us: float) -> ServeReport:
+        """Compile this pipeline's :class:`ServeReport`."""
+        reliability = None
+        if self.injector is not None:
+            reliability = {
+                "retries": self.planner_retries,
+                "planner_retries": self.planner_retries,
+                "fallbacks": 0,  # replay never executes, so no engine chain
+                "bisections": 0,
+                "batch_failures": self.batch_failures,
+                "faults_injected": self.injector.injected_count,
+            }
+            self._tracer.counter("serve.retries", self.planner_retries)
+            self._tracer.counter("faults.injected", self.injector.injected_count)
+        return compile_report(
+            results=self.results,
+            occupancies=self.occupancies,
+            makespan_us=makespan_us,
+            cache=self.planner.cache.stats_snapshot(),
+            max_batch_size=self.config.batcher.max_batch_size,
+            time_base="virtual",
+            formed_batches=self.formed_batches,
+            reliability=reliability,
+        )
+
+    def _plan(self, fb: FormedBatch) -> tuple[PlannedBatch, float]:
+        """Plan ``fb``, retrying per policy; returns (plan, delay charged).
+
+        Backoff delays are *virtual*: accumulated and charged into the
+        batch's service interval rather than slept.
+        """
+        policy = self.config.reliability.retry
+        delay_us = 0.0
+        for attempt in range(1, policy.max_attempts + 1):
+            try:
+                return self.planner.plan(fb), delay_us
+            except Exception:
+                if attempt >= policy.max_attempts:
+                    raise
+                self.planner_retries += 1
+                delay_us += policy.delay_ms(attempt, token="planner") * 1e3
+        raise AssertionError("unreachable")
+
+    def _compile_charge_us(self, planned: PlannedBatch) -> float:
+        if self.config.policy.engine != "compiled":
+            return 0.0
+        schedule = planned.report.schedule
+        key = id(schedule)
+        if key in self._compiled_seen:
+            return 0.0
+        self._compiled_seen.add(key)
+        weakref.finalize(schedule, self._compiled_seen.discard, key)
+        self._tracer.counter("serve.compiles_charged")
+        return self.config.compile_overhead_us
+
+    def _dispatch(self, now_us: float) -> None:
+        while self.free_workers > 0 and self.fifo:
+            fb = self.fifo.popleft()
+            try:
+                planned, retry_delay_us = self._plan(fb)
+            except Exception as exc:
+                self.batch_failures += 1
+                self.reject(fb.requests, now_us, error_reason(exc), observe=True)
+                self._tracer.counter("serve.requests_failed", len(fb.requests))
+                continue
+            self.free_workers -= 1
+            done_us = (
+                now_us + retry_delay_us + self._compile_charge_us(planned)
+                + planned.service_us
+            )
+            token = self._events.push(done_us, "complete", self._key)
+            self.inflight[token] = (planned, now_us)
+
+
 def replay_trace(
     trace: Sequence[TraceRequest],
     framework: Optional[CoordinatedFramework] = None,
@@ -86,228 +378,21 @@ def replay_trace(
     """
     framework = framework if framework is not None else CoordinatedFramework()
     config = config if config is not None else ServeConfig()
-    reliability_cfg = config.reliability
-    # sleep=None: slow faults are charged into virtual time, not slept.
-    injector = (
-        FaultInjector(reliability_cfg.fault_plan, sleep=None)
-        if reliability_cfg.fault_plan is not None
-        else None
-    )
-    batcher = DynamicBatcher(config.batcher)
-    admission = AdmissionController(config.admission)
-    planner = PlannerStage(
-        framework,
-        cache,
-        heuristic=config.heuristic,
-        miss_overhead_us=config.miss_overhead_us,
-        hit_overhead_us=config.hit_overhead_us,
-        injector=injector,
-    )
-    tracer = get_tracer()
-
-    seq = itertools.count()
-    events: list[tuple[float, int, str, object]] = []
-
-    def push(time_us: float, kind: str, payload: object) -> None:
-        heapq.heappush(events, (time_us, next(seq), kind, payload))
-
-    for i, tr in enumerate(sorted(trace, key=lambda t: t.arrival_us)):
-        push(
-            tr.arrival_us,
-            "arrive",
-            ServeRequest(
-                request_id=i,
-                gemm=tr.gemm,
-                arrival_us=tr.arrival_us,
-                deadline_us=tr.deadline_us,
-                timeout_us=tr.timeout_us,
-                priority=tr.priority,
-                precision=getattr(tr, "precision", None),
-            ),
-        )
-
-    results: dict[int, ServeResult] = {}
-    occupancies: list[int] = []
-    formed_batches: list = []
-    batch_fifo: deque[FormedBatch] = deque()
-    free_workers = config.workers
-    makespan_us = 0.0
-    planner_retries = 0
-    batch_failures = 0
-
-    def resolve_shed(fb: FormedBatch, now_us: float) -> None:
-        for r in fb.shed:
-            results[r.request_id] = Rejected(
-                request_id=r.request_id,
-                finish_us=now_us,
-                latency_us=now_us - r.arrival_us,
-                reason=REASON_DEADLINE,
-            )
-            tracer.counter("serve.requests_shed")
-
-    def plan_with_retry(fb: FormedBatch) -> tuple[PlannedBatch, float]:
-        """Plan ``fb``, retrying per policy; returns (plan, delay charged).
-
-        Backoff delays are *virtual*: accumulated and charged into the
-        batch's service interval rather than slept.
-        """
-        nonlocal planner_retries
-        policy = config.reliability.retry
-        delay_us = 0.0
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                return planner.plan(fb), delay_us
-            except Exception:
-                if attempt >= policy.max_attempts:
-                    raise
-                planner_retries += 1
-                delay_us += policy.delay_ms(attempt, token="planner") * 1e3
-        raise AssertionError("unreachable")
-
-    def reject_failed(fb: FormedBatch, now_us: float, exc: Exception) -> None:
-        nonlocal batch_failures
-        batch_failures += 1
-        reason = error_reason(exc)
-        for r in fb.requests:
-            latency_us = now_us - r.arrival_us
-            results[r.request_id] = Rejected(
-                request_id=r.request_id,
-                finish_us=now_us,
-                latency_us=latency_us,
-                reason=reason,
-            )
-            tracer.counter("serve.requests_failed")
-            # Keep the EWMA fed on the error path too, matching the
-            # live server, so feasibility estimates track incidents.
-            admission.observe_service(latency_us)
-
-    # Under a compiled policy the first dispatch of each distinct plan
-    # is charged the one-off artifact compilation; warm dispatches of
-    # the same plan charge nothing extra (the hot path is lookup +
-    # interpreter only).  A schedule's entry dies with it, as its
-    # compiled artifact does: CPython reuses a dead schedule's id.
-    compiled_seen: set[int] = set()
-
-    def compile_charge_us(planned: PlannedBatch) -> float:
-        if config.policy.engine != "compiled":
-            return 0.0
-        schedule = planned.report.schedule
-        key = id(schedule)
-        if key in compiled_seen:
-            return 0.0
-        compiled_seen.add(key)
-        weakref.finalize(schedule, compiled_seen.discard, key)
-        tracer.counter("serve.compiles_charged")
-        return config.compile_overhead_us
-
-    def dispatch(now_us: float) -> None:
-        nonlocal free_workers
-        while free_workers > 0 and batch_fifo:
-            fb = batch_fifo.popleft()
-            try:
-                planned, retry_delay_us = plan_with_retry(fb)
-            except Exception as exc:
-                reject_failed(fb, now_us, exc)
-                continue
-            free_workers -= 1
-            push(
-                now_us + retry_delay_us + compile_charge_us(planned)
-                + planned.service_us,
-                "complete",
-                (planned, now_us),
-            )
-
-    def form(now_us: float) -> None:
-        while True:
-            fb = batcher.poll(now_us)
-            if fb is None:
-                break
-            resolve_shed(fb, now_us)
-            if fb.requests:
-                occupancies.append(fb.occupancy)
-                formed_batches.append(fb.to_gemm_batch())
-                tracer.histogram("serve.batch_occupancy", fb.occupancy)
-                tracer.counter("serve.batches_formed")
-                batch_fifo.append(fb)
-        dispatch(now_us)
-
-    def complete(planned: PlannedBatch, dispatch_us: float, now_us: float) -> None:
-        nonlocal free_workers
-        free_workers += 1
-        batch_size = planned.formed.occupancy
-        for r in planned.formed.requests:
-            latency_us = now_us - r.arrival_us
-            if r.timeout_us is not None and latency_us > r.timeout_us:
-                results[r.request_id] = TimedOut(
-                    request_id=r.request_id,
-                    finish_us=now_us,
-                    latency_us=latency_us,
-                    batch_id=planned.formed.batch_id,
-                )
-                tracer.counter("serve.requests_timeout")
-            else:
-                results[r.request_id] = Completed(
-                    request_id=r.request_id,
-                    finish_us=now_us,
-                    latency_us=latency_us,
-                    batch_id=planned.formed.batch_id,
-                    batch_size=batch_size,
-                    queue_us=dispatch_us - r.arrival_us,
-                    service_us=planned.service_us,
-                    deadline_met=r.deadline_us is None or now_us <= r.deadline_us,
-                )
-                tracer.counter("serve.requests_completed")
-                tracer.histogram("serve.latency_us", latency_us)
-            admission.observe_service(latency_us)
-        dispatch(now_us)
-
-    with tracer.span(
+    events = EventHeap()
+    pipeline = ReplayPipeline(framework, config, events, cache=cache)
+    events.push_arrivals(trace)
+    with get_tracer().span(
         "serve.replay", requests=len(trace), workers=config.workers
     ) as span:
-        while events:
-            now_us, _, kind, payload = heapq.heappop(events)
-            makespan_us = max(makespan_us, now_us)
+        for now_us, seq, kind, payload in events:
             if kind == "arrive":
-                req = payload  # type: ignore[assignment]
-                tracer.gauge("serve.queue_depth", batcher.pending_count)
-                rejection = admission.admit(req, batcher.pending_count, now_us)
-                if rejection is not None:
-                    results[req.request_id] = rejection
-                    tracer.counter("serve.requests_rejected")
-                else:
-                    batcher.offer(req)
-                    tracer.counter("serve.requests_accepted")
-                    push(now_us + config.batcher.max_wait_us, "window", None)
-                form(now_us)
+                pipeline.arrive(payload, now_us)  # type: ignore[arg-type]
             elif kind == "window":
-                form(now_us)
+                pipeline.poll(now_us)
             else:  # complete
-                planned, dispatch_us = payload  # type: ignore[misc]
-                complete(planned, dispatch_us, now_us)
+                pipeline.complete(seq, now_us)
         if span.enabled:
-            span.set_attr("completed", sum(1 for r in results.values() if r.ok))
-            span.set_attr("makespan_us", makespan_us)
-
-    reliability = None
-    if injector is not None:
-        reliability = {
-            "retries": planner_retries,
-            "planner_retries": planner_retries,
-            "fallbacks": 0,  # replay never executes, so no engine chain
-            "bisections": 0,
-            "batch_failures": batch_failures,
-            "faults_injected": injector.injected_count,
-        }
-        tracer.counter("serve.retries", planner_retries)
-        tracer.counter("faults.injected", injector.injected_count)
-
-    return compile_report(
-        results=results,
-        occupancies=occupancies,
-        makespan_us=makespan_us,
-        cache=planner.cache.stats_snapshot(),
-        max_batch_size=config.batcher.max_batch_size,
-        time_base="virtual",
-        formed_batches=formed_batches,
-        reliability=reliability,
-    )
+            completed = sum(1 for r in pipeline.results.values() if r.ok)
+            span.set_attr("completed", completed)
+            span.set_attr("makespan_us", events.now_us)
+    return pipeline.report(events.now_us)

@@ -9,9 +9,21 @@ import pytest
 from repro.cluster.config import BloomConfig, ClusterConfig
 from repro.cluster.driver import replay_cluster_trace
 from repro.cluster.report import REASON_SHARD_KILLED
-from repro.serve.config import AdmissionConfig, BatcherConfig, ServeConfig
+from repro.cluster.supervisor import SupervisorConfig
+from repro.core.options import Heuristic
+from repro.core.plancache import PlanCache
+from repro.kernels import ExecutionPolicy
+from repro.reliability import FaultPlan
+from repro.serve.config import (
+    AdmissionConfig,
+    BatcherConfig,
+    ReliabilityConfig,
+    ServeConfig,
+)
+from repro.serve.driver import replay_trace
 from repro.serve.loadgen import poisson_trace
 from repro.serve.request import REASON_QUEUE_FULL, REASON_STRANDED
+from repro.telemetry import tracing
 from tests.serve.test_driver import burst_then_calm
 
 HOT_SHAPES = ((64, 784, 192), (96, 784, 192), (128, 196, 480))
@@ -265,3 +277,114 @@ class TestReportShape:
         assert report.n_steals > 0
         busy = [s for s in report.shards if s.n_assigned > 0]
         assert len(busy) > 1
+
+
+def _faults(*specs: str) -> ReliabilityConfig:
+    return ReliabilityConfig(fault_plan=FaultPlan.parse(list(specs), seed=11))
+
+
+class TestOneShardIsTheSingleServer:
+    """A one-shard cluster drives the single server's pipeline.
+
+    Given the same trace and per-server config, shard 0 settles every
+    request exactly as :func:`replay_trace` does.
+    """
+
+    @pytest.mark.parametrize(
+        "trace, serve, capacity",
+        [
+            # Admission refuses arrivals while waiters' deadlines
+            # expire: a refusal must not poll the batcher in either.
+            pytest.param(
+                poisson_trace(4000.0, duration_s=0.1, seed=3, deadline_us=2200.0),
+                ServeConfig(
+                    workers=1,
+                    admission=AdmissionConfig(queue_capacity=8),
+                    heuristic=Heuristic.THRESHOLD,
+                ),
+                256,
+                id="refusals",
+            ),
+            pytest.param(
+                poisson_trace(2000.0, duration_s=0.2, seed=7),
+                ServeConfig(
+                    heuristic=Heuristic.THRESHOLD,
+                    reliability=_faults(
+                        "planner_error:rate=0.05", "planner_slow:ms=0.5,rate=0.1"
+                    ),
+                ),
+                256,
+                id="planner_faults",
+            ),
+            pytest.param(
+                poisson_trace(4000.0, duration_s=0.05, seed=5),
+                ServeConfig(
+                    heuristic=Heuristic.BEST, policy=ExecutionPolicy(engine="compiled")
+                ),
+                2,
+                id="compiled_eviction",
+            ),
+        ],
+    )
+    def test_shard_report_equals_single_server_report(
+        self, framework_module, trace, serve, capacity
+    ):
+        single = replay_trace(
+            trace, framework_module, serve,
+            cache=PlanCache(framework_module, capacity=capacity),
+        )
+        cluster = replay_cluster_trace(
+            trace,
+            framework_module,
+            ClusterConfig(shards=1, serve=serve, cache_capacity=capacity),
+        )
+        (shard,) = cluster.shards
+        assert shard.report.to_dict() == single.to_dict()
+
+
+class TestFaultInjection:
+    def test_supervised_kill_under_planner_faults(self, framework_module):
+        """Every ticket settles, retries absorb faults, reruns match."""
+        serve = ServeConfig(
+            batcher=BatcherConfig(max_batch_size=4),
+            reliability=_faults(
+                "planner_error:rate=0.2", "planner_slow:ms=0.5,rate=0.1"
+            ),
+        )
+        config = _config(
+            serve=serve, supervisor=SupervisorConfig(restart_backoff_us=10_000.0)
+        )
+        trace = poisson_trace(20_000.0, 0.05, seed=7)
+
+        def run():
+            return replay_cluster_trace(
+                trace, framework_module, config, kill=[(1, 25_000.0)]
+            )
+
+        first, second = run(), run()
+        assert first.settlement_share == 1.0 and first.n_stranded == 0
+        assert first.supervisor["restarts"] == 1
+        assert first.supervisor["resubmissions"] > 0
+        reliability = [s.report.reliability for s in first.shards]
+        assert sum(r["faults_injected"] for r in reliability) > 0
+        assert sum(r["planner_retries"] for r in reliability) > 0
+        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
+            second.to_dict(), sort_keys=True
+        )
+        assert [
+            [r.to_dict() for r in s.report.results] for s in first.shards
+        ] == [[r.to_dict() for r in s.report.results] for s in second.shards]
+
+
+class TestTelemetry:
+    def test_traced_replay_counts_every_shard(self, framework_module):
+        with tracing() as tracer:
+            report = replay_cluster_trace(
+                _trace(), framework_module, _config(), kill=[(1, 20_000.0)]
+            )
+        counters = tracer.metrics.to_dict()["counters"]
+        assert counters["serve.requests_completed"] == report.n_completed
+        assert counters["serve.batches_formed"] == sum(
+            s.report.n_batches for s in report.shards
+        )
+        assert counters["cluster.shard_killed"] == 1

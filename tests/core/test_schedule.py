@@ -240,3 +240,41 @@ class TestBatchScheduleInvariants:
             BatchSchedule(tile_offsets=np.array([0, 0, 2], np.int32), **good)
         with pytest.raises(ValueError, match="expected"):
             BatchSchedule(tile_offsets=np.array([0, 3], np.int32), **good)
+
+
+class TestDecodingChecksGemmIds:
+    """Decoding a schedule raises the contract's error for a stray GEMM id.
+
+    Without the check, ``block_classes`` priced an id of -1 at the last
+    GEMM's K and ``tiles_of_block`` raised unrelated errors.
+    """
+
+    BATCH = GemmBatch.from_shapes([(16, 16, 8), (16, 16, 512)])
+
+    @staticmethod
+    def one_slot(gemm_id: int) -> BatchSchedule:
+        def one(value):
+            return np.array([value], np.int32)
+
+        return BatchSchedule(
+            tile_offsets=np.array([0, 1], np.int32),
+            gemm_ids=one(gemm_id),
+            strategy_ids=one(0),
+            y_coords=one(0),
+            x_coords=one(0),
+            threads_per_block=256,
+            shared_memory_bytes=1024,
+            registers_per_thread=32,
+        )
+
+    @pytest.mark.parametrize("gemm_id", [-1, 2])
+    def test_block_classes_rejects_stray_id(self, gemm_id):
+        with pytest.raises(IndexError) as exc:
+            self.one_slot(gemm_id).block_classes(self.BATCH)
+        assert str(exc.value) == f"gemm id {gemm_id} out of range 0-1"
+
+    @pytest.mark.parametrize("gemm_id", [-1, 2])
+    def test_tiles_of_block_rejects_stray_id(self, gemm_id):
+        with pytest.raises(IndexError) as exc:
+            self.one_slot(gemm_id).tiles_of_block(0, self.BATCH)
+        assert str(exc.value) == f"gemm id {gemm_id} out of range 0-1"

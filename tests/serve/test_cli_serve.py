@@ -168,3 +168,48 @@ class TestClusterMode:
     def test_operands_incompatible_with_shards(self):
         with pytest.raises(SystemExit):
             main(CLUSTER + ["--live", "--operands"])
+
+
+class TestClusterSmoke:
+    """Sharded replays end to end through the CLI: kills, recovery, faults."""
+
+    def run_json(self, capsys, argv) -> dict:
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_shard_kill_settles_every_ticket(self, capsys):
+        rep = self.run_json(capsys, [
+            "--shards", "4", "--bloom", "--rate", "20000", "--duration", "0.05",
+            "--seed", "7", "--max-batch", "4", "--kill-shard", "1@25000", "--json",
+        ])
+        assert rep["settlement_share"] == 1.0
+        assert rep["n_stranded"] == 0
+        assert rep["shards"][1]["state"] == "dead"
+        survivors = [s for s in rep["shards"] if s["shard_id"] != 1]
+        assert sum(s["report"]["n_completed"] for s in survivors) > 0
+
+    def test_supervised_recovery_respawns_a_killed_shard(self, capsys):
+        rep = self.run_json(capsys, [
+            "--shards", "4", "--rate", "20000", "--duration", "0.1", "--seed", "7",
+            "--max-batch", "4", "--kill-shard", "1@25000", "--kill-shard", "2@60000",
+            "--supervise", "--restart-backoff-us", "10000", "--failover-limit", "1",
+            "--json",
+        ])
+        assert rep["settlement_share"] == 1.0
+        assert rep["n_stranded"] == 0
+        sup = rep["supervisor"]
+        assert sup is not None
+        assert sup["restarts"] >= 1
+        respawned = [
+            s for s in rep["shards"] if str(s["shard_id"]) in sup["per_shard_restarts"]
+        ]
+        assert any(s["state"] == "active" for s in respawned)
+
+    def test_planner_faults_are_injected_on_every_shard(self, capsys):
+        rep = self.run_json(capsys, [
+            "--shards", "2", "--rate", "2000", "--duration", "0.2", "--seed", "7",
+            "--inject", "planner_error:rate=0.5", "--fault-seed", "11", "--json",
+        ])
+        assert rep["settlement_share"] == 1.0
+        for shard in rep["shards"]:
+            assert shard["report"]["reliability"]["faults_injected"] > 0
