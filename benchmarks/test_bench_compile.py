@@ -10,9 +10,12 @@ grouped engine gets its memoized ``GroupedPlan``, the compiled engine
 its ``CompiledPlan`` -- and only the per-call execution is measured.
 
 Bit-identity is asserted before timing: a perf benchmark that silently
-drifts numerically is worthless.  The artifact's scratch -- one arena
-sized by the largest GEMM -- is pinned on this batch by
+drifts numerically is worthless.  The artifact's staging need -- one
+thread arena sized by the largest GEMM -- is pinned on this batch by
 ``tests/kernels/test_compiled.py::TestCompiledContract::test_scratch_is_the_largest_gemm``.
+A compile allocates no staging: a thread binds an artifact to its
+arena on its first run, so the one-off cost timed here is a compile
+plus that first run, less a warm run.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ def _best_of(fn, repeats: int = 7) -> float:
     return best
 
 
+def _one_off_s(schedule, batch, ops, warm_s: float) -> float:
+    """Seconds to compile an artifact and bind it on its first run."""
+    first_s = _best_of(
+        lambda: compile_plan(schedule, batch).run(batch, ops), repeats=3
+    )
+    return first_s - warm_s
+
+
 def test_compiled_speedup_pinned(framework):
     """Compiled >= 1.3x grouped on the pinned batch, bit-identically."""
     batch, schedule, ops = _pinned_workload(framework)
@@ -69,7 +80,7 @@ def test_compiled_speedup_pinned(framework):
     speedup = grp_s / cmp_s
 
     artifact = compile_plan(schedule, batch)
-    compile_s = _best_of(lambda: compile_plan(schedule, batch), repeats=3)
+    compile_s = _one_off_s(schedule, batch, ops, cmp_s)
     write_bench_json(
         BENCH_PATH,
         {
@@ -117,9 +128,9 @@ def test_amortization_break_even(framework):
     batch, schedule, ops = _pinned_workload(framework)
     plan = grouped_plan_for(schedule, batch)  # grouped gets its warm plan too
     grp_s = _best_of(lambda: execute_grouped(schedule, batch, ops, plan=plan))
-    compile_s = _best_of(lambda: compile_plan(schedule, batch), repeats=3)
     artifact = compile_plan(schedule, batch)
     cmp_s = _best_of(lambda: execute_compiled(schedule, batch, ops, plan=artifact))
+    compile_s = _one_off_s(schedule, batch, ops, cmp_s)
     saved_per_call = grp_s - cmp_s
     assert saved_per_call > 0, "compiled must be faster per call"
     break_even = compile_s / saved_per_call

@@ -268,7 +268,10 @@ class PlanCache:
         ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
         with ``engine == "compiled"`` additionally compiles each plan's
         execution artifact into the compiled memo, so the first live
-        request pays neither planning nor compilation.
+        request pays neither planning nor compilation.  A compile
+        checks the schedule and allocates no staging: each worker
+        thread binds an artifact to its own arena on its first run of
+        it.
         """
         from repro.kernels import ExecutionPolicy
         from repro.kernels.compiled import compiled_plan_for

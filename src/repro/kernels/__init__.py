@@ -17,10 +17,11 @@ answer, not just a wrong simulated time.
   execution engine; bit-identical to the reference, much faster).
 * :mod:`repro.kernels.compiled` -- the compiled-plan engine: the
   schedule checked once and compiled into a flat :class:`CompiledPlan`
-  artifact -- one bound BK main loop per GEMM over one preallocated
-  arena -- executed by a minimal allocation-free loop (the
-  ``compiled`` execution engine; bit-identical to ``grouped``,
-  fastest steady state).
+  artifact -- each GEMM's shape and BK chunk table, no buffers --
+  executed by a minimal allocation-free loop in the executing thread's
+  one staging arena, to which each thread binds an artifact on its
+  first run (the ``compiled`` execution engine; bit-identical to
+  ``grouped``, fastest steady state).
 
 Engine names live in the registry (:mod:`repro.kernels.engine` --
 ``ENGINES``, ``ENGINE_FALLBACKS`` and :func:`get_engine`, which maps a

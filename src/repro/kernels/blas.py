@@ -12,46 +12,48 @@ this process (``/proc/self/maps``) whose file name contains ``blas``,
 for the 64-bit-integer entry points in :data:`_CANDIDATES`.  NumPy's
 own wheels bundle scipy-openblas64, which exports
 ``scipy_cblas_dgemm64_`` -- the routine ``np.matmul`` itself calls.
-Each chunk is then one row-major ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
-call with alpha = beta = 1, so the kernel adds its register sum to the
-accumulator in the same pass that computes it.  :class:`ChunkLoop`
-builds the ctypes arguments of every call once, so a repeated run
-(a compiled artifact's) only issues the calls.  ctypes releases the GIL
-for the call, as ``np.matmul`` does.
+Each chunk is then row-major ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
+calls with alpha = beta = 1, one per row panel (below), so the kernel
+adds its register sum to the accumulator in the same pass that
+computes it.  :class:`ChunkLoop` builds the ctypes arguments of every
+call once, so a repeated run (a compiled artifact's) only issues the
+calls.  ctypes releases the GIL for the call, as ``np.matmul`` does.
 
 **The fallback.**  When NumPy's BLAS exports none of those entry points
 (an Accelerate build, an LP64-only CBLAS, a platform without
-``/proc``), each chunk is one ``np.matmul`` into a scratch buffer plus
-one ``np.add`` into the accumulator.  :data:`DGEMM_SYMBOL` reports the
-resolved entry point, or ``None`` on the fallback; the choice is made
-once, at import.
+``/proc``), each chunk is ``np.matmul`` calls, one per row panel, into
+an ``m x n`` temporary plus one ``np.add`` into the accumulator.  The
+caller may lend the temporary (a compiled artifact lends a buffer of
+its arena).  :data:`DGEMM_SYMBOL` reports the resolved entry point, or
+``None`` on the fallback; the choice is made once, at import.
 
-**Bit-exactness.**  Both paths give the reference walk's bits, except
-for the large float64 calls described after this list:
+**Bit-exactness.**  Both paths give the reference walk's bits:
 
 * a dgemm kernel forms each output element's chunk sum in registers as
   an ascending-``k`` FMA sequence over that element's row and column,
-  so a full-width chunk product equals the reference walk's per-tile
-  (zero-padded) products element for element -- when both calls run
-  the same kernel;
+  so a chunk product equals the reference walk's per-tile (zero-padded)
+  products element for element -- when both calls run the same kernel;
 * with beta = 1 the kernel stores ``fl(acc + sum)``, and alpha = 1
   multiplies the sum exactly, so ``acc += A @ B`` rounds exactly like
   ``tmp = A @ B; acc += tmp``.
 
-That sum is *not* the same whatever the surrounding matrix shape.  On
-scipy-openblas 0.3.31 (SkylakeX kernels), a float64 chunk call of more
-than 10**6 multiply-adds (``m * n * (k_hi - k0)``) can round the
-elements of its last ``n mod 8`` columns differently from the
-tile-sized calls of the reference walk.  An ``(m x 8) @ (8 x 381)``
-product matched its zero-padded 64 x 64 tile products for every m from
-2 to 328 (at most 999,744 multiply-adds), and differed from them in
-its last five columns, and only there, for every m from 329
-(1,002,792) to 419.  Every engine's float64 output then differs from
-the walk in those columns: (331, 381, 73), (511, 509, 24) and
-(257, 500, 40) do; (200, 381, 73) and (128, 784, 256) do not.
-``tests/kernels/test_blas.py`` keeps an ``xfail`` reproducer and
-``docs/performance.md`` the counts.  fp16 and fp32 outputs have hidden
-it so far: the final cast rounds the difference away.
+**Row panels.**  Which kernel runs depends on the call's size.  On
+scipy-openblas 0.3.31 (SkylakeX kernels), a float64 call of more than
+:data:`SMALL_CALL` = 10**6 multiply-adds leaves the small-matrix kernel
+that the reference walk's tile-sized calls run on, and can round the
+elements of its last ``n mod 8`` columns differently.  An
+``(m x 8) @ (8 x 381)`` product matched its zero-padded 64 x 64 tile
+products for every m from 2 to 328 (at most 999,744 multiply-adds), and
+differed from them in its last five columns, and only there, for every
+m from 329 (1,002,792) to 419; full-width chunk calls made 500-2,226
+elements of float64 outputs such as (331, 381, 73) and (1000, 300, 50)
+differ from the walk.  So each chunk call is split into the near-equal
+row panels of :func:`row_panels`, each within :data:`SMALL_CALL`; a
+panel's elements see the same FMA sequence as in the full call, and
+every element still adds its chunks in ascending order.  The bound is
+measured on that kernel set only: ``tests/kernels/test_blas.py`` runs
+its reproducer as a plain test where OpenBLAS reports ``SkylakeX``,
+and as a non-strict ``xfail`` elsewhere (``docs/performance.md``).
 
 ``np.matmul`` does *not* always reach dgemm: it routes a one-row or
 one-column product to gemv, which rounds differently from the gemm the
@@ -67,7 +69,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["DGEMM_SYMBOL", "ChunkLoop", "chunk_ranges"]
+__all__ = ["DGEMM_SYMBOL", "SMALL_CALL", "ChunkLoop", "chunk_ranges", "row_panels"]
 
 #: CBLAS dgemm entry points with 64-bit integer arguments, in lookup
 #: order: the scipy-openblas64 build NumPy's wheels bundle, then a plain
@@ -78,6 +80,13 @@ _CANDIDATES = ("scipy_cblas_dgemm64_", "cblas_dgemm64_")
 _ROW_MAJOR = ctypes.c_int(101)
 _NO_TRANS = ctypes.c_int(111)
 _ONE = ctypes.c_double(1.0)
+
+#: Multiply-adds of the largest call a :class:`ChunkLoop` makes.
+#: OpenBLAS's SkylakeX dgemm runs calls up to this size on its
+#: small-matrix kernel, as it runs the reference walk's tile-sized
+#: calls; larger calls can round an element's sum differently (see the
+#: module docstring).
+SMALL_CALL = 10**6
 
 
 def _mapped_blas_libraries() -> list[str]:
@@ -128,6 +137,22 @@ def chunk_ranges(
     return tuple(zip(starts, [*starts[1:], min(hi * bk, k)]))
 
 
+def row_panels(m: int, n: int, depth: int) -> tuple[tuple[int, int], ...]:
+    """The ``(r0, r1)`` row ranges one ``depth``-deep chunk call is split into.
+
+    Each panel has at most ``max(1, SMALL_CALL // (depth * n))`` rows,
+    so an ``(r1 - r0) x n x depth`` call stays within
+    :data:`SMALL_CALL` multiply-adds.  The panels are near-equal rather
+    than full panels plus a remainder, so a panel of one row -- which
+    ``np.matmul`` would send to gemv -- arises only for ``m = 1`` or
+    when three rows would exceed the limit.
+    """
+    rows = max(1, SMALL_CALL // (depth * n))
+    count = -(-m // rows)
+    bounds = [m * i // count for i in range(count + 1)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
 class ChunkLoop:
     """One accumulator's BK main loop over fixed buffers, bound once.
 
@@ -135,14 +160,21 @@ class ChunkLoop:
     ``sum(a[:, k0:k_hi] @ b[k0:k_hi, :] for k0, k_hi in chunks)``,
     added in the given order to a zeroed accumulator.  ``a`` is the
     ``m x k`` and ``b`` the ``k x n`` operand; all three must be
-    C-contiguous 2-D float64 arrays, and ``acc`` writeable.  The checks
-    run here, once, and raise ``ValueError``.  The loop keeps references
-    to the arrays its call arguments point into, so they live as long
-    as it does.  A loop is not thread-safe: its owner serializes
-    :meth:`run`.
+    C-contiguous 2-D float64 arrays, and ``acc`` writeable.  Each chunk
+    product is computed in the row panels of :func:`row_panels`, which
+    leaves every element's sum unchanged.  On the ``np.matmul``
+    fallback each chunk product lands in an ``m x n`` temporary before
+    it is added: ``scratch``, when given (a writeable C-contiguous
+    float64 array of ``acc``'s shape, whose contents :meth:`run`
+    overwrites), else one the loop allocates.  ``scratch_bytes`` is the
+    bytes of that allocation, 0 on the dgemm path or with ``scratch``.
+    The checks run here, once, and raise ``ValueError``.  The loop
+    keeps references to the arrays its call arguments point into, so
+    they live as long as it does.  A loop is not thread-safe: its owner
+    serializes :meth:`run`.
     """
 
-    __slots__ = ("chunks", "_arrays", "_dgemm", "_calls", "_tmp")
+    __slots__ = ("chunks", "scratch_bytes", "_arrays", "_panels", "_dgemm", "_calls")
 
     def __init__(
         self,
@@ -150,8 +182,12 @@ class ChunkLoop:
         a: np.ndarray,
         b: np.ndarray,
         chunks: Sequence[tuple[int, int]],
+        scratch: Optional[np.ndarray] = None,
     ) -> None:
-        for name, arr in (("acc", acc), ("a", a), ("b", b)):
+        buffers = [("acc", acc), ("a", a), ("b", b)]
+        if scratch is not None:
+            buffers.append(("scratch", scratch))
+        for name, arr in buffers:
             if not (
                 isinstance(arr, np.ndarray)
                 and arr.dtype == np.float64
@@ -164,52 +200,58 @@ class ChunkLoop:
             raise ValueError(
                 f"shapes do not chain: acc {acc.shape}, a {a.shape}, b {b.shape}"
             )
-        if not acc.flags.writeable:
-            raise ValueError("acc must be writeable")
+        if scratch is not None and scratch.shape != (m, n):
+            raise ValueError(f"scratch {scratch.shape} is not acc's shape {acc.shape}")
+        if not all(arr.flags.writeable for arr in (acc, scratch) if arr is not None):
+            raise ValueError("acc and scratch must be writeable")
         self.chunks = tuple((int(k0), int(k_hi)) for k0, k_hi in chunks)
         for k0, k_hi in self.chunks:
             if not 0 <= k0 < k_hi <= k:
                 raise ValueError(f"chunk ({k0}, {k_hi}) outside 0..{k}")
-        self._arrays = (acc, a, b)
+        deepest = max((k_hi - k0 for k0, k_hi in self.chunks), default=1)
+        self._panels = row_panels(m, n, deepest)
         self._dgemm = _DGEMM
+        self.scratch_bytes = 0
         if self._dgemm is None:
+            if scratch is None:
+                scratch = np.empty((m, n), dtype=np.float64)
+                self.scratch_bytes = scratch.nbytes
+            self._arrays = (acc, a, b, scratch)
             self._calls = ()
-            self._tmp = np.empty((m, n), dtype=np.float64)
             return
-        self._tmp = None
-        rows, cols, ld_a = ctypes.c_int64(m), ctypes.c_int64(n), ctypes.c_int64(k)
-        c_ptr = ctypes.c_void_p(acc.ctypes.data)
+        self._arrays = (acc, a, b, None)
+        cols, ld_a = ctypes.c_int64(n), ctypes.c_int64(k)
+        rows = {h: ctypes.c_int64(h) for h in {r1 - r0 for r0, r1 in self._panels}}
         depth = {w: ctypes.c_int64(w) for w in {k_hi - k0 for k0, k_hi in self.chunks}}
-        a_ptr, b_ptr, item = a.ctypes.data, b.ctypes.data, a.itemsize
-        # Row-major C[m, n] += A[:, k0:k_hi] @ B[k0:k_hi, :]: the slices
-        # start k0 elements (A) and k0 rows (B) in, with the full rows
-        # of a and b as leading dimensions.  The two slice addresses are
-        # plain ints, which ctypes converts as fast as prebuilt pointers.
+        a_ptr, b_ptr, c_ptr = a.ctypes.data, b.ctypes.data, acc.ctypes.data
+        item = a.itemsize
+        # Row-major C[r0:r1, :] += A[r0:r1, k0:k_hi] @ B[k0:k_hi, :]:
+        # the slices start r0 rows and k0 elements (A), k0 rows (B) and
+        # r0 rows (C) in, with the full rows of a, b and acc as leading
+        # dimensions.  The slice addresses are plain ints, which ctypes
+        # converts as fast as prebuilt pointers.  A panel takes all its
+        # chunks before the next panel starts, so its accumulator rows
+        # stay in cache; each element still adds its chunks ascending.
         self._calls = tuple(
             (
-                _ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cols, depth[k_hi - k0],
-                _ONE, a_ptr + item * k0, ld_a, b_ptr + item * k0 * n, cols,
-                _ONE, c_ptr, cols,
+                _ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows[r1 - r0], cols, depth[k_hi - k0],
+                _ONE, a_ptr + item * (r0 * k + k0), ld_a, b_ptr + item * k0 * n, cols,
+                _ONE, c_ptr + item * r0 * n, cols,
             )
+            for r0, r1 in self._panels
             for k0, k_hi in self.chunks
         )
 
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes of scratch the loop holds beyond its caller's arrays."""
-        return 0 if self._tmp is None else self._tmp.nbytes
-
     def run(self) -> None:
         """Overwrite the accumulator with the chunk-accumulated product."""
-        acc, a, b = self._arrays
+        acc, a, b, tmp = self._arrays
         acc.fill(0.0)
         dgemm = self._dgemm
         if dgemm is not None:
             for args in self._calls:
                 dgemm(*args)
             return
-        tmp = self._tmp
         for k0, k_hi in self.chunks:
-            np.matmul(a[:, k0:k_hi], b[k0:k_hi, :], out=tmp)
+            for r0, r1 in self._panels:
+                np.matmul(a[r0:r1, k0:k_hi], b[k0:k_hi, :], out=tmp[r0:r1])
             np.add(acc, tmp, out=acc)
-

@@ -14,44 +14,53 @@ artifact -- the same move tritonBLAS makes for GEMM parameter selection
 and Stream-K++ makes for kernel-configuration caching (see
 ``PAPERS.md``): turn per-call decision work into an ahead-of-time
 artifact, so steady-state dispatch is a lookup plus a minimal
-interpreter loop.  Compilation:
+interpreter loop.  Compilation checks the schedule's slot arrays once,
+with the schedule contract :func:`~repro.core.schedule.check_schedule`
+(GEMM/strategy id ranges, tile origins and exactly-once output
+coverage run once per compile, never per call), and allocates nothing.
+Nothing else of the schedule matters: every Table-2 strategy shares
+one BK depth (:data:`~repro.core.tiling.BATCHED_BK`, the unified
+thread structure of §4), so once the slots tile each output exactly
+once, a GEMM's result does not depend on which strategies tile it.  An
+artifact keeps what the schedule and the shapes fix: per GEMM, its
+``(m, n, k)``, its ascending ``(k0, k_hi)`` chunk table and its
+staging need, ``m*k + k*n + 2*m*n`` float64 elements.
 
-* checks the schedule's slot arrays once, with the schedule contract
-  :func:`~repro.core.schedule.check_schedule` (GEMM/strategy id
-  ranges, tile origins and exactly-once output coverage run once per
-  compile, never per call).  Nothing else of the schedule matters:
-  every Table-2 strategy shares one BK depth
-  (:data:`~repro.core.tiling.BATCHED_BK`, the unified thread
-  structure of §4), so once the slots tile each output exactly once,
-  a GEMM's result does not depend on which strategies tile it, and
-  compiling builds no tile groups;
-* allocates one float64 **arena** per artifact, sized by its largest
-  GEMM: ``max(m*k + k*n + 2*m*n)`` elements.  The GEMMs run one after
-  another under the artifact's lock, so each GEMM's staging -- the
-  ``op(A)`` / ``op(B)`` copies ``a64`` / ``b64``, the accumulator
-  ``acc`` and the ``beta * C`` buffer ``c64`` -- is a set of
-  C-contiguous views into the front of that one arena, the way the
-  paper's persistent block (Figure 7) reuses one staging footprint,
-  sized by the largest strategy, for every tile it takes;
-* binds each GEMM's BK main loop over its views
-  (:class:`~repro.kernels.blas.ChunkLoop`): one BLAS call per
-  ascending ``(k0, k_hi)`` chunk, its arguments built once.
+**The staging lives with the executing thread, not the artifact.**
+Each thread that runs artifacts owns one float64 **arena**, grown to
+the largest staging need that thread has run.  The paper's persistent
+block (Figure 7) reuses one staging footprint, sized by the largest
+strategy, for every tile it takes; the arena is that footprint on the
+host, and as in Stream-K's partial-sum workspace it scales with the
+executors, not with the problems -- so resident staging is
+``threads x largest GEMM``, however many artifacts the memo holds.  A
+thread's first run of an artifact binds it to the arena: each GEMM's
+staging -- the ``op(A)`` / ``op(B)`` copies ``a64`` / ``b64``, the
+accumulator ``acc`` and the ``beta * C`` buffer ``c64`` -- becomes a
+set of C-contiguous views into the front of the arena, and its BK main
+loop (:class:`~repro.kernels.blas.ChunkLoop`) is bound over them, the
+arguments of every BLAS call built once.  The thread caches those
+bindings, weakly keyed by artifact; growing the arena drops them all,
+so the old buffer is freed and each artifact rebinds on its next run
+there.  Two threads never share staging, so runs need no lock.
 
 Execution (:meth:`CompiledPlan.run`) is then a fixed sequence per GEMM:
 copy the operands in, make the bound calls, and run the epilogue in
 three passes -- ``acc *= alpha`` in place, ``c64 = beta * C`` in
 float64, and one ``np.add`` of the two cast straight into the fresh
 output -- **zero Python plan-walking and zero per-call allocation**
-except the returned output arrays themselves (callers own the results,
-so they must be fresh).  Each GEMM rewrites its staging, zeroes its
-accumulator and overwrites ``c64`` before reading them, so nothing an
-earlier GEMM left in the arena reaches an output.  Where
-NumPy's BLAS exports a CBLAS dgemm (:data:`repro.kernels.blas.DGEMM_SYMBOL`
-names it), each call is one ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]``
-dgemm with alpha = beta = 1: the chunk product is added to the
-accumulator inside BLAS, with no temporary and no second pass.
-Otherwise the loop falls back to ``np.matmul`` into a scratch buffer
-plus ``np.add``.
+once bound, except the returned output arrays themselves (callers own
+the results, so they must be fresh).  Each GEMM rewrites its staging,
+zeroes its accumulator and overwrites ``c64`` before reading them, so
+nothing an earlier GEMM -- of this artifact or another -- left in the
+arena reaches an output.  Where NumPy's BLAS exports a CBLAS dgemm
+(:data:`repro.kernels.blas.DGEMM_SYMBOL` names it), each call is one
+``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]`` dgemm (per row panel) with
+alpha = beta = 1: the chunk product is added to the accumulator inside
+BLAS, with no temporary and no second pass.  Otherwise the loop falls
+back to ``np.matmul`` into the ``c64`` view, which the epilogue
+overwrites only after the loop, plus ``np.add``: on both paths the
+arena is all the scratch.
 
 **Bit-exactness contract.**  ``execute_compiled`` is bit-identical to
 :func:`repro.kernels.grouped.execute_grouped` (and therefore to the
@@ -62,7 +71,7 @@ reference walk):
   ``np.ascontiguousarray(..., dtype=np.float64)`` copies, so BLAS sees
   identical inputs;
 * the K reduction runs through the same :mod:`repro.kernels.blas`
-  loop as the grouped engine: the same full-width per-chunk products,
+  loop as the grouped engine: the same per-chunk products,
   accumulated in float64 in the same ascending order (that module
   explains why ``acc += A @ B`` rounds like ``tmp = A @ B; acc += tmp``);
 * the alpha/beta epilogue is elementwise, so evaluating it over the
@@ -74,20 +83,15 @@ reference walk):
   the add casts its float64 sum into the output with
   ``casting="unsafe"``, the cast ``astype`` makes.
 
-Because every GEMM of an artifact stages in its one arena, a
-:class:`CompiledPlan` guards :meth:`run` with a lock: concurrent
-executions of *one* artifact serialize (different artifacts own
-different arenas and run concurrently), trading a little parallelism
-for allocation-free steady state.
-
 Artifacts are memoized in a bounded weakref
 :class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity, one
 entry per schedule, valid for the batch shapes it was compiled for --
 a schedule cached by the plan cache keeps its artifact alive, and a
-schedule that dies takes its artifact with it.  Memo
-traffic is observable via the ``compile.cache_hits`` /
-``compile.cache_misses`` / ``compile.evictions`` counters and each
-compilation runs under a ``compile.plan`` span.
+schedule that dies takes its artifact, and every thread's binding of
+it, with it.  Memo traffic is observable via the
+``compile.cache_hits`` / ``compile.cache_misses`` /
+``compile.evictions`` counters and each compilation runs under a
+``compile.plan`` span.
 
 This module imports neither :mod:`repro.kernels.grouped` nor
 :mod:`repro.kernels.persistent`: it shares only the schedule contract
@@ -98,8 +102,9 @@ independent (CI guards both).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import weakref
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -123,60 +128,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompiledGemm:
-    """One GEMM's staging views and its bound BK main loop.
+    """One GEMM of an artifact: its shape and its BK chunk table.
 
-    ``a64`` / ``b64`` stage the float64 ``op(A)`` / ``op(B)`` copies
-    ``loop`` reads, ``acc`` is the float64 accumulator it adds each
-    chunk product into, and ``c64`` holds ``beta * C`` for the
-    epilogue.  All four are C-contiguous views into the artifact's
-    arena, reused across calls -- :meth:`CompiledPlan.run` never
-    allocates them.  ``loop`` makes one BLAS call per ascending
-    ``(k0, k_hi)`` range in ``loop.chunks``.
+    ``chunks`` are the ascending ``(k0, k_hi)`` ranges of the GEMM's BK
+    main loop, one chunk product each; :attr:`staging` is the share of
+    a thread's arena it stages in.
     """
 
     m: int
     n: int
     k: int
-    a64: np.ndarray = field(repr=False)
-    b64: np.ndarray = field(repr=False)
-    acc: np.ndarray = field(repr=False)
-    c64: np.ndarray = field(repr=False)
-    loop: ChunkLoop = field(repr=False)
+    chunks: tuple[tuple[int, int], ...]
+
+    @property
+    def staging(self) -> int:
+        """Float64 elements of ``op(A)``, ``op(B)``, ``acc`` and ``beta * C``."""
+        return self.m * self.k + self.k * self.n + 2 * self.m * self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """A schedule compiled to a flat, allocation-free execution artifact.
+    """A schedule compiled to a flat execution artifact.
 
     The artifact is valid for any batch whose shapes/transposes match
     ``batch_token`` -- alpha/beta are *not* baked in (they are read from
     the live batch at :meth:`run` time), matching the plan cache's
     signature, which also excludes them.  ``gemms`` holds one
-    :class:`CompiledGemm` per GEMM of the batch, in batch order.
-    ``arena`` is the one float64 buffer every GEMM's staging views
-    point into, sized by the largest GEMM.
+    :class:`CompiledGemm` per GEMM of the batch, in batch order.  The
+    artifact holds no buffer: each thread that runs it stages in that
+    thread's arena.  Artifacts compare, hash and key by identity.
     """
 
     num_tiles: int
     batch_token: tuple
     gemms: tuple[CompiledGemm, ...]
-    arena: np.ndarray = field(repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def num_chunks(self) -> int:
-        """Total BK chunk-product BLAS calls one execution issues."""
-        return sum(len(g.loop.chunks) for g in self.gemms)
+        """Total BK chunk products one execution computes."""
+        return sum(len(g.chunks) for g in self.gemms)
 
     @property
     def scratch_bytes(self) -> int:
-        """Bytes of preallocated scratch the artifact holds.
+        """Bytes of staging a run needs: the largest GEMM's, in float64.
 
-        The arena, plus each loop's fallback scratch.
+        A thread's arena holds at least this much once it has run the
+        artifact; on both chunk-loop paths it is all the scratch.
         """
-        return self.arena.nbytes + sum(g.loop.scratch_bytes for g in self.gemms)
+        return 8 * max(g.staging for g in self.gemms)
 
     def run(
         self,
@@ -188,8 +187,8 @@ class CompiledPlan:
         Bit-identical to the grouped engine; inputs are not modified.
         Raises ``ValueError`` when the batch's shapes do not match the
         shapes the artifact was compiled for, or on operand-shape
-        mismatches.  Thread-safe: concurrent calls on one artifact
-        serialize on its arena lock.
+        mismatches.  Thread-safe: each thread stages in its own arena,
+        binding the artifact to it on the thread's first run.
         """
         if batch_signature(batch) != self.batch_token:
             raise ValueError(
@@ -197,50 +196,92 @@ class CompiledPlan:
                 "(recompile with compile_plan/compiled_plan_for)"
             )
         validate_operands(batch, operands)
+        staged = _ARENA.bindings.get(self) or _ARENA.bind(self)
         outputs: list[np.ndarray] = []
-        with self._lock:
-            for cg, gemm, (a, b, c) in zip(self.gemms, batch, operands):
-                # Exact float64 widening into the arena's contiguous
-                # views -- value- and layout-identical to the grouped
-                # engine's ascontiguousarray copies.
-                np.copyto(cg.a64, gemm.op_a(a))
-                np.copyto(cg.b64, gemm.op_b(b))
-                cg.loop.run()
-                # Elementwise alpha/beta epilogue in float64, in place;
-                # the per-element arithmetic and the final cast match
-                # the grouped engine bit for bit.  The output is the
-                # one allocation: the add writes every element of it.
-                np.multiply(cg.acc, gemm.alpha, out=cg.acc)
-                np.multiply(c, gemm.beta, out=cg.c64, dtype=np.float64)
-                out = np.empty((cg.m, cg.n), dtype=c.dtype)
-                np.add(cg.acc, cg.c64, out=out, casting="unsafe")
-                outputs.append(out)
+        for (a64, b64, acc, c64, loop), gemm, (a, b, c) in zip(
+            staged, batch, operands
+        ):
+            # Exact float64 widening into the arena's contiguous views
+            # -- value- and layout-identical to the grouped engine's
+            # ascontiguousarray copies.
+            np.copyto(a64, gemm.op_a(a))
+            np.copyto(b64, gemm.op_b(b))
+            loop.run()
+            # Elementwise alpha/beta epilogue in float64, in place; the
+            # per-element arithmetic and the final cast match the
+            # grouped engine bit for bit.  The output is the one
+            # allocation: the add writes every element of it.
+            np.multiply(acc, gemm.alpha, out=acc)
+            np.multiply(c, gemm.beta, out=c64, dtype=np.float64)
+            out = np.empty(acc.shape, dtype=c.dtype)
+            np.add(acc, c64, out=out, casting="unsafe")
+            outputs.append(out)
         return outputs
+
+
+class _Staging(NamedTuple):
+    """One GEMM's views into a thread's arena, and its loop bound over them."""
+
+    a64: np.ndarray
+    b64: np.ndarray
+    acc: np.ndarray
+    c64: np.ndarray
+    loop: ChunkLoop
+
+
+def _stage(gemm: CompiledGemm, arena: np.ndarray) -> _Staging:
+    """Bind one GEMM at the front of ``arena``."""
+    m, n, k = gemm.m, gemm.n, gemm.k
+    mk, kn, mn = m * k, k * n, m * n
+    a64 = arena[:mk].reshape(m, k)
+    b64 = arena[mk : mk + kn].reshape(k, n)
+    acc = arena[mk + kn : mk + kn + mn].reshape(m, n)
+    c64 = arena[mk + kn + mn : mk + kn + 2 * mn].reshape(m, n)
+    # c64 is written only after the loop, so the np.matmul fallback
+    # takes its chunk temporary there.
+    return _Staging(a64, b64, acc, c64, ChunkLoop(acc, a64, b64, gemm.chunks, c64))
+
+
+class _Arena(threading.local):
+    """One thread's staging arena and the artifacts bound to it.
+
+    ``buffer`` is the float64 arena; ``bindings`` maps each artifact
+    this thread has run since the arena last grew to its
+    :class:`_Staging` per GEMM, weakly, so an artifact that dies drops
+    its binding.
+    """
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=np.float64)
+        self.bindings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def bind(self, plan: CompiledPlan) -> tuple[_Staging, ...]:
+        """Bind ``plan`` to this thread's arena, growing it to the plan's need."""
+        need = max(g.staging for g in plan.gemms)
+        if self.buffer.size < need:
+            # Only this thread's bindings view the old buffer: dropping
+            # them, then the buffer, frees it before the new one is
+            # allocated.
+            self.bindings = weakref.WeakKeyDictionary()
+            del self.buffer
+            self.buffer = np.empty(need, dtype=np.float64)
+        staged = tuple(_stage(g, self.buffer) for g in plan.gemms)
+        self.bindings[plan] = staged
+        return staged
+
+
+#: The calling thread's arena (one per thread, created on first use).
+_ARENA = _Arena()
 
 
 def _compile(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     check_schedule(schedule, batch)  # once per compile, never per call
-    # One arena for the whole artifact: run() stages one GEMM at a
-    # time, so every GEMM's views start at its front.
-    arena = np.empty(
-        max(g.m * g.k + g.k * g.n + 2 * g.m * g.n for g in batch),
-        dtype=np.float64,
-    )
-    gemms: list[CompiledGemm] = []
-    for gemm in batch:
-        m, n, k = gemm.m, gemm.n, gemm.k
-        mk, kn, mn = m * k, k * n, m * n
-        a64 = arena[:mk].reshape(m, k)
-        b64 = arena[mk : mk + kn].reshape(k, n)
-        acc = arena[mk + kn : mk + kn + mn].reshape(m, n)
-        c64 = arena[mk + kn + mn : mk + kn + 2 * mn].reshape(m, n)
-        loop = ChunkLoop(acc, a64, b64, chunk_ranges(k, BATCHED_BK))
-        gemms.append(CompiledGemm(m, n, k, a64, b64, acc, c64, loop))
     return CompiledPlan(
         num_tiles=schedule.num_tiles,
         batch_token=batch_signature(batch),
-        gemms=tuple(gemms),
-        arena=arena,
+        gemms=tuple(
+            CompiledGemm(g.m, g.n, g.k, chunk_ranges(g.k, BATCHED_BK)) for g in batch
+        ),
     )
 
 
@@ -248,9 +289,10 @@ def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     """Compile a schedule into a fresh :class:`CompiledPlan` artifact.
 
     Checks the schedule with :func:`~repro.core.schedule.check_schedule`
-    (raising the reference walk's ``IndexError`` / ``ValueError``),
-    then allocates the artifact's arena and binds one BK main loop per
-    GEMM over its views.  Emits a ``compile.plan`` span.
+    (raising the reference walk's ``IndexError`` / ``ValueError``) and
+    records each GEMM's shape and chunk table; it allocates no staging,
+    which each executing thread binds on its first run.  Emits a
+    ``compile.plan`` span.
     """
     tracer = get_tracer()
     with tracer.span(

@@ -481,6 +481,16 @@ def _build_cluster_config(args: argparse.Namespace, serve_config):
         raise SystemExit(f"error: {exc}") from None
 
 
+def _reliability_line(reliability: dict) -> str:
+    """One server's fault counters, as the text report prints them."""
+    return (
+        f"{reliability.get('retries', 0)} retries, "
+        f"{reliability.get('fallbacks', 0)} fallbacks, "
+        f"{reliability.get('bisections', 0)} bisections, "
+        f"{reliability.get('faults_injected', 0)} faults injected"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry: build the trace, serve it, print the latency report."""
     args = build_parser().parse_args(argv)
@@ -600,6 +610,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{'ok' if health['ok'] else 'DEGRADED'}, "
                 f"active shards {health['active']}"
             )
+        for shard in report.shards:
+            if shard.report.reliability is not None:
+                print(
+                    f"shard {shard.shard_id} reliability: "
+                    + _reliability_line(shard.report.reliability)
+                )
     else:
         print(render_serve_report(report))
         stats = report.cache
@@ -617,14 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"breakers {health['breakers']}"
             )
         if report.reliability is not None:
-            rel = report.reliability
-            print(
-                "reliability: "
-                f"{rel.get('retries', 0)} retries, "
-                f"{rel.get('fallbacks', 0)} fallbacks, "
-                f"{rel.get('bisections', 0)} bisections, "
-                f"{rel.get('faults_injected', 0)} faults injected"
-            )
+            print("reliability: " + _reliability_line(report.reliability))
     if args.chrome_trace:
         try:
             write_chrome_trace(tracer, args.chrome_trace, process_name="repro-serve")

@@ -5,9 +5,11 @@ must be **bit-identical** (``np.array_equal``) to ``execute_grouped``
 and the reference persistent-threads walk for every schedule -- all
 twelve Table-2 strategies, transposes, alpha/beta epilogues, ragged
 edges, and GEMMs tiled by more than one strategy -- while doing all
-schedule checking and scratch allocation once, at compile time.  Every
-GEMM of an artifact stages in one arena, so these tests also check
-that nothing one GEMM leaves there reaches another's output.
+schedule checking once, at compile time, and allocating nothing then.
+Every GEMM a thread runs stages in that thread's one arena, so these
+tests also check that nothing one GEMM leaves there reaches another's
+output, that threads never share an arena, and that resident staging
+follows the largest GEMM a thread ran, not the artifacts alive.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import gc
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from repro.core.tiling import ALL_BATCHED_STRATEGIES, BATCHED_BK, select_tiling
 from repro.kernels import blas
 from repro.kernels.blas import chunk_ranges
 from repro.kernels.compiled import (
+    _ARENA,
     CompiledPlan,
     clear_compiled_memo,
     compile_plan,
@@ -120,6 +124,80 @@ def byte_range(arr: np.ndarray) -> tuple[int, int]:
     """The ``[start, end)`` addresses of a contiguous array's bytes."""
     start = arr.__array_interface__["data"][0]
     return start, start + arr.nbytes
+
+
+def in_new_thread(fn):
+    """``fn()`` on a fresh thread, whose arena starts empty; its result."""
+    box: list = []
+    errors: list = []
+
+    def call():
+        try:
+            box.append(fn())
+        except BaseException as exc:  # re-raised on the test thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "the worker thread hung"
+    if errors:
+        raise errors[0]
+    return box[0]
+
+
+def bound_views(artifact):
+    """The calling thread's staging views of ``artifact`` (bound by a run)."""
+    return [view for staged in _ARENA.bindings[artifact] for view in staged[:4]]
+
+
+def hammer_in_threads(jobs, rounds=30):
+    """Run each ``(artifact, batch, ops, want)`` job on its own thread.
+
+    The threads start together and run their artifact ``rounds`` times,
+    checking every output against ``want`` bit for bit.  Each records
+    its arena's byte range and its staging views' ranges, then waits
+    until every thread has, so all arenas are alive while they are
+    compared.  Returns the per-thread records and the failed rounds.
+    """
+    barrier = threading.Barrier(len(jobs))
+    records: list = [None] * len(jobs)
+    failures: list = []
+    switch = sys.getswitchinterval()
+
+    def work(slot, artifact, batch, ops, want):
+        barrier.wait(timeout=60)
+        for _ in range(rounds):
+            for have, expect in zip(artifact.run(batch, ops), want):
+                if not np.array_equal(have, expect):
+                    failures.append(slot)
+        views = [byte_range(view) for view in bound_views(artifact)]
+        records[slot] = (byte_range(_ARENA.buffer), views)
+        barrier.wait(timeout=60)
+
+    threads = [
+        threading.Thread(target=work, args=(slot, *job))
+        for slot, job in enumerate(jobs)
+    ]
+    sys.setswitchinterval(1e-5)  # interleave the threads' bytecode finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "a worker thread hung"
+    finally:
+        sys.setswitchinterval(switch)
+    return records, failures
+
+
+def assert_disjoint_arenas(records):
+    """Every thread's views lie in its own arena, and no two arenas overlap."""
+    for (lo, hi), views in records:
+        assert all(lo <= start and end <= hi for start, end in views)
+    spans = sorted(arena for arena, _ in records)
+    for (_, first_end), (second_start, _) in zip(spans, spans[1:]):
+        assert first_end <= second_start, "two threads share arena memory"
 
 
 def assert_bit_identical(schedule, batch, ops):
@@ -241,7 +319,7 @@ def test_mixed_strategy_schedule_validates_round_trips_and_prices():
 
 
 class TestBoundBuffers:
-    """The bound BLAS calls hold raw pointers into each artifact's buffers."""
+    """The bound BLAS calls hold raw pointers into a thread's arena."""
 
     def test_artifacts_compiled_and_dropped_in_a_loop(self, small_batch, rng):
         sched = make_schedule(small_batch)
@@ -258,63 +336,152 @@ class TestBoundBuffers:
             for have, expect in zip(got, want):
                 assert np.array_equal(have, expect)
 
-    def test_loop_keeps_its_buffers_alive(self, small_batch):
-        artifact = compile_plan(make_schedule(small_batch), small_batch)
-        cg = artifact.gemms[0]
-        loop = cg.loop
-        refs = [weakref.ref(buf) for buf in (cg.acc, cg.a64, cg.b64)]
-        del artifact, cg
-        gc.collect()
-        assert all(ref() is not None for ref in refs)
-        del loop
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+    def test_loop_keeps_its_buffers_alive(self, small_batch, rng):
+        """A loop outlives its binding, its artifact and its arena's growth."""
+
+        def probe():
+            artifact = compile_plan(make_schedule(small_batch), small_batch)
+            artifact.run(small_batch, small_batch.random_operands(rng))
+            staged = _ARENA.bindings[artifact][0]
+            loop = staged.loop
+            refs = [weakref.ref(buf) for buf in (staged.acc, staged.a64, staged.b64)]
+            refs.append(weakref.ref(_ARENA.buffer))
+            # Grow the arena: the thread drops every binding and its buffer.
+            big = GemmBatch.from_shapes([(128, 128, 64)])
+            compile_plan(make_schedule(big), big).run(big, big.random_operands(rng))
+            del artifact, staged
+            gc.collect()
+            alive = all(ref() is not None for ref in refs)
+            del loop
+            gc.collect()
+            return alive, [ref() is None for ref in refs]
+
+        alive, dead = in_new_thread(probe)
+        assert alive
+        assert all(dead)
 
     def test_two_artifacts_of_one_schedule_share_no_accumulator(self, small_batch, rng):
+        """Run at once on two threads, they stage in two disjoint arenas."""
         sched = make_schedule(small_batch)
-        first, second = compile_plan(sched, small_batch), compile_plan(sched, small_batch)
-
-        def buffers(artifact):
-            for cg in artifact.gemms:
-                yield from (cg.a64, cg.b64, cg.acc, cg.c64)
-
-        for mine in buffers(first):
-            for theirs in buffers(second):
-                assert not np.shares_memory(mine, theirs)
-        # Every view lies inside its own artifact's arena, and the two
-        # arenas do not overlap.
-        for artifact in (first, second):
-            lo, hi = byte_range(artifact.arena)
-            for view in buffers(artifact):
-                start, end = byte_range(view)
-                assert lo <= start and end <= hi
-        assert not np.shares_memory(first.arena, second.arena)
-
-        # Run both at once (separate locks) on different operands.
+        artifacts = [compile_plan(sched, small_batch) for _ in range(2)]
         operands = [small_batch.random_operands(rng) for _ in range(2)]
         wants = [execute_schedule(sched, small_batch, ops) for ops in operands]
+        records, failures = hammer_in_threads(
+            [(art, small_batch, ops, want)
+             for art, ops, want in zip(artifacts, operands, wants)]
+        )
+        assert not failures
+        assert_disjoint_arenas(records)
+
+
+class TestThreadArena:
+    """Staging belongs to the executing thread: one arena, grown to need."""
+
+    def test_resident_staging_is_the_largest_need_not_the_sum(self, rng):
+        """16 live artifacts run in one thread grow memory by one arena."""
+        batches = [GemmBatch.from_shapes([(192 + 8 * i, 160, 48)]) for i in range(16)]
+        schedules = [make_schedule(batch) for batch in batches]
+        operands = [batch.random_operands(rng) for batch in batches]
+        needs = [arena_bytes(batch) for batch in batches]
+
+        def measure():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                artifacts = [compile_plan(s, b) for s, b in zip(schedules, batches)]
+                for artifact, batch, ops in zip(artifacts, batches, operands):
+                    artifact.run(batch, ops)  # outputs dropped at once
+                grown = tracemalloc.get_traced_memory()[0] - before
+                assert len(artifacts) == 16  # all alive while measured
+                return grown, _ARENA.buffer.nbytes
+            finally:
+                tracemalloc.stop()
+
+        grown, arena = in_new_thread(measure)
+        assert arena == max(needs)
+        # Bindings (views, bound loops) cost far less than one arena.
+        assert max(needs) <= grown < max(needs) + sum(needs) // 8, (grown, needs)
+
+    def test_artifacts_dying_on_another_thread_drop_their_bindings(self, rng):
+        """Four threads run memoized artifacts while a fifth keeps dropping them.
+
+        Each artifact dies on whichever thread lets go of it last, and its
+        death removes its binding from every thread that ran it; a
+        binding lost or kept wrongly would stage over live views.
+        """
+        batches = [
+            GemmBatch.from_shapes([(24 + 8 * i, 40, 24), (16, 16 + 8 * i, 40)])
+            for i in range(4)
+        ]
+        schedules = [make_schedule(batch) for batch in batches]
+        operands = [batch.random_operands(rng) for batch in batches]
+        wants = [execute_schedule(*case) for case in zip(schedules, batches, operands)]
+        done = threading.Event()
         failures: list = []
 
-        def hammer(artifact, ops, want):
-            for _ in range(30):
-                for have, expect in zip(artifact.run(small_batch, ops), want):
-                    if not np.array_equal(have, expect):
-                        failures.append(artifact)
+        def run(slot):
+            for r in range(60):
+                i = (slot + r) % len(batches)
+                got = execute_compiled(schedules[i], batches[i], operands[i])
+                if not all(np.array_equal(g, w) for g, w in zip(got, wants[i])):
+                    failures.append((slot, r))
 
-        threads = [
-            threading.Thread(target=hammer, args=(art, ops, want))
-            for art, ops, want in zip((first, second), operands, wants)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        def drop():
+            while not done.is_set():
+                clear_compiled_memo()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            dropper = threading.Thread(target=drop)
+            dropper.start()
+            hammer = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+            for t in hammer:
+                t.start()
+            for t in hammer:
+                t.join(timeout=120)
+                assert not t.is_alive(), "a worker thread hung"
+        finally:
+            done.set()
+            dropper.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not dropper.is_alive()
         assert not failures
+
+    def test_rerun_after_the_arena_grows_rebinds_to_the_new_arena(self, rng):
+        """The old buffer is freed; refilling its memory changes no bit."""
+        small = GemmBatch.from_shapes([(40, 48, 24), (17, 23, 9)])
+        big = GemmBatch.from_shapes([(160, 144, 64)])
+        small_sched, big_sched = make_schedule(small), make_schedule(big)
+        ops = small.random_operands(rng)
+        want = execute_schedule(small_sched, small, ops)
+
+        def probe():
+            artifact = compile_plan(small_sched, small)
+            first = artifact.run(small, ops)
+            old = weakref.ref(_ARENA.buffer)
+            old_bytes = _ARENA.buffer.nbytes
+            compile_plan(big_sched, big).run(big, big.random_operands(rng))
+            gc.collect()
+            freed = old() is None
+            junk = [np.full(old_bytes // 8, np.nan) for _ in range(4)]
+            again = artifact.run(small, ops)
+            lo, hi = byte_range(_ARENA.buffer)
+            views = map(byte_range, bound_views(artifact))
+            inside = all(lo <= start and end <= hi for start, end in views)
+            del junk
+            return first, again, freed, inside, _ARENA.buffer.nbytes
+
+        first, again, freed, inside, arena = in_new_thread(probe)
+        assert freed, "growing the arena kept the old buffer alive"
+        assert inside and arena == arena_bytes(big)
+        for outs in (first, again):
+            for have, expect in zip(outs, want):
+                assert np.array_equal(have, expect)
 
 
 class TestArenaReuse:
-    """GEMMs share the arena: stale data in it must never reach an output.
+    """GEMMs share the thread's arena: stale data must never reach an output.
 
     Each case fills the arena with NaN before every run, so a view read
     before it is written -- staging, the accumulator or ``beta * C`` --
@@ -336,9 +503,11 @@ class TestArenaReuse:
         sched = make_schedule(batch, "binary")
         want = execute_schedule(sched, batch, ops)
         artifact = compile_plan(sched, batch)
-        assert artifact.arena.nbytes == arena_bytes(batch)
+        assert artifact.scratch_bytes == arena_bytes(batch)
+        artifact.run(batch, ops)  # bind to this thread's arena
+        assert _ARENA.buffer.nbytes >= arena_bytes(batch)
         for _ in range(2):
-            artifact.arena.fill(np.nan)
+            _ARENA.buffer.fill(np.nan)
             for gi, (have, expect) in enumerate(zip(artifact.run(batch, ops), want)):
                 assert have.dtype == expect.dtype
                 assert np.array_equal(have, expect), f"GEMM {gi} read stale arena data"
@@ -349,8 +518,9 @@ class TestArenaReuse:
         ops = batch.random_operands(rng)
         want = execute_schedule(sched, batch, ops)
         artifact = compile_plan(sched, batch)
+        artifact.run(batch, ops)  # bind to this thread's arena
         for _ in range(2):
-            artifact.arena.fill(np.nan)
+            _ARENA.buffer.fill(np.nan)
             got = artifact.run(batch, ops)
             assert np.array_equal(got[0], want[0])
 
@@ -501,22 +671,19 @@ class TestCompiledContract:
         for have, expect in zip(got, want):
             assert np.array_equal(have, expect)
 
-    def test_concurrent_runs_serialize_on_scratch_lock(self, small_batch, rng):
+    def test_concurrent_runs_stage_in_disjoint_arenas(self, small_batch, rng):
+        """Four threads hammering one artifact each stage in their own arena."""
         sched = make_schedule(small_batch)
         ops = small_batch.random_operands(rng)
         artifact = compile_plan(sched, small_batch)
         want = execute_grouped(sched, small_batch, ops)
-        results: list = [None] * 4
-        def worker(slot):
-            results[slot] = artifact.run(small_batch, ops)
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for outs in results:
-            for have, expect in zip(outs, want):
-                assert np.array_equal(have, expect)
+        assert all(
+            np.array_equal(w, r)
+            for w, r in zip(want, execute_schedule(sched, small_batch, ops))
+        )
+        records, failures = hammer_in_threads([(artifact, small_batch, ops, want)] * 4)
+        assert not failures
+        assert_disjoint_arenas(records)
 
     @pytest.mark.parametrize(
         "shapes",
@@ -528,24 +695,28 @@ class TestCompiledContract:
             pytest.param(INCEPTION_4A, id="inception4a"),
         ],
     )
-    def test_scratch_is_the_largest_gemm(self, request, shapes):
-        """The arena is sized by the largest GEMM, on both chunk-loop paths.
+    def test_scratch_is_the_largest_gemm(self, request, shapes, rng):
+        """A fresh thread's arena is the largest GEMM's, on both loop paths.
 
-        On dgemm it is all the scratch; the ``np.matmul`` fallback adds
-        one m x n buffer per loop.  The last case is the batch
-        ``benchmarks/test_bench_compile.py`` times.
+        On both it is all the scratch: the ``np.matmul`` fallback takes
+        its chunk temporary from the arena too.  The last case is the
+        batch ``benchmarks/test_bench_compile.py`` times.
         """
         batch = GemmBatch.from_shapes(shapes)
         sched = make_schedule(batch)
-        if blas.DGEMM_SYMBOL is not None:
+        ops = batch.random_operands(rng)
+
+        def arena_after_a_run():
             artifact = compile_plan(sched, batch)
-            assert artifact.arena.nbytes == arena_bytes(batch)
-            assert artifact.scratch_bytes == arena_bytes(batch)
+            artifact.run(batch, ops)
+            loops = [staged.loop for staged in _ARENA.bindings[artifact]]
+            assert all(loop.scratch_bytes == 0 for loop in loops)
+            return artifact.scratch_bytes, _ARENA.buffer.nbytes
+
+        if blas.DGEMM_SYMBOL is not None:
+            assert in_new_thread(arena_after_a_run) == (arena_bytes(batch),) * 2
         request.getfixturevalue("blas_fallback")
-        artifact = compile_plan(sched, batch)
-        assert artifact.arena.nbytes == arena_bytes(batch)
-        loops = 8 * sum(g.m * g.n for g in batch)
-        assert artifact.scratch_bytes == arena_bytes(batch) + loops
+        assert in_new_thread(arena_after_a_run) == (arena_bytes(batch),) * 2
 
     def test_artifact_introspection(self, small_batch):
         sched = make_schedule(small_batch)
@@ -553,12 +724,27 @@ class TestCompiledContract:
         assert isinstance(artifact, CompiledPlan)
         assert artifact.num_tiles == sched.num_tiles
         assert artifact.num_chunks == sum(-(-g.k // BATCHED_BK) for g in small_batch)
-        assert artifact.scratch_bytes > 0
-        # One bound loop per GEMM, over the GEMM's own accumulator.
+        assert artifact.scratch_bytes == arena_bytes(small_batch)
+        # One chunk table and staging need per GEMM; no buffer, no lock.
         for cg, gemm in zip(artifact.gemms, small_batch):
             assert (cg.m, cg.n, cg.k) == (gemm.m, gemm.n, gemm.k)
-            assert cg.loop.chunks == chunk_ranges(gemm.k, BATCHED_BK)
-            assert cg.acc.shape == (gemm.m, gemm.n)
+            assert cg.chunks == chunk_ranges(gemm.k, BATCHED_BK)
+            assert 8 * cg.staging == arena_bytes(GemmBatch([gemm]))
+        fields = [*vars(artifact).values()]
+        fields += [value for g in artifact.gemms for value in vars(g).values()]
+        lock = type(threading.Lock())
+        assert not any(isinstance(value, (np.ndarray, lock)) for value in fields)
+
+    def test_compiling_allocates_no_staging(self, small_batch):
+        sched = make_schedule(small_batch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            artifact = compile_plan(sched, small_batch)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert artifact.scratch_bytes > 4 * grown, (grown, artifact.scratch_bytes)
 
     def test_compiling_builds_no_tile_groups(self, framework, rng, monkeypatch):
         """A compile checks the slot arrays and lowers nothing.

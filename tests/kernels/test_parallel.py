@@ -3,9 +3,10 @@
 One engine serves many threads: the serving layer's worker threads
 (``ServeConfig.workers``), cluster backends and application threads
 all call the same ``grouped`` and ``compiled`` engines, which share
-memoized state -- grouped plans, and compiled artifacts whose single
-scratch arena :meth:`~repro.kernels.compiled.CompiledPlan.run` guards
-with a lock.  The contract is the sequential one, held under
+memoized state -- grouped plans, and compiled artifacts that each
+thread binds to its own staging arena on its first run of them
+(:meth:`~repro.kernels.compiled.CompiledPlan.run` takes no lock).  The
+contract is the sequential one, held under
 concurrency: for every schedule class, with 1, 2 and 4 threads
 executing the same batch at once, every thread's outputs through each
 engine must be **bit-identical** (``np.array_equal``, not allclose) to

@@ -1,6 +1,7 @@
 """Tests for the repro-serve command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -213,3 +214,29 @@ class TestClusterSmoke:
         assert rep["settlement_share"] == 1.0
         for shard in rep["shards"]:
             assert shard["report"]["reliability"]["faults_injected"] > 0
+
+    def test_text_report_prints_each_shards_fault_counters(self, capsys):
+        """The text report's per-shard reliability lines match ``--json``."""
+        argv = [
+            "--shards", "2", "--rate", "2000", "--duration", "0.2", "--seed", "7",
+            "--inject", "planner_error:rate=0.5", "--fault-seed", "11",
+        ]
+        rep = self.run_json(capsys, argv + ["--json"])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        lines = re.findall(
+            r"^shard (\d+) reliability: (\d+) retries, \d+ fallbacks, "
+            r"\d+ bisections, (\d+) faults injected$",
+            out,
+            flags=re.MULTILINE,
+        )
+        printed = {int(s): (int(retries), int(faults)) for s, retries, faults in lines}
+        want = {
+            s["shard_id"]: (
+                s["report"]["reliability"]["retries"],
+                s["report"]["reliability"]["faults_injected"],
+            )
+            for s in rep["shards"]
+        }
+        assert printed == want
+        assert all(faults > 0 for _, faults in printed.values())

@@ -117,7 +117,10 @@ class TestPoisonBisection:
     def serve_with_poison(self, framework, *, bisect: bool):
         config = quick_config(
             workers=1,
-            batcher=BatcherConfig(max_batch_size=8, max_wait_us=500.0),
+            # A window far longer than the eight submits take, so the
+            # size trigger (8) forms one batch holding the poison and
+            # all seven batchmates, however slow the host.
+            batcher=BatcherConfig(max_batch_size=8, max_wait_us=5_000_000),
             reliability=rel_config(bisect=bisect),
         )
         rng = np.random.default_rng(3)
