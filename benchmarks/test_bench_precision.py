@@ -110,7 +110,7 @@ def test_bench_precision_snapshot(benchmark):
     staged = quantize_operands(
         batch.random_operands(np.random.default_rng(0)), Precision.FP16
     )
-    outputs = get_engine("grouped")(report.schedule, batch, staged)
+    outputs = get_engine("compiled")(report.schedule, batch, staged)
     outputs = quantize_outputs(outputs, Precision.FP16)
     verification = verify_outputs(
         batch, staged, outputs, Precision.FP16, raise_on_failure=True

@@ -95,7 +95,6 @@ _KERNEL_EXPORTS = (
     "reference_batched_gemm",
     "tiled_gemm",
     "execute_schedule",
-    "execute_grouped",
     "execute_compiled",
     "compile_plan",
     "CompiledPlan",
@@ -163,7 +162,6 @@ __all__ = [
     "reference_batched_gemm",
     "tiled_gemm",
     "execute_schedule",
-    "execute_grouped",
     "execute_compiled",
     "compile_plan",
     "CompiledPlan",

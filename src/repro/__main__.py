@@ -6,7 +6,7 @@ Usage::
     python -m repro --uniform 128x128x32 --batch 16 --heuristic best
     python -m repro --workload data/cnn_fan_gemms.json --case googlenet/inception3a
     python -m repro 64x64x64,128x128x32 --trace /tmp/t.json
-    python -m repro 64x784x192,16x784x192 --execute --engine grouped
+    python -m repro 64x784x192,16x784x192 --execute --engine reference
 
 Plans the batch with the coordinated framework, times it against every
 baseline on the chosen device model, and prints the plan summary.
@@ -105,9 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="grouped",
+        default="compiled",
         help="numerical execution engine for --execute "
-        "(compiled = precompiled-plan interpreter)",
+        "(compiled = precompiled-plan interpreter; reference = the "
+        "per-slot Figure 7 walk)",
     )
     parser.add_argument(
         "--trace",

@@ -418,18 +418,19 @@ class CoordinatedFramework:
         Returns the list of C result matrices (inputs are not
         modified).  ``policy`` -- an
         :class:`~repro.kernels.ExecutionPolicy` -- says how: which
-        engine (``grouped`` by default; ``reference`` is the faithful
-        per-slot Figure 7 walk, ``compiled`` interprets a precompiled
-        artifact) and whether the reliability envelope (retry / engine
-        fallback / fault injection) wraps the run.  All engines produce
-        bit-identical results, so a planning bug shows up as a wrong
-        numerical answer under any engine, not just a wrong time.
+        engine (``compiled`` by default, which interprets a
+        precompiled artifact; ``reference`` is the faithful per-slot
+        Figure 7 walk) and whether the reliability envelope (retry /
+        engine fallback / fault injection) wraps the run.  Both engines
+        produce bit-identical results, so a planning bug shows up as a
+        wrong numerical answer under either engine, not just a wrong
+        time.
 
         A policy with :attr:`~repro.kernels.ExecutionPolicy.reliable`
         set runs through a
         :class:`~repro.reliability.ReliableExecutor`: failures are
         retried per ``policy.retry`` and then degrade along the engine
-        chain (e.g. ``compiled`` -> ``grouped`` -> ``reference``), so
+        chain (``compiled`` -> ``reference``), so
         a misbehaving preferred engine costs latency, not the answer.
 
         Mixed precision is executed for real: under a reduced

@@ -34,13 +34,13 @@ signatures are planned but not cached, keeping the hot set resident
 under adversarial traffic.  Deferred inserts are counted separately
 from misses (``CacheStats.admission_deferred``).
 
-Entries hold plans only.  A ``compiled``
-:class:`~repro.kernels.ExecutionPolicy` finds each plan's
+Entries hold plans only.  The ``compiled`` engine finds each plan's
 :class:`~repro.kernels.compiled.CompiledPlan` in the compiled-artifact
 memo (:func:`~repro.kernels.compiled.compiled_plan_for`), which holds
 the schedule weakly: a cached plan keeps its artifact warm, so a warm
 hot path pays neither planning nor compilation, and an evicted plan's
-schedule dies and takes its artifact with it.  :meth:`execute` plans
+schedule dies and takes its artifact with it.  :meth:`warm` and
+:meth:`restore` compile each plan they cache.  :meth:`execute` plans
 through the cache and then hands the plan to the framework's one
 post-plan step (stage, run, re-quantize, verify) -- the same step
 :meth:`CoordinatedFramework.execute` takes.
@@ -256,33 +256,26 @@ class PlanCache:
         heuristic: HeuristicLike = None,
         *,
         options: Optional[PlanOptions] = None,
-        policy=None,
     ) -> int:
-        """Bulk pre-plan ``batches`` (serving warm-start).
+        """Bulk pre-plan and pre-compile ``batches`` (serving warm-start).
 
         Plans every batch through the normal lookup path (so repeats
-        within ``batches`` cost one plan) and returns how many batches
-        were *newly* planned.  A serving process calls this with its
-        known shape mixes before opening the request queue.
-
-        ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` --
-        with ``engine == "compiled"`` additionally compiles each plan's
-        execution artifact into the compiled memo, so the first live
-        request pays neither planning nor compilation.  A compile
-        checks the schedule and allocates no staging: each worker
-        thread binds an artifact to its own arena on its first run of
-        it.
+        within ``batches`` cost one plan), compiles each plan's
+        execution artifact into the compiled memo, and returns how many
+        batches were *newly* planned.  A serving process calls this
+        with its known shape mixes before opening the request queue, so
+        the first live request pays neither planning nor compilation.
+        A compile only checks the schedule and allocates no staging:
+        each worker thread binds an artifact to its own arena on its
+        first run of it.
         """
-        from repro.kernels import ExecutionPolicy
         from repro.kernels.compiled import compiled_plan_for
 
-        pol = ExecutionPolicy.of(policy)
         planned = 0
         with get_tracer().span("plancache.warm") as span:
             for batch in batches:
                 report, hit = self.plan_with_info(batch, heuristic, options=options)
-                if pol.engine == "compiled":
-                    compiled_plan_for(report.schedule, batch)
+                compiled_plan_for(report.schedule, batch)
                 planned += 0 if hit else 1
             if span.enabled:
                 span.set_attr("planned", planned)
@@ -313,14 +306,19 @@ class PlanCache:
 
         Each manifest entry is **re-planned** from its signature and
         options (planning is deterministic, so the restored plan is
-        identical to the lost one) and inserted directly -- bypassing
-        both the admission policy (these keys already earned their
-        slots) and the hit/miss statistics (a restore is not cache
-        traffic).  The admission filter's own state is imported first
-        when both sides support it, so generation history survives the
-        handoff.  Insertion preserves the manifest's LRU -> MRU order,
-        truncated to this cache's capacity from the cold end.
+        identical to the lost one), compiled into the compiled memo as
+        :meth:`warm` compiles, and inserted directly -- bypassing both
+        the admission policy (these keys already earned their slots)
+        and the hit/miss statistics (a restore is not cache traffic).
+        So a respawned shard's first request on a restored key pays
+        neither planning nor compilation.  The admission filter's own
+        state is imported first when both sides support it, so
+        generation history survives the handoff.  Insertion preserves
+        the manifest's LRU -> MRU order, truncated to this cache's
+        capacity from the cold end.
         """
+        from repro.kernels.compiled import compiled_plan_for
+
         if manifest.admission_state is not None and self.admission is not None:
             importer = getattr(self.admission, "import_state", None)
             if importer is not None:
@@ -342,6 +340,7 @@ class PlanCache:
                 self._entries[key] = report
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
+            compiled_plan_for(report.schedule, batch)
             restored += 1
         return restored
 
@@ -370,9 +369,9 @@ class PlanCache:
         :class:`~repro.kernels.ExecutionPolicy` -- as
         :meth:`CoordinatedFramework.execute` and runs the same
         post-plan step; only the plan comes from the cache.  Repeated
-        executions of a hot batch skip planning, and the ``grouped``
-        and ``compiled`` engines find their lowered artifact memoized
-        per cached schedule, so they skip lowering and compilation too.
+        executions of a hot batch skip planning, and the ``compiled``
+        engine finds its artifact memoized per cached schedule, so they
+        skip compilation too.
 
         The cache lookup is **dtype-qualified**: when neither the
         options nor the policy pin a precision, the operands' storage

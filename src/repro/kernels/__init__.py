@@ -12,27 +12,23 @@ answer, not just a wrong simulated time.
 * :mod:`repro.kernels.persistent` -- the persistent-threads batched
   kernel of Figure 7, driven by the five auxiliary arrays (the
   ``reference`` execution engine, and the oracle).
-* :mod:`repro.kernels.grouped` -- the grouped vectorized engine: the
-  same schedule lowered to bulk batched-matmul groups (the ``grouped``
-  execution engine; bit-identical to the reference, much faster).
 * :mod:`repro.kernels.compiled` -- the compiled-plan engine: the
   schedule checked once and compiled into a flat :class:`CompiledPlan`
   artifact -- each GEMM's shape and BK chunk table, no buffers --
   executed by a minimal allocation-free loop in the executing thread's
   one staging arena, to which each thread binds an artifact on its
-  first run (the ``compiled`` execution engine; bit-identical to
-  ``grouped``, fastest steady state).
+  first run (the ``compiled`` execution engine and the default;
+  bit-identical to the reference walk, and much faster).
 
 Engine names live in the registry (:mod:`repro.kernels.engine` --
 ``ENGINES``, ``ENGINE_FALLBACKS`` and :func:`get_engine`, which maps a
 name to its executor callable) and execution configuration in
 :class:`~repro.kernels.policy.ExecutionPolicy`; both are stdlib-only
 and re-exported eagerly here.  Kernel submodules are imported lazily
-(PEP 562) so the engines stay importable without each other --
-``import repro.kernels.grouped`` must not drag in
-``repro.kernels.persistent`` or vice versa, and
-``repro.kernels.compiled`` (which shares ``grouped``'s schedule
-check) must not drag in ``persistent`` either (CI guards this).
+(PEP 562) so the two engines stay importable without each other --
+``import repro.kernels.compiled`` must not drag in
+``repro.kernels.persistent``, so the oracle stays independent (CI
+guards this).
 """
 
 from __future__ import annotations
@@ -52,11 +48,6 @@ _EXPORTS = {
     "compute_tile": ("repro.kernels.tiled", "compute_tile"),
     "thread_level_tile": ("repro.kernels.tiled", "thread_level_tile"),
     "execute_schedule": ("repro.kernels.persistent", "execute_schedule"),
-    "execute_grouped": ("repro.kernels.grouped", "execute_grouped"),
-    "lower_schedule": ("repro.kernels.grouped", "lower_schedule"),
-    "grouped_plan_for": ("repro.kernels.grouped", "grouped_plan_for"),
-    "GroupedPlan": ("repro.kernels.grouped", "GroupedPlan"),
-    "TileGroup": ("repro.kernels.grouped", "TileGroup"),
     "execute_compiled": ("repro.kernels.compiled", "execute_compiled"),
     "compile_plan": ("repro.kernels.compiled", "compile_plan"),
     "compiled_plan_for": ("repro.kernels.compiled", "compiled_plan_for"),

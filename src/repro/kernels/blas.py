@@ -1,10 +1,10 @@
 """The BK main loop, run inside the BLAS NumPy itself loaded.
 
-Every engine multiplies a GEMM the way the tile kernel of Figure 2 does
-(lines 12-24): the K dimension is walked in ascending ``BK``-deep
-chunks, and each chunk's product is added to a float64 accumulator that
-starts at zero.  This module owns that loop, so one place decides how a
-chunk is multiplied and accumulated.
+The compiled engine multiplies a GEMM the way the tile kernel of
+Figure 2 does (lines 12-24): the K dimension is walked in ascending
+``BK``-deep chunks, and each chunk's product is added to a float64
+accumulator that starts at zero.  This module owns that loop, so one
+place decides how a chunk is multiplied and accumulated.
 
 **The BLAS path.**  At import the module looks for a CBLAS ``dgemm`` in
 the BLAS library NumPy loaded: it scans the shared objects mapped into
@@ -23,8 +23,8 @@ calls.  ctypes releases the GIL for the call, as ``np.matmul`` does.
 (an Accelerate build, an LP64-only CBLAS, a platform without
 ``/proc``), each chunk is ``np.matmul`` calls, one per row panel, into
 an ``m x n`` temporary plus one ``np.add`` into the accumulator.  The
-caller may lend the temporary (a compiled artifact lends a buffer of
-its arena).  :data:`DGEMM_SYMBOL` reports the resolved entry point, or
+caller lends the temporary (a compiled artifact lends a buffer of its
+arena).  :data:`DGEMM_SYMBOL` reports the resolved entry point, or
 ``None`` on the fallback; the choice is made once, at import.
 
 **Bit-exactness.**  Both paths give the reference walk's bits:
@@ -163,18 +163,16 @@ class ChunkLoop:
     C-contiguous 2-D float64 arrays, and ``acc`` writeable.  Each chunk
     product is computed in the row panels of :func:`row_panels`, which
     leaves every element's sum unchanged.  On the ``np.matmul``
-    fallback each chunk product lands in an ``m x n`` temporary before
-    it is added: ``scratch``, when given (a writeable C-contiguous
-    float64 array of ``acc``'s shape, whose contents :meth:`run`
-    overwrites), else one the loop allocates.  ``scratch_bytes`` is the
-    bytes of that allocation, 0 on the dgemm path or with ``scratch``.
-    The checks run here, once, and raise ``ValueError``.  The loop
-    keeps references to the arrays its call arguments point into, so
-    they live as long as it does.  A loop is not thread-safe: its owner
-    serializes :meth:`run`.
+    fallback each chunk product lands in ``scratch`` before it is
+    added: a writeable C-contiguous float64 array of ``acc``'s shape,
+    whose contents :meth:`run` overwrites (the dgemm path leaves it
+    untouched).  The checks run here, once, and raise ``ValueError``.
+    The loop keeps references to the arrays its call arguments point
+    into, so they live as long as it does.  A loop is not thread-safe:
+    its owner serializes :meth:`run`.
     """
 
-    __slots__ = ("chunks", "scratch_bytes", "_arrays", "_panels", "_dgemm", "_calls")
+    __slots__ = ("chunks", "_arrays", "_panels", "_dgemm", "_calls")
 
     def __init__(
         self,
@@ -182,11 +180,9 @@ class ChunkLoop:
         a: np.ndarray,
         b: np.ndarray,
         chunks: Sequence[tuple[int, int]],
-        scratch: Optional[np.ndarray] = None,
+        scratch: np.ndarray,
     ) -> None:
-        buffers = [("acc", acc), ("a", a), ("b", b)]
-        if scratch is not None:
-            buffers.append(("scratch", scratch))
+        buffers = (("acc", acc), ("a", a), ("b", b), ("scratch", scratch))
         for name, arr in buffers:
             if not (
                 isinstance(arr, np.ndarray)
@@ -200,9 +196,9 @@ class ChunkLoop:
             raise ValueError(
                 f"shapes do not chain: acc {acc.shape}, a {a.shape}, b {b.shape}"
             )
-        if scratch is not None and scratch.shape != (m, n):
+        if scratch.shape != (m, n):
             raise ValueError(f"scratch {scratch.shape} is not acc's shape {acc.shape}")
-        if not all(arr.flags.writeable for arr in (acc, scratch) if arr is not None):
+        if not (acc.flags.writeable and scratch.flags.writeable):
             raise ValueError("acc and scratch must be writeable")
         self.chunks = tuple((int(k0), int(k_hi)) for k0, k_hi in chunks)
         for k0, k_hi in self.chunks:
@@ -211,11 +207,7 @@ class ChunkLoop:
         deepest = max((k_hi - k0 for k0, k_hi in self.chunks), default=1)
         self._panels = row_panels(m, n, deepest)
         self._dgemm = _DGEMM
-        self.scratch_bytes = 0
         if self._dgemm is None:
-            if scratch is None:
-                scratch = np.empty((m, n), dtype=np.float64)
-                self.scratch_bytes = scratch.nbytes
             self._arrays = (acc, a, b, scratch)
             self._calls = ()
             return

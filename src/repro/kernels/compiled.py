@@ -1,13 +1,11 @@
 """Compiled-plan execution: a schedule lowered to a flat artifact.
 
-The grouped engine (:mod:`repro.kernels.grouped`) removed the
-per-tile interpreter overhead, but each execution still *walks the
-lowered plan at Python level*: iterate ``TileGroup`` objects, build
-gather index stacks, and allocate accumulators and window stacks --
-per call, even when the schedule came straight out of a warm
-:class:`~repro.core.plancache.PlanCache`.  For
-a serve hot path that executes the same few schedules millions of
-times, that is pure interpretation tax.
+The reference walk (:mod:`repro.kernels.persistent`) interprets the
+five auxiliary arrays one tile slot at a time, staging and multiplying
+each tile -- per call, even when the schedule came straight out of a
+warm :class:`~repro.core.plancache.PlanCache`.  For a serve hot path
+that executes the same few schedules millions of times, that is pure
+interpretation tax.
 
 This module compiles a schedule **once** into a :class:`CompiledPlan`
 artifact -- the same move tritonBLAS makes for GEMM parameter selection
@@ -63,25 +61,33 @@ overwrites only after the loop, plus ``np.add``: on both paths the
 arena is all the scratch.
 
 **Bit-exactness contract.**  ``execute_compiled`` is bit-identical to
-:func:`repro.kernels.grouped.execute_grouped` (and therefore to the
-reference walk):
+the reference walk, :func:`repro.kernels.persistent.execute_schedule`:
 
-* the operand staging (`np.copyto` into C-contiguous float64 buffers)
-  produces the same values and layout as the grouped engine's
-  ``np.ascontiguousarray(..., dtype=np.float64)`` copies, so BLAS sees
-  identical inputs;
-* the K reduction runs through the same :mod:`repro.kernels.blas`
-  loop as the grouped engine: the same per-chunk products,
-  accumulated in float64 in the same ascending order (that module
-  explains why ``acc += A @ B`` rounds like ``tmp = A @ B; acc += tmp``);
+* the operand staging (``np.copyto`` into C-contiguous float64
+  buffers) is the exact float64 widening the walk's per-tile staging
+  casts make, so BLAS sees the walk's values;
+* the K reduction keeps the walk's chunk order -- one product per
+  ``BK`` chunk, accumulated in float64 in ascending ``k0`` order (a
+  single full-K matmul would associate the sum differently) -- and
+  runs each product through the :mod:`repro.kernels.blas` loop, whose
+  dgemm calls compute every element as the same ascending-``k`` FMA
+  sequence as the walk's zero-padded per-tile products, interior and
+  edge tiles alike (that module explains why, why ``acc += A @ B``
+  rounds like ``tmp = A @ B; acc += tmp``, and why large calls are
+  split into row panels);
 * the alpha/beta epilogue is elementwise, so evaluating it over the
   full matrix performs the identical float64 multiplies, add and
-  final cast per element as the grouped engine's per-window
+  final cast per element as the walk's per-tile
   ``(alpha * acc + beta * c64).astype(c.dtype)``.
   ``beta * C`` is computed in float64 (``dtype=np.float64``: NumPy 2
   would multiply a float32 C by a Python-float beta in float32), and
   the add casts its float64 sum into the output with
   ``casting="unsafe"``, the cast ``astype`` makes.
+
+The equivalence suites pin this bitwise across all twelve Table-2
+strategies, transposed operands, alpha/beta epilogues, ragged edges,
+mixed-strategy GEMMs, and one-row and one-column float64 GEMMs, on the
+dgemm path and the ``np.matmul`` fallback.
 
 Artifacts are memoized in a bounded weakref
 :class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity, one
@@ -93,10 +99,9 @@ it, with it.  Memo traffic is observable via the
 ``compile.evictions`` counters and each compilation runs under a
 ``compile.plan`` span.
 
-This module imports neither :mod:`repro.kernels.grouped` nor
-:mod:`repro.kernels.persistent`: it shares only the schedule contract
-in :mod:`repro.core.schedule` with them, and the oracle stays
-independent (CI guards both).
+This module does not import :mod:`repro.kernels.persistent`: it
+shares only the schedule contract in :mod:`repro.core.schedule` with
+the walk, and the oracle stays independent (CI guards this).
 """
 
 from __future__ import annotations
@@ -184,7 +189,7 @@ class CompiledPlan:
     ) -> list[np.ndarray]:
         """Execute the compiled program on a matching batch.
 
-        Bit-identical to the grouped engine; inputs are not modified.
+        Bit-identical to the reference walk; inputs are not modified.
         Raises ``ValueError`` when the batch's shapes do not match the
         shapes the artifact was compiled for, or on operand-shape
         mismatches.  Thread-safe: each thread stages in its own arena,
@@ -201,15 +206,14 @@ class CompiledPlan:
         for (a64, b64, acc, c64, loop), gemm, (a, b, c) in zip(
             staged, batch, operands
         ):
-            # Exact float64 widening into the arena's contiguous views
-            # -- value- and layout-identical to the grouped engine's
-            # ascontiguousarray copies.
+            # Exact float64 widening into the arena's contiguous views,
+            # as the reference walk's per-tile staging casts widen.
             np.copyto(a64, gemm.op_a(a))
             np.copyto(b64, gemm.op_b(b))
             loop.run()
             # Elementwise alpha/beta epilogue in float64, in place; the
             # per-element arithmetic and the final cast match the
-            # grouped engine bit for bit.  The output is the one
+            # reference walk bit for bit.  The output is the one
             # allocation: the add writes every element of it.
             np.multiply(acc, gemm.alpha, out=acc)
             np.multiply(c, gemm.beta, out=c64, dtype=np.float64)
@@ -353,7 +357,7 @@ def execute_compiled(
 ) -> list[np.ndarray]:
     """Execute a batch schedule through its compiled artifact.
 
-    Drop-in for :func:`repro.kernels.grouped.execute_grouped`
+    Drop-in for :func:`repro.kernels.persistent.execute_schedule`
     (bit-identical outputs; inputs are not modified).  ``plan``
     optionally supplies a pre-compiled artifact; by default the
     memoized artifact of the schedule is used (compiled on first

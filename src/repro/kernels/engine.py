@@ -1,12 +1,12 @@
 """The engine registry: one name table for every executor.
 
-Three engines execute a schedule, all bit-identical: ``reference`` (the
-per-slot Figure 7 walk, the oracle), ``grouped`` (the vectorized bulk
-engine) and ``compiled`` (the precompiled-artifact interpreter).  One
-table maps each name to the module and function that execute it;
-:func:`get_engine` resolves a name through it, so
-``get_engine("grouped") is execute_grouped`` and so on.  The fallback
-chains the reliability layer walks sit next to it.
+Two engines execute a schedule, bit-identically: ``reference`` (the
+per-slot Figure 7 walk, the oracle) and ``compiled`` (the
+precompiled-artifact interpreter, the default).  One table maps each
+name to the module and function that execute it; :func:`get_engine`
+resolves a name through it, so ``get_engine("compiled") is
+execute_compiled``.  The fallback chains the reliability layer walks
+sit next to it.
 
 The table holds module *names*: a kernel module is imported only when
 its engine is resolved, so importing this registry pulls in **no**
@@ -24,19 +24,17 @@ __all__ = ["ENGINES", "ENGINE_FALLBACKS", "engine_fallbacks", "get_engine"]
 #: Engine name -> (module, executor function), resolved lazily.
 _EXECUTORS: dict[str, tuple[str, str]] = {
     "reference": ("repro.kernels.persistent", "execute_schedule"),
-    "grouped": ("repro.kernels.grouped", "execute_grouped"),
     "compiled": ("repro.kernels.compiled", "execute_compiled"),
 }
 
 #: The recognized execution-engine names.
 ENGINES: tuple[str, ...] = tuple(_EXECUTORS)
 
-#: Degradation order per engine: itself first, then progressively
-#: simpler engines ending at the per-slot reference walk (the oracle).
-#: Every engine is bit-identical, so falling back trades only speed.
+#: Degradation order per engine: itself first, then the per-slot
+#: reference walk (the oracle).  Both engines are bit-identical, so
+#: falling back trades only speed.
 ENGINE_FALLBACKS: dict[str, tuple[str, ...]] = {
-    "compiled": ("compiled", "grouped", "reference"),
-    "grouped": ("grouped", "reference"),
+    "compiled": ("compiled", "reference"),
     "reference": ("reference",),
 }
 
@@ -44,9 +42,8 @@ ENGINE_FALLBACKS: dict[str, tuple[str, ...]] = {
 def engine_fallbacks(name: str) -> tuple[str, ...]:
     """The fallback chain starting at ``name`` (itself included).
 
-    ``compiled`` degrades to ``grouped`` then ``reference``;
-    ``grouped`` to ``reference``; ``reference`` stands alone.  The
-    serving layer and :class:`~repro.reliability.ReliableExecutor`
+    ``compiled`` degrades to ``reference``; ``reference`` stands alone.
+    The serving layer and :class:`~repro.reliability.ReliableExecutor`
     walk this chain when the preferred engine misbehaves.  Raises
     ``ValueError`` for unknown names.
     """
@@ -61,13 +58,13 @@ def engine_fallbacks(name: str) -> tuple[str, ...]:
 def get_engine(name: str, *, injector=None) -> Callable:
     """Resolve an execution-engine name to its executor callable.
 
-    All engines share the signature ``fn(schedule, batch, operands)
+    Both engines share the signature ``fn(schedule, batch, operands)
     -> list[np.ndarray]`` and produce bit-identical results;
-    ``reference`` is the faithful per-slot Figure 7 walk (the oracle),
-    ``grouped`` the vectorized bulk engine, ``compiled`` the
-    precompiled-artifact interpreter.  Raises ``ValueError`` for
-    unknown names.  The returned callable is the engine's executor
-    itself (``get_engine("grouped") is execute_grouped``).
+    ``reference`` is the faithful per-slot Figure 7 walk (the oracle)
+    and ``compiled`` the precompiled-artifact interpreter.  Raises
+    ``ValueError`` for unknown names.  The returned callable is the
+    engine's executor itself (``get_engine("compiled") is
+    execute_compiled``).
 
     ``injector`` is an optional
     :class:`~repro.reliability.FaultInjector` (anything with a

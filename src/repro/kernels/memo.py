@@ -1,11 +1,10 @@
-"""Bounded weakref memoization of lowered execution artifacts.
+"""Bounded weakref memoization of compiled execution artifacts.
 
-The grouped and compiled engines both derive a per-schedule artifact
-(a :class:`~repro.kernels.grouped.GroupedPlan`, a
-:class:`~repro.kernels.compiled.CompiledPlan`) that depends only on
+The compiled engine derives a per-schedule artifact, a
+:class:`~repro.kernels.compiled.CompiledPlan`, that depends only on
 the schedule and the batch *shapes*.  Re-deriving it per execution
-would reintroduce exactly the per-call plan-walking cost the artifact
-exists to remove, so each engine memoizes its artifact per schedule.
+would reintroduce exactly the per-call checking cost the artifact
+exists to remove, so the engine memoizes its artifact per schedule.
 
 Earlier revisions stashed the artifact as an attribute on the (frozen
 but not slotted) schedule object, so in long-lived serve processes the
@@ -25,11 +24,10 @@ This module replaces the stash with :class:`PlanMemo`:
 * the memo is LRU-bounded (``capacity``), thread-safe, and exposes
   hit/miss/eviction counters so cache behaviour is observable.
 
-One memo instance per engine module keeps the engines independently
-importable (no shared registry import between ``grouped`` and
-``compiled``).  The memo is the only home of an artifact: the plan
-cache and the serving layer hold plans, and a cached plan's schedule
-keeps its artifact here alive.
+The compiled engine's module holds its one memo instance.  The memo is
+the only home of an artifact: the plan cache and the serving layer
+hold plans, and a cached plan's schedule keeps its artifact here
+alive.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ class PlanMemo:
 
         Counts a hit or a miss; a stale entry (the schedule's ``id``
         was recycled by a new object, or the same schedule was last
-        lowered for different batch shapes) is dropped and counted as
+        compiled for different batch shapes) is dropped and counted as
         a miss.
         """
         key = id(schedule)

@@ -1,9 +1,9 @@
 """The execution policy: one object for "how should this batch run".
 
 Every execution surface -- :meth:`CoordinatedFramework.execute`,
-:meth:`PlanCache.execute` and :meth:`PlanCache.warm`, ``ServeConfig``,
-the strided adapter -- takes its execution knobs as one frozen
-:class:`ExecutionPolicy`, the way planning knobs travel as one
+:meth:`PlanCache.execute`, ``ServeConfig``, the strided adapter --
+takes its execution knobs as one frozen :class:`ExecutionPolicy`, the
+way planning knobs travel as one
 :class:`~repro.core.options.PlanOptions`.  There is no other spelling:
 a bare engine-name string or a loose ``engine=`` keyword is a
 ``TypeError``.
@@ -34,8 +34,8 @@ class ExecutionPolicy:
     Parameters
     ----------
     engine:
-        Name from the engine registry (``reference`` / ``grouped`` /
-        ``compiled``).
+        Name from the engine registry: ``compiled`` (the default) or
+        ``reference``.
     fallback:
         Walk the engine's degradation chain
         (:func:`repro.kernels.engine_fallbacks`) on failure.
@@ -59,7 +59,7 @@ class ExecutionPolicy:
         :class:`~repro.kernels.verify.VerificationError` on failure.
     """
 
-    engine: str = "grouped"
+    engine: str = "compiled"
     fallback: bool = False
     retry: Optional[Any] = None
     injector: Optional[Any] = None

@@ -65,7 +65,7 @@ def execute_schedule_strided(
     ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy` -- selects
     the executor through the shared engine registry; the default keeps
     this adapter on the ``reference`` per-slot walk (its historical
-    behaviour).  All engines are bit-identical, so the choice only
+    behaviour).  Both engines are bit-identical, so the choice only
     changes speed.
     """
     pol = (

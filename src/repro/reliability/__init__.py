@@ -15,15 +15,15 @@ reliability primitives the pipeline wires together:
   :class:`CircuitBreaker` (closed / open / half-open);
 * :mod:`repro.reliability.executor` -- :class:`ReliableExecutor`,
   the retrying, breaker-guarded engine **fallback chain**
-  (``compiled`` -> ``grouped`` -> ``reference``) used by
+  (``compiled`` -> ``reference``) used by
   :meth:`CoordinatedFramework.execute` and the serving layer.
 
 Chaos quickstart::
 
     from repro.reliability import FaultPlan, FaultInjector, ReliableExecutor
 
-    plan = FaultPlan.parse(["engine_error:engine=grouped,every=3"], seed=7)
-    executor = ReliableExecutor("grouped", injector=FaultInjector(plan))
+    plan = FaultPlan.parse(["engine_error:engine=compiled,every=3"], seed=7)
+    executor = ReliableExecutor("compiled", injector=FaultInjector(plan))
     values, engine_used = executor.execute(report.schedule, batch, operands)
 
 See ``docs/reliability.md`` for the fault model, retry/breaker/

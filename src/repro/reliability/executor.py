@@ -3,8 +3,8 @@
 Stream-K++ and tritonBLAS both argue the same point from different
 angles: an analytically *selected* kernel configuration needs a safety
 net for the cases where the selection misbehaves.  Here the selection
-is the execution engine (``compiled`` -> ``grouped`` -> ``reference``;
-each link simpler and more battle-tested than the previous), and the
+is the execution engine (``compiled`` -> ``reference``; the per-slot
+reference walk is the simpler, more battle-tested oracle), and the
 safety net is :class:`ReliableExecutor`:
 
 1. run the preferred engine; on failure, **retry** per the
@@ -19,8 +19,8 @@ safety net is :class:`ReliableExecutor`:
 The *last* engine in the chain is always attempted regardless of its
 breaker state -- the breaker's job is to shed load off broken
 preferred engines, not to turn a request away when a working oracle
-remains.  Every engine produces bit-identical results (the PR-3/PR-4
-equivalence guarantee), so falling back changes latency, never
+remains.  Both engines produce bit-identical results (the
+equivalence suites pin it), so falling back changes latency, never
 answers.
 
 Thread-safe; one executor is shared by all of a server's workers so
@@ -55,7 +55,7 @@ class ReliableExecutor:
 
     def __init__(
         self,
-        engine: str = "grouped",
+        engine: str = "compiled",
         *,
         retry: Optional[RetryPolicy] = None,
         fallback: bool = True,

@@ -31,13 +31,14 @@ trigger matches):
 
 Sites are dotted-ish strings.  The two wired today are ``"engine"``
 (every numerical executor call; ``engine=NAME`` narrows a spec to one
-engine, whose calls are counted separately) and ``"planner"`` (every
-:meth:`PlannerStage.plan`).
+engine of the registry, whose calls are counted separately -- a name
+the registry does not know is a ``ValueError``, not a spec that never
+fires) and ``"planner"`` (every :meth:`PlannerStage.plan`).
 
 CLI shorthand (``repro-serve --inject``)::
 
     engine_error:every=7            # every 7th engine call raises
-    engine_error:engine=grouped,at=1-6
+    engine_error:engine=compiled,at=1-6
     engine_slow:ms=2.5,rate=0.1
     planner_error:rate=0.05
 """
@@ -50,6 +51,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
+
+from repro.kernels.engine import engine_fallbacks
 
 __all__ = [
     "InjectedFault",
@@ -103,7 +106,7 @@ class FaultSpec:
     rate: float = 0.0
     #: Latency injected by ``slow`` faults, in milliseconds.
     ms: float = 1.0
-    #: Narrow an ``engine``-site spec to one engine name ("" = all).
+    #: Narrow an ``engine``-site spec to one registry engine ("" = all).
     engine: str = ""
     #: Exception class name raised by ``error`` faults.
     exc: str = "InjectedFault"
@@ -124,6 +127,8 @@ class FaultSpec:
                 f"fault spec {self.describe()!r} can never fire: "
                 "give it every=, at=, or rate="
             )
+        if self.engine:
+            engine_fallbacks(self.engine)  # canonical unknown-engine ValueError
         self.exception_type()  # validate eagerly
 
     @classmethod

@@ -10,7 +10,7 @@ Usage::
     repro-serve --live --time-scale 0.1    # wall-clock run through GemmServer
 
     # chaos: seeded fault injection against the live server
-    repro-serve --live --operands --inject engine_error:engine=grouped,at=1-6 \
+    repro-serve --live --operands --inject engine_error:engine=compiled,at=1-6 \
         --fault-seed 7 --json
 
     # sharded cluster tier: deterministic replay with a mid-run shard
@@ -131,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--engine",
         choices=ENGINES,
-        default="grouped",
+        default="compiled",
         help="numerical execution engine for operand-carrying batches "
-        "(compiled = precompiled-plan interpreter, fastest warm path)",
+        "(compiled = precompiled-plan interpreter; reference = the "
+        "per-slot Figure 7 walk)",
     )
     pipeline.add_argument(
         "--warm",
@@ -557,11 +558,7 @@ def main(argv: list[str] | None = None) -> int:
             cache = PlanCache(framework, capacity=args.cache_capacity)
             if args.warm:
                 scout = replay_trace(trace, framework, config)
-                planned = cache.warm(
-                    scout.formed_batches,
-                    config.heuristic,
-                    policy=config.policy,
-                )
+                planned = cache.warm(scout.formed_batches, config.heuristic)
                 cache.stats = CacheStats()  # report serving-time traffic only
                 print(
                     f"warm-start: pre-planned {planned} batch mixes", file=sys.stderr

@@ -18,8 +18,8 @@ class ReliabilityConfig:
 
     ``retry`` drives both planner and engine retries (capped
     exponential backoff, deterministic jitter); ``fallback`` enables
-    the engine degradation chain (``compiled`` -> ``grouped`` ->
-    ``reference``); the breaker knobs size each engine's
+    the engine degradation chain (``compiled`` -> ``reference``); the
+    breaker knobs size each engine's
     :class:`~repro.reliability.CircuitBreaker`; ``bisect`` enables
     poison-batch isolation (a batch that fails after retries and
     fallback is split and re-executed so healthy requests still
@@ -57,13 +57,14 @@ class ServeConfig:
     plan cache amortize).  ``miss_overhead_us`` / ``hit_overhead_us``
     model the online planning cost charged per batch in virtual-time
     replay (a miss runs the full tiling+batching trial; a hit is one
-    cache lookup); ``compile_overhead_us`` is additionally charged the
-    first time each distinct plan is dispatched under a ``compiled``
-    policy (the one-off artifact compilation -- warm dispatches charge
+    cache lookup); ``compile_overhead_us`` is additionally charged on
+    each plan-cache miss under a ``compiled`` policy (the one-off
+    artifact compilation of the fresh plan -- a hit, warmed or
+    restored plans included, finds its artifact compiled and charges
     nothing extra).
 
     ``policy`` -- an :class:`~repro.kernels.ExecutionPolicy`, the
-    ``grouped`` engine by default -- names the numerical executor used
+    ``compiled`` engine by default -- names the numerical executor used
     when a formed batch carries operands.  Only its ``engine`` applies
     here, and every other field must stay unset:
 

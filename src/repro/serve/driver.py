@@ -26,11 +26,13 @@ insertion sequence):
 Batches dispatch FIFO to the first of ``config.workers`` free worker
 slots; a slot stays busy for the batch's planning + simulated kernel
 time, which is how queueing delay emerges under overload.  Under a
-``compiled`` execution policy the first dispatch of each distinct
-plan is additionally charged ``config.compile_overhead_us`` (the
-one-off artifact compilation, counted as ``serve.compiles_charged``);
-later dispatches of the same plan charge nothing extra, mirroring the
-live server's warm hot path.
+``compiled`` execution policy a dispatch whose plan missed the plan
+cache is additionally charged ``config.compile_overhead_us`` (the
+one-off artifact compilation of the fresh plan, counted as
+``serve.compiles_charged``).  A hit charges nothing extra: its plan's
+artifact was compiled when the plan was first dispatched, or when
+:meth:`PlanCache.warm` or :meth:`PlanCache.restore` cached it, as on
+the live server's warm hot path.
 
 Fault tolerance: when ``config.reliability.fault_plan`` is set, a
 :class:`~repro.reliability.FaultInjector` is attached to the planner
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import weakref
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
@@ -170,13 +171,6 @@ class ReplayPipeline:
         self.formed_batches: list = []
         self.planner_retries = 0
         self.batch_failures = 0
-        # Under a compiled policy the first dispatch of each distinct
-        # plan is charged the one-off artifact compilation; warm
-        # dispatches of the same plan charge nothing extra (the hot
-        # path is lookup + interpreter only).  A schedule's entry dies
-        # with it, as its compiled artifact does: CPython reuses a dead
-        # schedule's id.
-        self._compiled_seen: set[int] = set()
 
     @property
     def depth(self) -> int:
@@ -332,14 +326,9 @@ class ReplayPipeline:
         raise AssertionError("unreachable")
 
     def _compile_charge_us(self, planned: PlannedBatch) -> float:
-        if self.config.policy.engine != "compiled":
+        """The compile charge: a plan-cache miss under a compiled policy."""
+        if planned.cache_hit or self.config.policy.engine != "compiled":
             return 0.0
-        schedule = planned.report.schedule
-        key = id(schedule)
-        if key in self._compiled_seen:
-            return 0.0
-        self._compiled_seen.add(key)
-        weakref.finalize(schedule, self._compiled_seen.discard, key)
         self._tracer.counter("serve.compiles_charged")
         return self.config.compile_overhead_us
 

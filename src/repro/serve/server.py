@@ -10,20 +10,19 @@ driver, built from the same parts (``DynamicBatcher``,
 * one **batcher thread** waits on a condition variable and forms
   batches on the size/window triggers;
 * ``config.workers`` **worker threads** pop formed batches, plan them
-  through the cache, and resolve tickets -- numerically (the
-  engine named by ``config.policy``, grouped by default; the
-  ``compiled`` engine reuses a precompiled artifact per cached
-  schedule so warm requests skip lowering and compilation) when
-  every request in the batch carries operands, otherwise on the
-  device model (the simulator);
+  through the cache, and resolve tickets -- numerically (the engine
+  named by ``config.policy``, ``compiled`` by default, which reuses a
+  precompiled artifact per cached schedule so warm requests skip
+  compilation) when every request in the batch carries operands,
+  otherwise on the device model (the simulator);
 * ``close(drain=True)`` stops admissions, flushes whatever is pending
   through the pipeline, and joins every thread.
 
 **Fault tolerance** (``config.reliability``, see
 ``docs/reliability.md``): planning and execution failures are retried
 per the :class:`~repro.reliability.RetryPolicy`; engine failures
-degrade along the fallback chain (``compiled`` -> ``grouped`` ->
-``reference``) guarded by per-engine circuit breakers
+degrade along the fallback chain (``compiled`` -> ``reference``)
+guarded by per-engine circuit breakers
 (:class:`~repro.reliability.ReliableExecutor`); a batch that still
 fails is **bisected** so healthy requests complete and only the poison
 request is rejected with a typed ``error:<ExcName>`` reason.  The

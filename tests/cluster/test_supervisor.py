@@ -24,6 +24,7 @@ from repro.cluster import (
 )
 from repro.cluster.config import ClusterConfig
 from repro.cluster.frontend import ClusterFrontend
+from repro.cluster.report import REASON_SHARD_KILLED
 from repro.core.framework import CoordinatedFramework
 from repro.core.options import Heuristic
 from repro.core.plancache import PlanCache
@@ -164,13 +165,22 @@ class TestManifestHandoff:
 
 
 class TestSupervisedReplay:
-    """Supervised recovery in the deterministic virtual-time driver."""
+    """Supervised recovery in the deterministic virtual-time driver.
 
-    KILL = [(1, 4_000.0)]
+    The trace arrives faster than the four shards serve it, so every
+    shard builds a backlog: when shard 1 dies 1 ms in, it holds queued
+    and in-flight requests by construction, not by the chance that the
+    kill lands between two of its batches.  The bare arm pins that the
+    kill costs requests, so the scenario cannot quietly degenerate into
+    the kill of an idle shard.
+    """
+
+    RATE = 200_000.0
+    KILL = [(1, 1_000.0)]
 
     def replay(self, framework_module, *, supervisor, trace=None, **cfg):
         return replay_cluster_trace(
-            trace if trace is not None else _trace(),
+            trace if trace is not None else _trace(rate=self.RATE),
             framework_module,
             _config(supervisor=supervisor, **cfg),
             kill=self.KILL,
@@ -183,6 +193,15 @@ class TestSupervisedReplay:
         )
         assert bare.settlement_share == 1.0
         assert supervised.settlement_share == 1.0
+        # The kill catches several requests the victim holds.
+        killed = [
+            r
+            for s in bare.shards
+            for r in s.report.results
+            if not r.ok and r.reason == REASON_SHARD_KILLED
+        ]
+        assert len(killed) >= 4
+        assert bare.completed_share < 1.0
         # The whole point: killed-shard casualties complete elsewhere
         # and the shard comes back -- strictly better completion.
         assert supervised.completed_share > bare.completed_share

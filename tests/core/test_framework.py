@@ -151,14 +151,14 @@ class TestExecution:
 
     def test_engines_bit_identical(self, framework, small_batch, rng):
         ops = small_batch.random_operands(rng)
-        grouped = framework.execute(
-            small_batch, ops, policy=ExecutionPolicy(engine="grouped")
+        compiled = framework.execute(
+            small_batch, ops, policy=ExecutionPolicy(engine="compiled")
         )
         reference = framework.execute(
             small_batch, ops, policy=ExecutionPolicy(engine="reference")
         )
-        for g, r in zip(grouped, reference):
-            np.testing.assert_array_equal(g, r)
+        for c, r in zip(compiled, reference):
+            np.testing.assert_array_equal(c, r)
 
     def test_unknown_engine_rejected(self, framework, small_batch, rng):
         ops = small_batch.random_operands(rng)

@@ -2,7 +2,7 @@
 
 One frozen policy object carries the engine and the reliability
 envelope into ``CoordinatedFramework.execute``, ``PlanCache.execute``
-and ``warm``, and ``ServeConfig``; the historical error contracts
+and ``ServeConfig``; the historical error contracts
 (unknown engines, reliability knobs on a serving config) hold on each
 surface.  The removed keyword and string spellings are pinned in
 ``tests/kernels/test_engine_registry.py``.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.plancache import PlanCache
 from repro.kernels import ExecutionPolicy
-from repro.kernels.grouped import execute_grouped
+from repro.kernels.persistent import execute_schedule
 from repro.reliability import RetryPolicy
 from repro.serve.config import ServeConfig
 
@@ -35,7 +35,7 @@ def no_warnings():
 class TestExecutionPolicy:
     def test_defaults(self):
         pol = ExecutionPolicy()
-        assert pol.engine == "grouped"
+        assert pol.engine == "compiled"
         assert not pol.fallback and pol.retry is None and pol.injector is None
 
     def test_unknown_engine_rejected(self):
@@ -82,7 +82,7 @@ class TestFrameworkExecuteShims:
         ops = small_batch.random_operands(rng)
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             framework.execute(
-                small_batch, ops, policy=ExecutionPolicy(), engine="grouped"
+                small_batch, ops, policy=ExecutionPolicy(), engine="compiled"
             )
 
     def test_reliable_policy_routes_through_executor(
@@ -90,20 +90,21 @@ class TestFrameworkExecuteShims:
     ):
         ops = small_batch.random_operands(rng)
         pol = ExecutionPolicy(
-            engine="grouped",
+            engine="compiled",
             fallback=True,
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0, max_delay_ms=0.0),
         )
         with no_warnings():
             got = framework.execute(small_batch, ops, policy=pol)
         report = framework.plan(small_batch)
-        want = execute_grouped(report.schedule, small_batch, ops)
+        want = execute_schedule(report.schedule, small_batch, ops)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
 class TestPlanCacheShims:
-    """``PlanCache.execute`` / ``warm`` take ``policy=`` and nothing else."""
+    """``PlanCache.execute`` takes ``policy=`` and nothing else; ``warm``
+    compiles every plan it caches, so it takes no policy at all."""
 
     def test_execute_policy_path(self, framework, small_batch, rng):
         cache = PlanCache(framework)
@@ -113,15 +114,17 @@ class TestPlanCacheShims:
                 small_batch, ops, policy=ExecutionPolicy(engine="compiled")
             )
         report = framework.plan(small_batch)
-        want = execute_grouped(report.schedule, small_batch, ops)
+        want = execute_schedule(report.schedule, small_batch, ops)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     def test_warm_policy_path(self, framework, small_batch):
         cache = PlanCache(framework)
         with no_warnings():
-            assert cache.warm([small_batch], policy=ExecutionPolicy()) == 1
-            assert cache.warm([small_batch], policy=ExecutionPolicy()) == 0
+            assert cache.warm([small_batch]) == 1
+            assert cache.warm([small_batch]) == 0
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            cache.warm([small_batch], policy=ExecutionPolicy())
 
 
 class TestServeConfigShims:
@@ -133,14 +136,14 @@ class TestServeConfigShims:
             config = ServeConfig(policy=ExecutionPolicy(engine="compiled"))
         assert config.policy.engine == "compiled"
 
-    def test_default_resolves_to_grouped(self):
+    def test_default_resolves_to_compiled(self):
         with no_warnings():
             assert ServeConfig().policy == ExecutionPolicy()
-        assert ServeConfig().policy.engine == "grouped"
+        assert ServeConfig().policy.engine == "compiled"
 
     def test_mixing_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
-            ServeConfig(policy=ExecutionPolicy(), engine="grouped")
+            ServeConfig(policy=ExecutionPolicy(), engine="compiled")
 
     def test_reliable_policy_rejected(self):
         with pytest.raises(ValueError, match="ReliabilityConfig"):

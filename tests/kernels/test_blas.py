@@ -1,10 +1,10 @@
-"""Tests for the BK main loop helper shared by every engine.
+"""Tests for the BK main loop helper of the compiled engine.
 
 ``repro.kernels.blas`` runs each chunk as dgemm calls (alpha = beta
 = 1), one per row panel, when NumPy's BLAS exports a CBLAS dgemm, and
 as ``np.matmul`` plus ``np.add`` otherwise.  Both must give the bits of
-the parent loop, and every engine must match the reference walk bit
-for bit -- including on one-row and one-column GEMMs, which
+the parent loop, and the compiled engine must match the reference walk
+bit for bit -- including on one-row and one-column GEMMs, which
 ``np.matmul`` sends to gemv, and on GEMMs whose full-width chunk calls
 would leave OpenBLAS's small-matrix kernel.
 """
@@ -20,10 +20,9 @@ from repro.core.problem import Gemm, GemmBatch
 from repro.kernels import blas
 from repro.kernels.blas import ChunkLoop, chunk_ranges, row_panels
 from repro.kernels.compiled import execute_compiled
-from repro.kernels.grouped import execute_grouped
 from repro.kernels.persistent import execute_schedule
 
-from .test_grouped import make_schedule
+from .test_compiled import make_schedule
 
 
 def numpy_loop(a: np.ndarray, b: np.ndarray, bk: int) -> np.ndarray:
@@ -56,12 +55,13 @@ class TestResolution:
             assert blas._DGEMM.__name__ == blas.DGEMM_SYMBOL
 
     def test_loop_takes_the_path_resolved_when_bound(self, path):
+        """The dgemm path leaves the scratch untouched; the fallback fills it."""
         a, b, acc = np.ones((3, 4)), np.ones((4, 5)), np.empty((3, 5))
-        loop = ChunkLoop(acc, a, b, chunk_ranges(4, 2))
+        scratch = np.full((3, 5), np.nan)
+        ChunkLoop(acc, a, b, chunk_ranges(4, 2), scratch).run()
+        assert np.array_equal(acc, np.full((3, 5), 4.0))
         on_blas = path == "dgemm"
-        assert loop.scratch_bytes == (0 if on_blas else acc.nbytes)
-        given = ChunkLoop(acc, a, b, chunk_ranges(4, 2), np.empty((3, 5)))
-        assert given.scratch_bytes == 0
+        assert np.isnan(scratch).all() == on_blas
 
 
 class TestChunkLoop:
@@ -80,7 +80,8 @@ class TestChunkLoop:
             if trial % 2:
                 a[rng.random(a.shape) < 0.3] = -0.0
             acc = np.full((m, n), np.nan)  # run must overwrite, not add
-            ChunkLoop(acc, a, b, chunk_ranges(k, 8)).run()
+            scratch = np.full((m, n), np.nan)
+            ChunkLoop(acc, a, b, chunk_ranges(k, 8), scratch).run()
             want = numpy_loop(a, b, 8)
             assert np.array_equal(acc, want), (m, n, k)
             assert np.array_equal(np.signbit(acc), np.signbit(want)), (m, n, k)
@@ -98,7 +99,7 @@ class TestChunkLoop:
             k = int(rng.integers(1, 70))
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
-            scratch = np.full((m, n), np.nan) if trial % 2 else None
+            scratch = np.full((m, n), np.nan)
             acc = np.full((m, n), np.nan)
             ChunkLoop(acc, a, b, chunk_ranges(k, 8), scratch).run()
             assert np.array_equal(acc, numpy_loop(a, b, 8)), (m, n, k)
@@ -118,7 +119,7 @@ class TestChunkLoop:
     def test_rerun_gives_the_same_bits(self, path, rng):
         a, b = rng.standard_normal((17, 40)), rng.standard_normal((40, 23))
         acc = np.empty((17, 23))
-        loop = ChunkLoop(acc, a, b, chunk_ranges(40, 8))
+        loop = ChunkLoop(acc, a, b, chunk_ranges(40, 8), np.empty((17, 23)))
         loop.run()
         first = acc.copy()
         a[:] = rng.standard_normal(a.shape)  # the loop reads the live buffers
@@ -138,7 +139,7 @@ class TestChunkLoop:
     )
     def test_rejects_buffers_the_call_cannot_address(self, acc, a, b, message):
         with pytest.raises(ValueError, match=message):
-            ChunkLoop(acc, a, b, chunk_ranges(4, 2))
+            ChunkLoop(acc, a, b, chunk_ranges(4, 2), np.empty(acc.shape))
 
     @pytest.mark.parametrize(
         "scratch,message",
@@ -159,7 +160,10 @@ class TestChunkLoop:
         acc = np.empty((3, 5))
         acc.flags.writeable = False
         with pytest.raises(ValueError, match="writeable"):
-            ChunkLoop(acc, np.ones((3, 4)), np.ones((4, 5)), chunk_ranges(4, 2))
+            ChunkLoop(
+                acc, np.ones((3, 4)), np.ones((4, 5)),
+                chunk_ranges(4, 2), np.empty((3, 5)),
+            )
 
     def test_rejects_read_only_scratch(self):
         scratch = np.empty((3, 5))
@@ -173,7 +177,10 @@ class TestChunkLoop:
     @pytest.mark.parametrize("chunk", [(-1, 2), (2, 2), (3, 5), (0, 5)])
     def test_rejects_chunks_outside_the_reduction(self, chunk):
         with pytest.raises(ValueError, match="outside"):
-            ChunkLoop(np.empty((3, 5)), np.ones((3, 4)), np.ones((4, 5)), [chunk])
+            ChunkLoop(
+                np.empty((3, 5)), np.ones((3, 4)), np.ones((4, 5)),
+                [chunk], np.empty((3, 5)),
+            )
 
 
 @pytest.mark.skipif(
@@ -181,7 +188,7 @@ class TestChunkLoop:
     reason="the np.matmul fallback sends one-row products to gemv",
 )
 class TestOneRowOneColumn:
-    """Float64 GEMMs with one row or one column, on every fast engine.
+    """Float64 GEMMs with one row or one column, on the compiled engine.
 
     ``np.matmul`` computes a (1 x w) @ (w x n) or (m x w) @ (w x 1)
     chunk product with gemv, which rounds differently from the gemm the
@@ -190,7 +197,7 @@ class TestOneRowOneColumn:
     """
 
     SHAPES = [(1, 200, 64), (200, 1, 64), (1, 81, 298), (2, 1, 302)]
-    ENGINES = {"grouped": execute_grouped, "compiled": execute_compiled}
+    ENGINES = {"compiled": execute_compiled}
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("shape", SHAPES)

@@ -1,11 +1,12 @@
 """Tests for the compiled-plan execution artifacts.
 
-The contract is the grouped engine's, tightened: ``execute_compiled``
-must be **bit-identical** (``np.array_equal``) to ``execute_grouped``
-and the reference persistent-threads walk for every schedule -- all
-twelve Table-2 strategies, transposes, alpha/beta epilogues, ragged
-edges, and GEMMs tiled by more than one strategy -- while doing all
-schedule checking once, at compile time, and allocating nothing then.
+The contract is strict: ``execute_compiled`` must be **bit-identical**
+(``np.array_equal``, not allclose) to the reference persistent-threads
+walk for every schedule -- all twelve Table-2 strategies, transposes,
+alpha/beta epilogues, ragged edges, and GEMMs tiled by more than one
+strategy -- and reject every schedule the walk rejects, with the
+walk's error, while doing all schedule checking once, at compile
+time, and allocating nothing then.
 Every GEMM a thread runs stages in that thread's one arena, so these
 tests also check that nothing one GEMM leaves there reaches another's
 output, that threads never share an arena, and that resident staging
@@ -27,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.core.batching import batch_tiles
-from repro.core.options import Heuristic
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.schedule import BatchSchedule, build_schedule, enumerate_tiles
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, BATCHED_BK, select_tiling
@@ -42,12 +42,10 @@ from repro.kernels.compiled import (
     compiled_plan_for,
     execute_compiled,
 )
-from repro.kernels.grouped import execute_grouped
 from repro.kernels.persistent import execute_schedule
 from repro.kernels.reference import reference_batched_gemm
 from repro.nn.googlenet import GOOGLENET_INCEPTIONS, inception_branch_batch
 from repro.telemetry import tracing
-from repro.workloads.synthetic import random_cases
 
 
 #: The GoogLeNet inception4a branch batch (Figure 10 style).
@@ -64,7 +62,12 @@ def make_schedule(batch, heuristic="threshold", threshold=65536):
 
 
 def forced_schedule(batch: GemmBatch, strategy_index: int) -> BatchSchedule:
-    """A one-block schedule that tiles every GEMM with one strategy."""
+    """A one-block schedule that tiles every GEMM with one strategy.
+
+    The planner picks strategies by shape, so exercising all twelve
+    table entries requires building the five arrays by hand (the
+    executors read only the arrays, exactly like the device kernel).
+    """
     strat = ALL_BATCHED_STRATEGIES[strategy_index]
     gemm_ids, y_coords, x_coords = [], [], []
     for gi, gemm in enumerate(batch):
@@ -201,20 +204,33 @@ def assert_disjoint_arenas(records):
 
 
 def assert_bit_identical(schedule, batch, ops):
-    """Compiled output must match both grouped and the reference walk."""
+    """Compiled output must match the reference walk bit for bit."""
     ref = execute_schedule(schedule, batch, ops)
-    grouped = execute_grouped(schedule, batch, ops)
     got = execute_compiled(schedule, batch, ops)
-    for gi, (want, mid, have) in enumerate(zip(ref, grouped, got)):
+    for gi, (want, have) in enumerate(zip(ref, got)):
         assert want.dtype == have.dtype, f"GEMM {gi} dtype drift"
-        assert np.array_equal(mid, have), (
-            f"GEMM {gi}: compiled engine diverges from grouped "
-            f"(max |delta| = {np.max(np.abs(mid - have))})"
-        )
         assert np.array_equal(want, have), (
-            f"GEMM {gi}: compiled engine diverges from the reference walk"
+            f"GEMM {gi}: compiled engine diverges from the reference walk "
+            f"(max |delta| = {np.max(np.abs(want - have))})"
         )
     return got
+
+
+def assert_imports_without(kept: str, shunned: str) -> None:
+    """Importing ``kept`` in a fresh interpreter leaves ``shunned`` unloaded."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        f"import sys; import {kept}; "
+        f"assert '{shunned}' not in sys.modules, "
+        f"'{kept} imported {shunned}'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBitExactEquivalence:
@@ -264,6 +280,10 @@ class TestBitExactEquivalence:
     def test_planned_schedules(self, small_batch, rng, heuristic):
         ops = small_batch.random_operands(rng)
         assert_bit_identical(make_schedule(small_batch, heuristic), small_batch, ops)
+
+    def test_uniform_batch(self, uniform_batch, rng):
+        ops = uniform_batch.random_operands(rng)
+        assert_bit_identical(make_schedule(uniform_batch, "threshold"), uniform_batch, ops)
 
     def test_float32_outputs(self, rng):
         batch = GemmBatch.from_shapes([(48, 48, 32), (30, 70, 11)])
@@ -534,8 +554,8 @@ class TestEpilogueCast:
     """The in-place epilogue keeps ``astype``'s semantics, byte for byte.
 
     The compiled epilogue computes ``beta * C`` in float64 and casts the
-    float64 sum straight into the output; the grouped engine and the
-    reference walk evaluate ``(alpha * acc + beta * C64).astype(dtype)``.
+    float64 sum straight into the output; the reference walk evaluates
+    ``(alpha * acc + beta * C64).astype(dtype)`` per tile.
     Special values in C (NaN, -inf, -0.0) and signed zeros in A make
     any change of operation order, precision or cast visible.
     """
@@ -559,7 +579,7 @@ class TestEpilogueCast:
         return ops
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32])
-    def test_output_bytes_match_grouped_and_reference(self, rng, small_batch, dtype):
+    def test_output_bytes_match_reference(self, rng, small_batch, dtype):
         for alpha in self.ALPHAS:
             for beta in self.BETAS:
                 batch = GemmBatch(
@@ -572,16 +592,12 @@ class TestEpilogueCast:
                 sched = make_schedule(batch)
                 with np.errstate(invalid="ignore"):  # 0 * inf is NaN
                     got = execute_compiled(sched, batch, ops)
-                    wants = [
-                        (engine, engine(sched, batch, ops))
-                        for engine in (execute_grouped, execute_schedule)
-                    ]
-                for engine, want_outs in wants:
-                    for gi, (have, want) in enumerate(zip(got, want_outs)):
-                        assert have.dtype == want.dtype == dtype
-                        assert have.tobytes() == want.tobytes(), (
-                            f"{engine.__name__}, alpha={alpha}, beta={beta}, GEMM {gi}"
-                        )
+                    want_outs = execute_schedule(sched, batch, ops)
+                for gi, (have, want) in enumerate(zip(got, want_outs)):
+                    assert have.dtype == want.dtype == dtype
+                    assert have.tobytes() == want.tobytes(), (
+                        f"alpha={alpha}, beta={beta}, GEMM {gi}"
+                    )
 
 
 class TestCompiledContract:
@@ -599,6 +615,36 @@ class TestCompiledContract:
         sched.strategy_ids[1] = sched.strategy_ids[0]
         with pytest.raises(ValueError, match="exactly once"):
             compile_plan(sched, small_batch)
+
+    def test_coverage_error_counts_elements(self, small_batch, rng):
+        """The edge-grid check reports the reference walk's element counts."""
+        ops = small_batch.random_operands(rng)
+        sched = make_schedule(small_batch, "one-per-block")
+        sched.y_coords[1] = sched.y_coords[0]
+        sched.x_coords[1] = sched.x_coords[0]
+        with pytest.raises(ValueError) as want:
+            execute_schedule(sched, small_batch, ops)
+        with pytest.raises(ValueError) as got:
+            execute_compiled(sched, small_batch, ops)
+        assert str(got.value) == str(want.value)
+
+    def test_coverage_grid_spans_each_gemms_own_edges(self):
+        """A short-wide GEMM next to a tall-narrow one stays cheap to check.
+
+        Each GEMM's coverage grid holds only its own tile edges: about
+        8k cells per GEMM here, where one grid over the union of the
+        batch's column edges would hold ~16.8M cells (~134 MB per array).
+        """
+        batch = GemmBatch([Gemm(16, 65536, 8), Gemm(65536, 16, 8)])
+        sched = forced_schedule(batch, 0)  # 16x16 tiles
+        tracemalloc.start()
+        try:
+            artifact = compile_plan(sched, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert artifact.num_tiles == 8192
+        assert peak < 16 * 2**20
 
     def test_out_of_range_ids_rejected(self, small_batch):
         sched = make_schedule(small_batch)
@@ -627,7 +673,7 @@ class TestCompiledContract:
         sched = make_schedule(small_batch)
         ops = small_batch.random_operands(rng)
         got = execute_compiled(sched, small_batch, ops, plan=stale)
-        want = execute_grouped(sched, small_batch, ops)
+        want = execute_schedule(sched, small_batch, ops)
         for have, expect in zip(got, want):
             assert np.array_equal(have, expect)
 
@@ -667,7 +713,7 @@ class TestCompiledContract:
         artifact = compile_plan(sched, hot)
         ops = cold.random_operands(rng)
         got = artifact.run(cold, ops)  # token matches: shapes only
-        want = execute_grouped(make_schedule(cold), cold, ops)
+        want = execute_schedule(make_schedule(cold), cold, ops)
         for have, expect in zip(got, want):
             assert np.array_equal(have, expect)
 
@@ -676,11 +722,7 @@ class TestCompiledContract:
         sched = make_schedule(small_batch)
         ops = small_batch.random_operands(rng)
         artifact = compile_plan(sched, small_batch)
-        want = execute_grouped(sched, small_batch, ops)
-        assert all(
-            np.array_equal(w, r)
-            for w, r in zip(want, execute_schedule(sched, small_batch, ops))
-        )
+        want = execute_schedule(sched, small_batch, ops)
         records, failures = hammer_in_threads([(artifact, small_batch, ops, want)] * 4)
         assert not failures
         assert_disjoint_arenas(records)
@@ -700,7 +742,7 @@ class TestCompiledContract:
 
         On both it is all the scratch: the ``np.matmul`` fallback takes
         its chunk temporary from the arena too.  The last case is the
-        batch ``benchmarks/test_bench_compile.py`` times.
+        batch ``benchmarks/test_bench_execute.py`` times.
         """
         batch = GemmBatch.from_shapes(shapes)
         sched = make_schedule(batch)
@@ -709,8 +751,6 @@ class TestCompiledContract:
         def arena_after_a_run():
             artifact = compile_plan(sched, batch)
             artifact.run(batch, ops)
-            loops = [staged.loop for staged in _ARENA.bindings[artifact]]
-            assert all(loop.scratch_bytes == 0 for loop in loops)
             return artifact.scratch_bytes, _ARENA.buffer.nbytes
 
         if blas.DGEMM_SYMBOL is not None:
@@ -746,31 +786,93 @@ class TestCompiledContract:
             tracemalloc.stop()
         assert artifact.scratch_bytes > 4 * grown, (grown, artifact.scratch_bytes)
 
-    def test_compiling_builds_no_tile_groups(self, framework, rng, monkeypatch):
-        """A compile checks the slot arrays and lowers nothing.
 
-        The schedule is a ``Heuristic.BEST`` plan of a Figure-11 batch
-        that tiles its GEMMs with four strategies.
-        """
-        import repro.kernels.grouped as grouped_mod
+class TestOutOfMatrixTiles:
+    """Hand-built tiles that lie outside their matrix, or outside the batch.
 
-        built = []
-        real = grouped_mod.TileGroup
+    The reference walk rejects the first such slot when it reaches it,
+    before it counts coverage.  The compiled engine must raise the same
+    error rather than clip the tile to zero area (origin at row ``m``),
+    fail on an index (origin beyond row ``m``), wrap a negative GEMM id
+    to the last GEMM, report the first bad tile in another order, or
+    report a coverage error instead.
+    """
 
-        def counting_tile_group(*args, **kwargs):
-            built.append(1)
-            return real(*args, **kwargs)
+    # Strategy 1 is 32x32, so tile (y, x) starts at element (32y, 32x)
+    # and one tile covers a 32x32 GEMM.
+    STRATEGY = ALL_BATCHED_STRATEGIES[1]
+    # name: (number of 32x32x32 GEMMs, (gemm, y, x) per slot, error type, message)
+    CASES = {
+        "row m": (
+            1,
+            [(0, 0, 0), (0, 1, 0)],
+            ValueError,
+            "tile origin (32,0) outside matrix 32x32",
+        ),
+        "past row m": (
+            1,
+            [(0, 0, 0), (0, 2, 0)],
+            ValueError,
+            "tile origin (64,0) outside matrix 32x32",
+        ),
+        "negative": (
+            1,
+            [(0, 0, 0), (0, -1, 0)],
+            ValueError,
+            "tile origin must be non-negative",
+        ),
+        # Python indexing would wrap GEMM -1 to the last GEMM.
+        "negative gemm id": (
+            1,
+            [(0, 0, 0), (-1, 0, 0)],
+            IndexError,
+            "gemm id -1 out of range 0-0",
+        ),
+        # GEMM 0 has no tile at all, but the outside origin is reported.
+        "after an uncovered GEMM": (
+            2,
+            [(1, 0, 0), (1, 1, 0)],
+            ValueError,
+            "tile origin (32,0) outside matrix 32x32",
+        ),
+        # GEMM 0's tile comes later in slot order; the walk meets GEMM 1's
+        # slot first.
+        "first in slot order": (
+            2,
+            [(1, 1, 0), (0, 0, 1), (0, 0, 0)],
+            ValueError,
+            "tile origin (32,0) outside matrix 32x32",
+        ),
+    }
 
-        monkeypatch.setattr(grouped_mod, "TileGroup", counting_tile_group)
-        batch = random_cases(6, seed=0, max_batch=8)[5]
-        sched = framework.plan(batch, Heuristic.BEST).schedule
-        assert len(set(sched.strategy_ids.tolist())) == 4
-        artifact = compile_plan(sched, batch)
-        assert not built, f"compiling built {len(built)} tile groups"
+    @classmethod
+    def schedule(cls, slots) -> BatchSchedule:
+        return BatchSchedule.from_dict(
+            {
+                "tile_offsets": list(range(len(slots) + 1)),
+                "gemm_ids": [g for g, _, _ in slots],
+                "strategy_ids": [cls.STRATEGY.index] * len(slots),
+                "y_coords": [y for _, y, _ in slots],
+                "x_coords": [x for _, _, x in slots],
+                "threads_per_block": cls.STRATEGY.threads,
+                "shared_memory_bytes": cls.STRATEGY.shared_memory_bytes,
+                "registers_per_thread": cls.STRATEGY.registers_per_thread,
+            }
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_rejected_by_every_engine(self, engine, case, rng):
+        from repro.kernels import get_engine
+
+        run = get_engine(engine)
+        n_gemms, slots, error, message = self.CASES[case]
+        batch = GemmBatch.from_shapes([(32, 32, 32)] * n_gemms)
         ops = batch.random_operands(rng)
-        want = execute_schedule(sched, batch, ops)
-        for have, expect in zip(artifact.run(batch, ops), want):
-            assert np.array_equal(have, expect)
+        with pytest.raises(error) as err:
+            run(self.schedule(slots), batch, ops)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestArtifactMemo:
@@ -826,20 +928,22 @@ class TestEngineRegistry:
 
         assert "compiled" in ENGINES
         assert get_engine("compiled") is execute_compiled
-        assert ENGINE_FALLBACKS["compiled"] == ("compiled", "grouped", "reference")
+        assert ENGINE_FALLBACKS["compiled"] == ("compiled", "reference")
+
+    def test_get_engine_mapping(self):
+        from repro.kernels import ENGINES, get_engine
+
+        assert ENGINES == ("reference", "compiled")
+        assert get_engine("reference") is execute_schedule
+        assert get_engine("compiled") is execute_compiled
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            get_engine("warp-speed")
 
     def test_compiled_importable_independently(self):
         """The compiled engine must not pull in the persistent walk."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        code = (
-            "import sys; import repro.kernels.compiled; "
-            "assert 'repro.kernels.persistent' not in sys.modules, "
-            "'compiled imported persistent'"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert_imports_without("repro.kernels.compiled", "repro.kernels.persistent")
+
+    def test_persistent_importable_independently(self):
+        """The oracle must not pull in the compiled engine."""
+        assert_imports_without("repro.kernels.persistent", "repro.kernels.compiled")
+

@@ -1,10 +1,10 @@
 """The engine registry, and the spellings it no longer accepts.
 
-Three engines remain: the reference walk (the oracle), ``grouped`` and
-``compiled``.  The worker-pool engines ``parallel`` and ``procpool``
-are gone, and so is every knob that existed only for them: a removed
-engine name, ``workers`` field or CLI flag must fail loudly rather
-than be silently ignored.
+Two engines remain: the reference walk (the oracle) and ``compiled``,
+the default.  The worker-pool engines ``parallel`` and ``procpool``
+and the ``grouped`` engine are gone, and so is every knob that existed
+only for them: a removed engine name, executor, ``workers`` field or
+CLI flag must fail loudly rather than be silently ignored.
 
 Every execution knob has one spelling, an ``ExecutionPolicy``: the
 loose ``engine=`` / ``fallback=`` / ``retry=`` / ``injector=``
@@ -27,7 +27,8 @@ from repro.core.options import PlanOptions
 from repro.core.plancache import PlanCache
 from repro.core.problem import GemmBatch
 from repro.kernels import ENGINE_FALLBACKS, ENGINES, ExecutionPolicy, get_engine
-from repro.reliability import RetryPolicy
+from repro.kernels.blas import ChunkLoop
+from repro.reliability import FaultSpec, RetryPolicy
 from repro.serve.cli import main as serve_main
 from repro.serve.config import ServeConfig
 
@@ -84,18 +85,48 @@ def string_heuristic_probes():
 
 UNKNOWN_ENGINE = (ValueError, "unknown execution engine")
 UNEXPECTED_KEYWORD = (TypeError, "unexpected keyword argument")
+MISSING_ARGUMENT = (TypeError, "missing 1 required positional argument")
 NOT_A_POLICY = (TypeError, "expected an ExecutionPolicy")
 NO_ATTRIBUTE = (AttributeError, "has no attribute")
 
 CASES = {
-    "engines": (lambda fw: ENGINES, ("reference", "grouped", "compiled")),
+    "engines": (lambda fw: ENGINES, ("reference", "compiled")),
     "fallback-chains": (
         lambda fw: ENGINE_FALLBACKS,
-        {
-            "compiled": ("compiled", "grouped", "reference"),
-            "grouped": ("grouped", "reference"),
-            "reference": ("reference",),
-        },
+        {"compiled": ("compiled", "reference"), "reference": ("reference",)},
+    ),
+    "default-engine": (lambda fw: ExecutionPolicy().engine, "compiled"),
+    "policy-engine-grouped": (
+        lambda fw: ExecutionPolicy(engine="grouped"),
+        UNKNOWN_ENGINE,
+    ),
+    "get-engine-grouped": (lambda fw: get_engine("grouped"), UNKNOWN_ENGINE),
+    "kernels-execute-grouped": (
+        lambda fw: repro.kernels.execute_grouped,
+        NO_ATTRIBUTE,
+    ),
+    "repro-execute-grouped": (lambda fw: repro.execute_grouped, NO_ATTRIBUTE),
+    "repro-serve-engine-grouped": (
+        lambda fw: exit_status(serve_main, ["--engine", "grouped"]),
+        2,
+    ),
+    "python-m-repro-engine-grouped": (
+        lambda fw: exit_status(repro_main, ["64x64x64", "--engine", "grouped"]),
+        2,
+    ),
+    "fault-spec-engine-grouped": (
+        lambda fw: FaultSpec.parse("engine_error:engine=grouped,at=1-6"),
+        UNKNOWN_ENGINE,
+    ),
+    "warm-policy": (
+        lambda fw: PlanCache(fw).warm([], policy=ExecutionPolicy()),
+        UNEXPECTED_KEYWORD,
+    ),
+    "chunk-loop-without-scratch": (
+        lambda fw: ChunkLoop(
+            np.empty((2, 2)), np.ones((2, 2)), np.ones((2, 2)), [(0, 2)]
+        ),
+        MISSING_ARGUMENT,
     ),
     "policy-engine-parallel": (
         lambda fw: ExecutionPolicy(engine="parallel"),

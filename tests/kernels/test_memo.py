@@ -103,22 +103,3 @@ class TestPlanMemo:
         stats = MemoStats(hits=2, misses=3, evictions=1)
         assert stats.as_dict() == {"hits": 2, "misses": 3, "evictions": 1}
 
-
-class TestGroupedMemoIntegration:
-    def test_grouped_plan_released_when_schedule_dies(self, small_batch):
-        from repro.core.batching import batch_tiles
-        from repro.core.schedule import build_schedule, enumerate_tiles
-        from repro.core.tiling import select_tiling
-        from repro.kernels.grouped import _GROUPED_MEMO, grouped_plan_for
-
-        decision = select_tiling(small_batch, 65536)
-        tiles = enumerate_tiles(small_batch, decision)
-        batching = batch_tiles(tiles, decision.threads, "threshold")
-        schedule = build_schedule(small_batch, decision, batching)
-        before = len(_GROUPED_MEMO)
-        first = grouped_plan_for(schedule, small_batch)
-        assert grouped_plan_for(schedule, small_batch) is first
-        assert len(_GROUPED_MEMO) == before + 1
-        del schedule, first
-        gc.collect()
-        assert len(_GROUPED_MEMO) == before

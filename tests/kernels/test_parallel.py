@@ -1,18 +1,17 @@
-"""Concurrent callers of the shared execution engines.
+"""Concurrent callers of the shared execution engine.
 
 One engine serves many threads: the serving layer's worker threads
 (``ServeConfig.workers``), cluster backends and application threads
-all call the same ``grouped`` and ``compiled`` engines, which share
-memoized state -- grouped plans, and compiled artifacts that each
-thread binds to its own staging arena on its first run of them
-(:meth:`~repro.kernels.compiled.CompiledPlan.run` takes no lock).  The
-contract is the sequential one, held under
+all call the same ``compiled`` engine, which shares memoized state --
+compiled artifacts that each thread binds to its own staging arena on
+its first run of them (:meth:`~repro.kernels.compiled.CompiledPlan.run`
+takes no lock).  The contract is the sequential one, held under
 concurrency: for every schedule class, with 1, 2 and 4 threads
-executing the same batch at once, every thread's outputs through each
-engine must be **bit-identical** (``np.array_equal``, not allclose) to
-the reference walk, repeated concurrent runs byte-identical and the
-shared inputs untouched, and a caller whose request fails must not
-disturb the others.
+executing the same batch at once, every thread's outputs must be
+**bit-identical** (``np.array_equal``, not allclose) to the reference
+walk, repeated concurrent runs byte-identical and the shared inputs
+untouched, and a caller whose request fails must not disturb the
+others.
 """
 
 from __future__ import annotations
@@ -28,16 +27,15 @@ from repro.core.problem import Gemm, GemmBatch
 from repro.core.tiling import ALL_BATCHED_STRATEGIES, strategy_by_index
 from repro.kernels import ExecutionPolicy, get_engine
 from repro.kernels.compiled import compile_plan
-from repro.kernels.grouped import lower_schedule
 from repro.kernels.persistent import execute_schedule
 
-from .test_grouped import forced_schedule, make_schedule
+from .test_compiled import forced_schedule, make_schedule
 
 #: Caller threads each case runs at once; 1 is the sequential contract.
 THREAD_COUNTS = [1, 2, 4]
 
 #: The engines callers share (the reference walk is the oracle).
-SHARED_ENGINES = ("grouped", "compiled")
+SHARED_ENGINES = ("compiled",)
 
 
 def call_concurrently(calls):
@@ -153,12 +151,9 @@ class TestBitExactEquivalence:
         assert_matches_reference(sched, batch, ops, threads)
 
     def test_explicit_plan_accepted(self, small_batch, rng):
-        """Freshly lowered artifacts passed explicitly, shared by two callers."""
+        """A freshly compiled artifact passed explicitly, shared by two callers."""
         sched = make_schedule(small_batch, "threshold")
-        plans = {
-            "grouped": lower_schedule(sched, small_batch),
-            "compiled": compile_plan(sched, small_batch),
-        }
+        plans = {"compiled": compile_plan(sched, small_batch)}
         ops = small_batch.random_operands(rng)
         assert_matches_reference(sched, small_batch, ops, 2, plans)
 
@@ -243,7 +238,8 @@ class TestIntegration:
         cache = PlanCache(framework)
         ops = small_batch.random_operands(rng)
         opts = PlanOptions(heuristic=Heuristic.THRESHOLD)
-        want = cache.execute(small_batch, ops, options=opts)
+        reference = ExecutionPolicy(engine="reference")
+        want = cache.execute(small_batch, ops, options=opts, policy=reference)
         for name in SHARED_ENGINES:
             policy = ExecutionPolicy(engine=name)
 

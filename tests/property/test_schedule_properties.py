@@ -13,7 +13,6 @@ from repro.core.validation import validate_schedule
 from repro.gpu.specs import VOLTA_V100
 from repro.gpu.simulator import KernelLaunch, simulate_kernel
 from repro.kernels.compiled import compile_plan
-from repro.kernels.grouped import lower_schedule
 from repro.kernels.persistent import execute_schedule
 
 gemm_st = st.builds(
@@ -142,9 +141,9 @@ def tile_cover_st(draw):
 def test_lowering_and_coverage_check_match_reference_walk(case):
     """The schedule contract, the engines and the validator agree with the walk.
 
-    ``check_schedule``, the lowering and the compile raise what the
-    reference walk raises, type and message, through one edge-grid
-    coverage pass.  The walk counts coverage per element, so equal
+    ``check_schedule`` and the compile, which lowers a schedule to its
+    artifact, raise what the reference walk raises, type and message,
+    through one edge-grid coverage pass.  The walk counts coverage per element, so equal
     messages also mean the cell-area weighting counts the same
     elements.  The validator accepts exactly what the walk runs with a
     footprint and thread count that fit every used strategy, and every
@@ -173,7 +172,6 @@ def test_lowering_and_coverage_check_match_reference_walk(case):
 
     want = error_of(lambda: execute_schedule(sched, batch, ops))
     assert error_of(lambda: check_schedule(sched, batch)) == want
-    assert error_of(lambda: lower_schedule(sched, batch)) == want
     assert error_of(lambda: compile_plan(sched, batch)) == want
 
     fits = all(

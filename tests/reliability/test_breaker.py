@@ -25,7 +25,7 @@ def clock() -> FakeClock:
 
 def make(clock, threshold=3, cooldown=10.0) -> CircuitBreaker:
     return CircuitBreaker(
-        "grouped",
+        "compiled",
         failure_threshold=threshold,
         cooldown_s=cooldown,
         clock=clock,
@@ -100,7 +100,7 @@ class TestStateMachine:
         breaker.record_failure()
         breaker.record_failure()
         snap = breaker.snapshot()
-        assert snap["name"] == "grouped"
+        assert snap["name"] == "compiled"
         assert snap["state"] == "open"
         assert snap["failures"] == 2
         assert snap["successes"] == 1

@@ -32,7 +32,7 @@ class FakeClock:
 def make_executor(injector=None, **kwargs):
     kwargs.setdefault("retry", NO_WAIT)
     kwargs.setdefault("sleep", lambda s: None)
-    return ReliableExecutor("grouped", injector=injector, **kwargs)
+    return ReliableExecutor("compiled", injector=injector, **kwargs)
 
 
 def assert_matches(values, expected):
@@ -43,10 +43,9 @@ def assert_matches(values, expected):
 
 class TestFallbackChain:
     def test_chains(self):
-        assert engine_fallbacks("compiled") == ("compiled", "grouped", "reference")
-        assert engine_fallbacks("grouped") == ("grouped", "reference")
+        assert engine_fallbacks("compiled") == ("compiled", "reference")
         assert engine_fallbacks("reference") == ("reference",)
-        assert set(ENGINE_FALLBACKS) == {"compiled", "grouped", "reference"}
+        assert set(ENGINE_FALLBACKS) == {"compiled", "reference"}
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):
@@ -56,7 +55,7 @@ class TestFallbackChain:
 
     def test_fallback_false_uses_only_the_preferred_engine(self):
         executor = make_executor(fallback=False)
-        assert executor.chain == ("grouped",)
+        assert executor.chain == ("compiled",)
 
 
 class TestExecute:
@@ -64,21 +63,21 @@ class TestExecute:
         schedule, batch, operands, expected = planned
         executor = make_executor()
         values, engine_used = executor.execute(schedule, batch, operands)
-        assert engine_used == "grouped"
+        assert engine_used == "compiled"
         assert_matches(values, expected)
         snap = executor.snapshot()
         assert snap["retries"] == 0
         assert snap["fallbacks"] == 0
-        assert snap["engine_used"] == {"grouped": 1}
+        assert snap["engine_used"] == {"compiled": 1}
 
     def test_transient_fault_absorbed_by_retry(self, planned):
         schedule, batch, operands, expected = planned
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,at=1")
+            FaultPlan.parse("engine_error:engine=compiled,at=1")
         )
         executor = make_executor(injector)
         values, engine_used = executor.execute(schedule, batch, operands)
-        assert engine_used == "grouped"
+        assert engine_used == "compiled"
         assert_matches(values, expected)
         assert executor.retries == 1
         assert executor.fallbacks == 0
@@ -86,7 +85,7 @@ class TestExecute:
     def test_exhausted_retries_fall_back_bit_identically(self, planned):
         schedule, batch, operands, expected = planned
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,at=1-2")
+            FaultPlan.parse("engine_error:engine=compiled,at=1-2")
         )
         executor = make_executor(injector)
         values, engine_used = executor.execute(schedule, batch, operands)
@@ -97,7 +96,7 @@ class TestExecute:
     def test_no_fallback_raises_the_engine_error(self, planned):
         schedule, batch, operands, _ = planned
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,every=1")
+            FaultPlan.parse("engine_error:engine=compiled,every=1")
         )
         executor = make_executor(injector, fallback=False)
         with pytest.raises(InjectedFault):
@@ -128,41 +127,41 @@ class TestBreakerIntegration:
         schedule, batch, operands, expected = planned
         clock = FakeClock()
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,at=1-2")
+            FaultPlan.parse("engine_error:engine=compiled,at=1-2")
         )
         executor = make_executor(
             injector, failure_threshold=2, cooldown_s=10.0, clock=clock
         )
-        grouped = executor.breakers["grouped"]
+        compiled = executor.breakers["compiled"]
 
-        # run 1: both grouped attempts fail -> breaker opens -> fallback
+        # run 1: both compiled attempts fail -> breaker opens -> fallback
         _, used = executor.execute(schedule, batch, operands)
         assert used == "reference"
-        assert grouped.state is BreakerState.OPEN
+        assert compiled.state is BreakerState.OPEN
 
-        # run 2: breaker open -> grouped skipped without an attempt
-        calls_before = injector.snapshot()["calls"]["engine:grouped"]
+        # run 2: breaker open -> compiled skipped without an attempt
+        calls_before = injector.snapshot()["calls"]["engine:compiled"]
         _, used = executor.execute(schedule, batch, operands)
         assert used == "reference"
-        assert injector.snapshot()["calls"]["engine:grouped"] == calls_before
+        assert injector.snapshot()["calls"]["engine:compiled"] == calls_before
         assert executor.fallbacks == 2
 
         # cooldown elapses: half-open probe succeeds -> breaker closes
         clock.advance(11.0)
-        assert grouped.state is BreakerState.HALF_OPEN
+        assert compiled.state is BreakerState.HALF_OPEN
         values, used = executor.execute(schedule, batch, operands)
-        assert used == "grouped"
+        assert used == "compiled"
         assert_matches(values, expected)
-        assert grouped.state is BreakerState.CLOSED
-        assert grouped.history == ("closed", "open", "half_open", "closed")
+        assert compiled.state is BreakerState.CLOSED
+        assert compiled.history == ("closed", "open", "half_open", "closed")
 
     def test_snapshot_shape(self, planned):
         schedule, batch, operands, _ = planned
         executor = make_executor()
         executor.execute(schedule, batch, operands)
         snap = executor.snapshot()
-        assert snap["engine"] == "grouped"
-        assert snap["chain"] == ["grouped", "reference"]
+        assert snap["engine"] == "compiled"
+        assert snap["chain"] == ["compiled", "reference"]
         assert snap["executions"] == 1
-        assert set(snap["breakers"]) == {"grouped", "reference"}
-        assert snap["breakers"]["grouped"]["state"] == "closed"
+        assert set(snap["breakers"]) == {"compiled", "reference"}
+        assert snap["breakers"]["compiled"]["state"] == "closed"

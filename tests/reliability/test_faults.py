@@ -35,15 +35,15 @@ class TestFaultSpecParse:
         assert spec.ms == 2.5
 
     def test_engine_filter_and_exc(self):
-        spec = FaultSpec.parse("engine_error:engine=grouped,every=2,exc=ValueError")
-        assert spec.engine == "grouped"
+        spec = FaultSpec.parse("engine_error:engine=compiled,every=2,exc=ValueError")
+        assert spec.engine == "compiled"
         assert spec.exception_type() is ValueError
-        assert spec.counter_key() == "engine:grouped"
+        assert spec.counter_key() == "engine:compiled"
 
     def test_roundtrip_describe(self):
         for text in (
             "engine_error:every=7",
-            "engine_error:engine=grouped,at=1-6",
+            "engine_error:engine=compiled,at=1-6",
             "engine_slow:rate=0.1,ms=2.5",
             "planner_error:every=3,exc=OSError",
         ):
@@ -69,6 +69,14 @@ class TestFaultSpecParse:
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
             FaultSpec.parse(bad)
+
+    @pytest.mark.parametrize("engine", ["bogus", "grouped"])
+    def test_rejects_an_engine_the_registry_does_not_know(self, engine):
+        """A spec narrowed to no engine would never fire; it is refused."""
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            FaultSpec(site=SITE_ENGINE, engine=engine, at=(1, 2))
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            FaultSpec.parse(f"engine_error:engine={engine},at=1-6")
 
 
 class TestFires:
@@ -124,18 +132,18 @@ class TestFaultInjector:
 
     def test_engine_filter_counts_separately(self):
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,every=2")
+            FaultPlan.parse("engine_error:engine=compiled,every=2")
         )
-        # calls to other engines do not advance the grouped counter
+        # calls to other engines do not advance the compiled counter
         injector.check(SITE_ENGINE, engine="reference")
-        injector.check(SITE_ENGINE, engine="grouped")
+        injector.check(SITE_ENGINE, engine="compiled")
         injector.check(SITE_ENGINE, engine="reference")
         with pytest.raises(InjectedFault):
-            injector.check(SITE_ENGINE, engine="grouped")
+            injector.check(SITE_ENGINE, engine="compiled")
 
     def test_engine_filtered_spec_ignores_anonymous_calls(self):
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,every=1")
+            FaultPlan.parse("engine_error:engine=compiled,every=1")
         )
         injector.check(SITE_ENGINE)  # no engine= -> spec cannot match
         assert injector.injected_count == 0
@@ -151,7 +159,7 @@ class TestFaultInjector:
             )
             for _ in range(50):
                 try:
-                    injector.check(SITE_ENGINE, engine="grouped")
+                    injector.check(SITE_ENGINE, engine="compiled")
                 except InjectedFault:
                     pass
                 injector.check(SITE_PLANNER)
@@ -191,10 +199,10 @@ class TestFaultInjector:
 
     def test_snapshot(self):
         injector = FaultInjector(FaultPlan.parse("engine_error:every=2", seed=5))
-        injector.check(SITE_ENGINE, engine="grouped")
+        injector.check(SITE_ENGINE, engine="compiled")
         snap = injector.snapshot()
         assert snap["seed"] == 5
-        assert snap["calls"] == {"engine": 1, "engine:grouped": 1}
+        assert snap["calls"] == {"engine": 1, "engine:compiled": 1}
         assert snap["injected"] == 0
         assert snap["plan"] == ["engine_error:every=2"]
 

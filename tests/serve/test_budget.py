@@ -100,7 +100,7 @@ class TestExecutorBudgetCharging:
     def execute(self, planned, budget, *, injector=None, retry=NO_WAIT):
         schedule, batch, operands, expected = planned
         executor = ReliableExecutor(
-            "grouped", injector=injector, retry=retry, sleep=lambda s: None
+            "compiled", injector=injector, retry=retry, sleep=lambda s: None
         )
         values, engine = executor.execute(
             schedule, batch, operands, budget=budget
@@ -108,11 +108,11 @@ class TestExecutorBudgetCharging:
         return values, engine, executor.snapshot(), expected
 
     def test_unaffordable_backoff_abandons_the_engine(self, planned):
-        # grouped always fails; each retry would sleep ~100ms = 1e5us,
-        # but only 5e4us of budget remain -> abandon grouped without
+        # compiled always fails; each retry would sleep ~100ms = 1e5us,
+        # but only 5e4us of budget remain -> abandon compiled without
         # sleeping and fall back (the fallback itself is affordable).
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,every=1")
+            FaultPlan.parse("engine_error:engine=compiled,every=1")
         )
         budget = DeadlineBudget(deadline_us=50_000.0, clock_us=lambda: 0.0)
         slow_retry = RetryPolicy(
@@ -130,15 +130,15 @@ class TestExecutorBudgetCharging:
     def test_spent_budget_refuses_to_start_a_fallback(self, planned):
         schedule, batch, operands, _ = planned
         injector = FaultInjector(
-            FaultPlan.parse("engine_error:engine=grouped,every=1")
+            FaultPlan.parse("engine_error:engine=compiled,every=1")
         )
         executor = ReliableExecutor(
-            "grouped", injector=injector, retry=NO_WAIT, sleep=lambda s: None
+            "compiled", injector=injector, retry=NO_WAIT, sleep=lambda s: None
         )
         spent = DeadlineBudget(deadline_us=10.0, clock_us=lambda: 20.0)
         with pytest.raises(BudgetExhausted, match="fallback engine"):
             executor.execute(schedule, batch, operands, budget=spent)
-        # Two abandonments: the spent budget first cancels grouped's
+        # Two abandonments: the spent budget first cancels compiled's
         # (zero-delay) retry, then refuses the reference fallback.
         assert executor.snapshot()["budget_abandoned"] == 2
 
@@ -147,14 +147,14 @@ class TestExecutorBudgetCharging:
         # the first engine's first attempt (admission did feasibility).
         spent = DeadlineBudget(deadline_us=10.0, clock_us=lambda: 20.0)
         values, engine, snap, expected = self.execute(planned, spent)
-        assert engine == "grouped"
+        assert engine == "compiled"
         assert snap["budget_abandoned"] == 0
         for got, want in zip(values, expected):
             assert np.array_equal(got, want)
 
     def test_no_budget_means_no_charging(self, planned):
         values, engine, snap, _ = self.execute(planned, None)
-        assert engine == "grouped"
+        assert engine == "compiled"
         assert snap["budget_abandoned"] == 0
 
 

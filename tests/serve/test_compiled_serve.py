@@ -1,11 +1,13 @@
 """Serving-layer tests for the compiled execution policy.
 
 Covers the three serve-side guarantees of the compiled engine: live
-requests through ``GemmServer`` return the same bits as the grouped
-engine; a warm plan cache executes with **zero** compilation on the
-hot path (asserted via the ``compile.*`` telemetry counters); and
-virtual-time replay charges ``compile_overhead_us`` exactly once per
-distinct plan (the ``serve.compiles_charged`` counter).
+requests through ``GemmServer`` return the same bits as the reference
+walk; a plan cache warmed or restored from a manifest executes with
+**zero** compilation on the hot path (asserted via the ``compile.*``
+telemetry counters); and virtual-time replay charges
+``compile_overhead_us`` exactly once per plan-cache miss, so a fully
+warmed replay charges nothing (the ``serve.compiles_charged``
+counter).
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ class TestLiveServer:
         assert result.status is RequestStatus.COMPLETED
         np.testing.assert_allclose(result.value, a @ b, rtol=1e-6)
 
-    def test_compiled_bit_matches_grouped_server(self, framework, rng):
+    def test_compiled_bit_matches_reference_server(self, framework, rng):
         a = rng.standard_normal((40, 64))
         b = rng.standard_normal((64, 24))
         values = {}
-        for engine in ("grouped", "compiled"):
+        for engine in ("reference", "compiled"):
             config = compiled_config(
                 policy=ExecutionPolicy(engine=engine),
                 batcher=BatcherConfig(max_batch_size=1, max_wait_us=10.0),
@@ -73,7 +75,7 @@ class TestLiveServer:
             result = t.result(timeout=10.0)
             assert result.status is RequestStatus.COMPLETED
             values[engine] = result.value
-        assert np.array_equal(values["compiled"], values["grouped"])
+        assert np.array_equal(values["compiled"], values["reference"])
 
     def test_repeat_requests_reuse_the_artifact(self, framework, rng):
         """A hot shape mix compiles once and then only hits the memo."""
@@ -94,7 +96,7 @@ class TestLiveServer:
 
 class TestWarmCacheZeroCompile:
     def test_warm_cache_hot_path_compiles_nothing(self, framework, rng):
-        """After a compiled-policy warm, execution does zero lowering.
+        """After a warm, execution does zero compilation.
 
         ``PlanCache.warm`` precompiles each plan's artifact; the
         telemetry counters then prove the hot path never compiles:
@@ -103,7 +105,7 @@ class TestWarmCacheZeroCompile:
         cache = PlanCache(framework)
         batch = GemmBatch.from_shapes([(32, 32, 32)] * 4)
         policy = ExecutionPolicy(engine="compiled")
-        assert cache.warm([batch], Heuristic.THRESHOLD, policy=policy) == 1
+        assert cache.warm([batch], Heuristic.THRESHOLD) == 1
         ops = batch.random_operands(rng)
         with tracing() as tracer:
             for _ in range(5):
@@ -112,6 +114,28 @@ class TestWarmCacheZeroCompile:
         assert counters.get("compile.plans", 0) == 0
         assert counters.get("compile.cache_misses", 0) == 0
         assert counters.get("plancache.misses", 0) == 0
+
+    def test_restored_plan_executes_without_a_compile(self, framework, rng):
+        """A respawned shard's restored plans are compiled by ``restore``.
+
+        The first request on a restored key hits the plan cache and the
+        compiled memo: no ``compile.cache_misses``, no ``compile.plans``.
+        """
+        batch = GemmBatch.from_shapes([(32, 32, 32), (48, 16, 40)])
+        ops = batch.random_operands(rng)
+        policy = ExecutionPolicy(engine="compiled")
+        lost = PlanCache(framework)
+        lost.execute(batch, ops, Heuristic.THRESHOLD, policy=policy)
+        fresh = PlanCache(framework)
+        assert fresh.restore(lost.snapshot()) == 1
+        del lost  # its schedule and artifact die with it
+        with tracing() as tracer:
+            fresh.execute(batch, ops, Heuristic.THRESHOLD, policy=policy)
+        counters = tracer.metrics.to_dict()["counters"]
+        assert counters.get("plan_cache_hit", 0) == 1
+        assert counters.get("compile.cache_misses", 0) == 0
+        assert counters.get("compile.plans", 0) == 0
+        assert counters.get("compile.cache_hits", 0) == 1
 
     def test_cold_cache_compiles_exactly_once(self, framework, rng):
         cache = PlanCache(framework)
@@ -153,8 +177,29 @@ class TestReplayCompileCharging:
         assert report.cache.evictions > 0
         assert counters["serve.compiles_charged"] == report.cache.misses
 
-    def test_grouped_policy_charges_nothing(self, framework):
-        config = compiled_config(policy=ExecutionPolicy(engine="grouped"))
+    def test_fully_warmed_replay_charges_no_compile(self, framework):
+        """A cache warmed from the trace's batches serves only hits.
+
+        ``PlanCache.warm`` compiled every plan, so the replay charges no
+        compile, although each schedule's first dispatch happens here.
+        """
+        shapes = [(32, 32, 32), (64, 48, 16), (24, 96, 40)]
+        trace = poisson_trace(4000.0, None, n_requests=120, shapes=shapes, seed=3)
+        config = compiled_config()
+        scout = replay_trace(trace, framework, config)
+        cache = PlanCache(framework, capacity=256)
+        assert cache.warm(scout.formed_batches, config.heuristic) >= 2
+        before = cache.stats_snapshot()
+        with tracing() as tracer:
+            report = replay_trace(trace, framework, config, cache=cache)
+        counters = tracer.metrics.to_dict()["counters"]
+        assert report.n_completed == scout.n_completed
+        assert report.cache.misses == before.misses  # every dispatch hit
+        assert report.cache.hits > before.hits
+        assert counters.get("serve.compiles_charged", 0) == 0
+
+    def test_reference_policy_charges_nothing(self, framework):
+        config = compiled_config(policy=ExecutionPolicy(engine="reference"))
         with tracing() as tracer:
             replay_trace(uniform_trace(8), framework, config)
         counters = tracer.metrics.to_dict()["counters"]

@@ -69,7 +69,7 @@ class TestChaosRun:
 
     def run_once(self, framework, seed: int):
         plan = FaultPlan.parse(
-            ["engine_error:engine=grouped,rate=0.2"], seed=seed
+            ["engine_error:engine=compiled,rate=0.2"], seed=seed
         )
         config = quick_config(
             workers=1,  # serialized so the fault sequence is reproducible
@@ -155,7 +155,7 @@ class TestPoisonBisection:
 
 class TestBreakerLifecycle:
     def test_breaker_opens_then_recovers_on_the_live_pipeline(self, framework):
-        plan = FaultPlan.parse(["engine_error:engine=grouped,at=1-3"], seed=0)
+        plan = FaultPlan.parse(["engine_error:engine=compiled,at=1-3"], seed=0)
         config = quick_config(
             workers=1,
             batcher=BatcherConfig(max_batch_size=1, max_wait_us=100.0),
@@ -176,17 +176,17 @@ class TestBreakerLifecycle:
             assert serve_one().status is RequestStatus.COMPLETED
             # call 3 fails -> third consecutive failure -> breaker opens
             assert serve_one().status is RequestStatus.COMPLETED
-            assert server.health()["breakers"]["grouped"] == "open"
-            # open breaker: grouped skipped entirely, served by reference
-            before = server.injector.snapshot()["calls"]["engine:grouped"]
+            assert server.health()["breakers"]["compiled"] == "open"
+            # open breaker: compiled skipped entirely, served by reference
+            before = server.injector.snapshot()["calls"]["engine:compiled"]
             assert serve_one().status is RequestStatus.COMPLETED
-            assert server.injector.snapshot()["calls"]["engine:grouped"] == before
+            assert server.injector.snapshot()["calls"]["engine:compiled"] == before
             # cooldown elapses -> half-open probe (call 4) succeeds -> closed
             time.sleep(0.06)
             assert serve_one().status is RequestStatus.COMPLETED
             health = server.health()
-            assert health["breakers"]["grouped"] == "closed"
-            history = health["breaker_detail"]["grouped"]["history"]
+            assert health["breakers"]["compiled"] == "closed"
+            history = health["breaker_detail"]["compiled"]["history"]
             assert history == ["closed", "open", "half_open", "closed"]
             assert health["fallbacks"] >= 3
 
@@ -334,13 +334,13 @@ class TestHealthAndTelemetry:
         assert health["ok"] and health["accepting"]
         assert health["queue_depth"] == 0
         assert health["outstanding"] == 0
-        assert health["breakers"] == {"grouped": "closed", "reference": "closed"}
+        assert health["breakers"] == {"compiled": "closed", "reference": "closed"}
         assert health["retries"] == health["fallbacks"] == 0
         assert health["faults_injected"] == 0
         server.close()
 
     def test_summary_emits_reliability_telemetry(self, framework):
-        plan = FaultPlan.parse(["engine_error:engine=grouped,at=1-2"], seed=0)
+        plan = FaultPlan.parse(["engine_error:engine=compiled,at=1-2"], seed=0)
         config = quick_config(
             workers=1,
             batcher=BatcherConfig(max_batch_size=1, max_wait_us=100.0),
@@ -364,7 +364,7 @@ class TestHealthAndTelemetry:
         assert counters["faults.injected"] == rel["faults_injected"] == 2
         assert counters["serve.bisections"] == rel["bisections"] == 0
         gauges = metrics["gauges"]
-        assert gauges["serve.breaker_state.grouped"] == BreakerState.CLOSED.code
+        assert gauges["serve.breaker_state.compiled"] == BreakerState.CLOSED.code
         assert gauges["serve.breaker_state.reference"] == BreakerState.CLOSED.code
 
     def test_report_dict_round_trips_reliability(self, framework):

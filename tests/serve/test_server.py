@@ -120,7 +120,7 @@ class TestExecution:
         assert result.status is RequestStatus.COMPLETED
         np.testing.assert_allclose(result.value, a @ b, rtol=1e-6)
 
-    @pytest.mark.parametrize("engine", ["reference", "grouped", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
     def test_engine_selectable(self, framework, rng, engine):
         a = rng.standard_normal((16, 24))
         b = rng.standard_normal((24, 8))
