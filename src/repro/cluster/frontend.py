@@ -330,6 +330,27 @@ class ClusterFrontend:
             if not self.servers[i].accepting:
                 self.router.mark_dead(i)
 
+    def _route(self, key: str, depths: dict[int, int]) -> Optional[int]:
+        """Route ``key`` to a shard whose breaker admits it (lock held).
+
+        Records the decision and returns the shard, or counts the
+        request unroutable and returns ``None`` when no live unblocked
+        shard remains.  The breaker is consulted only for the actual
+        candidate, so a half-open probe slot is never burned by a
+        request that ends up routing elsewhere.
+        """
+        blocked: set[int] = set()
+        while True:
+            try:
+                decision = self.router.route(key, depths, blocked=blocked)
+            except LookupError:
+                self._n_unroutable += 1
+                return None
+            if self.breakers[decision.shard].allow():
+                self.router.record(decision)
+                return decision.shard
+            blocked.add(decision.shard)
+
     def submit(
         self,
         gemm: Gemm,
@@ -374,22 +395,9 @@ class ClusterFrontend:
             ):
                 self._n_rejected_global += 1
                 return self._settled_ticket(REASON_QUEUE_FULL, now_us)
-            key = signature_key(gemm, precision)
-            blocked: set[int] = set()
-            while True:
-                try:
-                    decision = self.router.route(key, depths, blocked=blocked)
-                except LookupError:
-                    self._n_unroutable += 1
-                    return self._settled_ticket(REASON_UNROUTABLE, now_us)
-                # Consult the breaker only for the actual candidate so
-                # a half-open probe slot is never burned by a request
-                # that ends up routing elsewhere.
-                if self.breakers[decision.shard].allow():
-                    break
-                blocked.add(decision.shard)
-            self.router.record(decision)
-            shard = decision.shard
+            shard = self._route(signature_key(gemm, precision), depths)
+            if shard is None:
+                return self._settled_ticket(REASON_UNROUTABLE, now_us)
         ticket = self.servers[shard].submit(
             gemm,
             operands=operands,
@@ -435,27 +443,17 @@ class ClusterFrontend:
             self._sync_membership()
             active = self.router.active_shards()
             depths = {i: self.servers[i].queue_depth() for i in active}
-            key = signature_key(env.gemm, env.precision)
-            blocked: set[int] = set()
-            while True:
-                try:
-                    decision = self.router.route(key, depths, blocked=blocked)
-                except LookupError:
-                    self._n_unroutable += 1
-                    env.ticket._resolve(
-                        Rejected(
-                            request_id=env.ticket.request_id,
-                            finish_us=now_us,
-                            latency_us=0.0,
-                            reason=REASON_UNROUTABLE,
-                        )
+            shard = self._route(signature_key(env.gemm, env.precision), depths)
+            if shard is None:
+                env.ticket._resolve(
+                    Rejected(
+                        request_id=env.ticket.request_id,
+                        finish_us=now_us,
+                        latency_us=0.0,
+                        reason=REASON_UNROUTABLE,
                     )
-                    return True
-                if self.breakers[decision.shard].allow():
-                    break
-                blocked.add(decision.shard)
-            self.router.record(decision)
-            shard = decision.shard
+                )
+                return True
         ticket = self.servers[shard].submit(
             env.gemm,
             operands=env.operands,

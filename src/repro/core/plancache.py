@@ -36,10 +36,11 @@ from misses (``CacheStats.admission_deferred``).
 
 Entries hold plans only.  The ``compiled`` engine finds each plan's
 :class:`~repro.kernels.compiled.CompiledPlan` in the compiled-artifact
-memo (:func:`~repro.kernels.compiled.compiled_plan_for`), which holds
-the schedule weakly: a cached plan keeps its artifact warm, so a warm
-hot path pays neither planning nor compilation, and an evicted plan's
-schedule dies and takes its artifact with it.  :meth:`warm` and
+memo (:func:`~repro.kernels.compiled.compiled_plan_for`), and the
+serving planner its simulation in its own; both memos hold their key
+(the schedule, the report) weakly and have no capacity, so a cached
+plan keeps them warm (a warm hot path pays neither planning nor
+compilation) and an evicted plan takes them with it.  :meth:`warm` and
 :meth:`restore` compile each plan they cache.  :meth:`execute` plans
 through the cache and then hands the plan to the framework's one
 post-plan step (stage, run, re-quantize, verify) -- the same step
@@ -135,6 +136,8 @@ class PlanCache:
         The planner to consult on a miss.
     capacity:
         Maximum cached plans; least-recently-used entries evict first.
+        It also bounds what the plans derive (compiled artifacts, their
+        thread bindings, serving simulations), which dies with them.
     admission:
         Optional insert-admission policy -- any object with an
         ``admit(key: str) -> bool`` test-and-record method (e.g.

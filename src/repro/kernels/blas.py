@@ -124,17 +124,10 @@ def _resolve() -> tuple[Optional[Callable[..., None]], Optional[str]]:
 _DGEMM, DGEMM_SYMBOL = _resolve()
 
 
-def chunk_ranges(
-    k: int, bk: int, lo: int = 0, hi: Optional[int] = None
-) -> tuple[tuple[int, int], ...]:
-    """The ``(k0, k_hi)`` ranges of BK chunks ``lo`` to ``hi`` (exclusive).
-
-    With the defaults, every chunk of a depth-``k`` reduction, ascending.
-    """
-    if hi is None:
-        hi = -(-k // bk)
-    starts = range(lo * bk, hi * bk, bk)
-    return tuple(zip(starts, [*starts[1:], min(hi * bk, k)]))
+def chunk_ranges(k: int, bk: int) -> tuple[tuple[int, int], ...]:
+    """The ascending ``(k0, k_hi)`` ranges of a depth-``k`` reduction's BK chunks."""
+    starts = range(0, k, bk)
+    return tuple(zip(starts, [*starts[1:], k]))
 
 
 def row_panels(m: int, n: int, depth: int) -> tuple[tuple[int, int], ...]:

@@ -89,14 +89,14 @@ strategies, transposed operands, alpha/beta epilogues, ragged edges,
 mixed-strategy GEMMs, and one-row and one-column float64 GEMMs, on the
 dgemm path and the ``np.matmul`` fallback.
 
-Artifacts are memoized in a bounded weakref
-:class:`~repro.kernels.memo.PlanMemo` keyed by schedule identity, one
-entry per schedule, valid for the batch shapes it was compiled for --
-a schedule cached by the plan cache keeps its artifact alive, and a
-schedule that dies takes its artifact, and every thread's binding of
-it, with it.  Memo traffic is observable via the
-``compile.cache_hits`` / ``compile.cache_misses`` /
-``compile.evictions`` counters and each compilation runs under a
+Artifacts are memoized in a weak identity
+:class:`~repro.kernels.memo.PlanMemo` keyed by the schedule, one entry
+per schedule, valid for the batch shapes it was compiled for.  The memo
+has no capacity: an artifact lives exactly as long as its schedule, so
+the plan caches that hold schedules bound the artifacts, and a schedule
+that dies takes its artifact, and every thread's binding of it, with
+it.  Memo traffic is observable via the ``compile.cache_hits`` /
+``compile.cache_misses`` counters and each compilation runs under a
 ``compile.plan`` span.
 
 This module does not import :mod:`repro.kernels.persistent`: it
@@ -310,19 +310,20 @@ def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     return artifact
 
 
-#: Process-wide memo of compiled artifacts (bounded; schedule-weakref).
-_COMPILED_MEMO = PlanMemo(capacity=256, name="compiled")
+#: Process-wide memo of compiled artifacts, keyed weakly by schedule.
+_COMPILED_MEMO = PlanMemo()
 
 
 def compiled_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     """The memoized compiled artifact of a schedule (compile on miss).
 
-    Held in a bounded weakref :class:`~repro.kernels.memo.PlanMemo`,
-    one entry per schedule, valid for the batch shapes it was compiled
-    for: schedules held by a :class:`~repro.core.plancache.PlanCache`
-    keep their artifact warm, and evicted schedules release theirs.
-    Emits ``compile.cache_hits`` / ``compile.cache_misses`` counters,
-    so a serve test can assert a warm hot path does zero compilation.
+    Held in a weak identity :class:`~repro.kernels.memo.PlanMemo`, one
+    entry per schedule, valid for the batch shapes it was compiled for:
+    every schedule held by a :class:`~repro.core.plancache.PlanCache`
+    keeps its artifact warm, and an evicted schedule releases its
+    artifact when it dies.  Emits ``compile.cache_hits`` /
+    ``compile.cache_misses`` counters, so a serve test can assert a warm
+    hot path does zero compilation.
     """
     token = batch_signature(batch)
     tracer = get_tracer()
@@ -331,16 +332,11 @@ def compiled_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan
         tracer.counter("compile.cache_hits")
         return cached
     tracer.counter("compile.cache_misses")
-    before = _COMPILED_MEMO.stats.evictions
-    artifact = _COMPILED_MEMO.put(schedule, token, compile_plan(schedule, batch))
-    evicted = _COMPILED_MEMO.stats.evictions - before
-    if evicted:
-        tracer.counter("compile.evictions", evicted)
-    return artifact
+    return _COMPILED_MEMO.put(schedule, token, compile_plan(schedule, batch))
 
 
 def compiled_memo_stats() -> MemoStats:
-    """Hit/miss/eviction counters of the compiled-artifact memo."""
+    """Hit/miss counters of the compiled-artifact memo."""
     return _COMPILED_MEMO.stats_snapshot()
 
 

@@ -66,13 +66,16 @@ def execute_schedule_strided(
     the executor through the shared engine registry; the default keeps
     this adapter on the ``reference`` per-slot walk (its historical
     behaviour).  Both engines are bit-identical, so the choice only
-    changes speed.
+    changes speed.  Only ``engine`` applies: a policy that sets any
+    other field is a ``ValueError``, not a setting silently dropped.
     """
     pol = (
         ExecutionPolicy(engine="reference")
         if policy is None
         else ExecutionPolicy.of(policy)
     )
+    if pol != ExecutionPolicy(engine=pol.engine):
+        raise ValueError("execute_schedule_strided applies only a policy's engine")
     run = get_engine(pol.engine)
     with get_tracer().span("execute.strided", gemms=len(batch), engine=pol.engine):
         operands = split_strided(batch, a, b, c)

@@ -9,20 +9,20 @@ pays the full online planning cost (tiling + both batching heuristics
 hit pays only the lookup.  That asymmetry is exactly why the serving
 layer warms the cache for known shape mixes.
 
-Simulation results are memoized per plan so that replaying a hot mix
-does not re-run the wave model on every batch; the memo holds a strong
-reference to each report, so ``id()`` keys cannot be recycled while
-the entry lives.
+Simulation results are memoized per plan, weakly by report in a
+:class:`~repro.kernels.memo.PlanMemo`, so replaying a hot mix does not
+re-run the wave model on every batch, and a plan the cache evicts
+takes its simulation with it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.core.framework import CoordinatedFramework, HeuristicLike, PlanReport
 from repro.core.plancache import PlanCache
 from repro.gpu.simulator import SimulationResult
+from repro.kernels.memo import PlanMemo
 from repro.reliability import SITE_PLANNER, FaultInjector
 from repro.serve.batcher import FormedBatch
 from repro.serve.budget import BudgetExhausted, DeadlineBudget
@@ -46,7 +46,11 @@ class PlannedBatch:
 
 
 class PlannerStage:
-    """Plans formed batches through a shared cache (thread-safe)."""
+    """Plans formed batches through a shared cache (thread-safe).
+
+    Each plan's simulation dies with its report, so the cache's
+    capacity bounds the simulations this stage keeps.
+    """
 
     def __init__(
         self,
@@ -69,9 +73,7 @@ class PlannerStage:
         #: evaluated on every :meth:`plan` call (error faults raise out
         #: of it, slow faults are charged into ``plan_us``).
         self.injector = injector
-        self._lock = threading.Lock()
-        # id(report) -> (report, sim); the report reference keeps the id stable.
-        self._sim_memo: dict[int, tuple[PlanReport, SimulationResult]] = {}
+        self._sims = PlanMemo()
 
     def plan(
         self, formed: FormedBatch, *, budget: DeadlineBudget | None = None
@@ -130,14 +132,7 @@ class PlannerStage:
         )
 
     def _simulate(self, report: PlanReport) -> SimulationResult:
-        key = id(report)
-        with self._lock:
-            memo = self._sim_memo.get(key)
-            if memo is not None and memo[0] is report:
-                return memo[1]
-        sim = self.framework.simulate_plan(report)
-        with self._lock:
-            if len(self._sim_memo) > 4 * self.cache.capacity:
-                self._sim_memo.clear()
-            self._sim_memo[key] = (report, sim)
+        sim = self._sims.get(report, ())
+        if sim is None:
+            sim = self._sims.put(report, (), self.framework.simulate_plan(report))
         return sim

@@ -8,6 +8,7 @@ import pytest
 from repro.core.options import Heuristic, PlanOptions
 from repro.core.plancache import PlanCache, batch_signature
 from repro.core.problem import Gemm, GemmBatch
+from repro.kernels.compiled import compiled_memo_stats, compiled_plan_for
 from repro.kernels.reference import reference_batched_gemm
 
 
@@ -180,6 +181,19 @@ class TestWarm:
         after = cache.stats_snapshot()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
+
+    def test_every_warm_plan_keeps_its_artifact(self, framework):
+        # The compiled memo has no bound of its own: however many plans
+        # the cache holds, each one's artifact stays compiled.
+        batches = [GemmBatch.from_shapes([(8 + i, 16, 16)]) for i in range(300)]
+        cache = PlanCache(framework, capacity=300)
+        cache.warm(batches, Heuristic.THRESHOLD)
+        before = compiled_memo_stats()
+        for batch in batches:
+            compiled_plan_for(cache.plan(batch, Heuristic.THRESHOLD).schedule, batch)
+        after = compiled_memo_stats()
+        assert cache.stats_snapshot().hits == 300
+        assert (after.hits - before.hits, after.misses - before.misses) == (300, 0)
 
 
 class TestStatsSnapshot:

@@ -11,9 +11,12 @@ bit-identical fp32-V100 guarantee).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.precision import Precision
+from repro.core.framework import CoordinatedFramework
+from repro.core.options import PlanOptions
+from repro.core.precision import Precision, quantize_operands, quantize_outputs
 from repro.core.problem import Gemm, GemmBatch
 from repro.core.tiling import (
     ALL_BATCHED_STRATEGIES,
@@ -30,6 +33,8 @@ from repro.gpu.backends import (
     list_backends,
 )
 from repro.gpu.specs import VOLTA_V100, get_device
+from repro.kernels import get_engine
+from repro.kernels.verify import verify_outputs
 
 PRECISIONS = (Precision.FP32, Precision.FP16, Precision.BF16)
 
@@ -155,6 +160,53 @@ def test_sram_dtype_changes_the_selected_strategy():
     assert fp32.threads == 128
     assert fp16.strategies[0].name == "tall"
     assert fp16.threads == 256
+
+
+# -- the pinned mixed batch, planned and run end to end ----------------
+
+#: A tall GEMM (the dtype-sensitive case on SRAM), a square one, the
+#: paper's worked GoogleNet shape and a small one.
+PINNED_MIXED = GemmBatch(
+    [Gemm(1024, 64, 256), Gemm(256, 256, 128), Gemm(64, 784, 192), Gemm(128, 128, 64)]
+)
+
+
+def test_backend_and_dtype_change_the_planned_strategies():
+    """Some backend/dtype cell plans differently from fp32 on the V100.
+
+    At a TLP target that forces escalation past ``large``, the pools
+    disagree: otherwise the backend admission layer would be
+    decoration.  The headline cell is SRAM, whose fp16 plan differs
+    from its fp32 plan.
+    """
+    selected = {
+        (backend, precision): [
+            s.name
+            for s in CoordinatedFramework(backend=backend)
+            .plan(PINNED_MIXED, PlanOptions(precision=precision, tlp_threshold=4095))
+            .decision.strategies
+        ]
+        for backend in ("cuda:Tesla V100", "systolic:128x128", "sram:40k")
+        for precision in ("fp32", "fp16", "bf16")
+    }
+    baseline = selected["cuda:Tesla V100", "fp32"]
+    assert any(names != baseline for names in selected.values())
+    assert selected["sram:40k", "fp16"] != selected["sram:40k", "fp32"]
+
+
+def test_fp16_run_of_the_pinned_batch_verifies():
+    """The fp16 plan runs on ``compiled`` within tolerance, not exactly."""
+    report = CoordinatedFramework().plan(PINNED_MIXED, PlanOptions(precision="fp16"))
+    staged = quantize_operands(
+        PINNED_MIXED.random_operands(np.random.default_rng(0)), Precision.FP16
+    )
+    outputs = quantize_outputs(
+        get_engine("compiled")(report.schedule, PINNED_MIXED, staged), Precision.FP16
+    )
+    verification = verify_outputs(
+        PINNED_MIXED, staged, outputs, Precision.FP16, raise_on_failure=True
+    )
+    assert verification.max_abs_err > 0.0
 
 
 def test_sram_rejects_nonpositive_budget():

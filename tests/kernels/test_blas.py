@@ -67,7 +67,6 @@ class TestResolution:
 class TestChunkLoop:
     def test_chunk_ranges(self):
         assert chunk_ranges(20, 8) == ((0, 8), (8, 16), (16, 20))
-        assert chunk_ranges(20, 8, 1, 3) == ((8, 16), (16, 20))
         assert chunk_ranges(8, 8) == ((0, 8),)
 
     def test_matches_the_numpy_loop_bitwise(self, path, rng):

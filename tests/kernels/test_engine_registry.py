@@ -15,7 +15,10 @@ accepted spelling, and they plan without a warning.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +203,33 @@ def test_registry_and_removed_spellings(case, framework):
             probe(framework)
     else:
         assert probe(framework) == expected
+
+
+def loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
+    probe = f"{code}\nimport sys\nprint(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+IMPORT_CASES = {
+    "compiled-loads-no-scipy": ("import repro.kernels.compiled", ("scipy",)),
+    "registry-and-policies-load-no-engine": (
+        "import repro.kernels as k\n"
+        "for name in k.ENGINES:\n"
+        "    k.engine_fallbacks(k.ExecutionPolicy(engine=name).engine)",
+        ("repro.kernels.compiled", "repro.kernels.persistent"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_import_independence(case):
+    code, shunned = IMPORT_CASES[case]
+    assert loaded_after(code, shunned) == []

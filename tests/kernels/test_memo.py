@@ -1,4 +1,4 @@
-"""Tests for the bounded weakref plan memo."""
+"""Tests for the weak identity plan memo."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import gc
 
 import pytest
 
-from repro.kernels.memo import MemoStats, PlanMemo
+from repro.kernels.memo import PlanMemo
 
 
 class Key:
@@ -19,7 +19,7 @@ OTHER = (("b", 2),)
 
 class TestPlanMemo:
     def test_get_miss_then_hit(self):
-        memo = PlanMemo(capacity=4)
+        memo = PlanMemo()
         key = Key()
         assert memo.get(key, TOKEN) is None
         memo.put(key, TOKEN, "artifact")
@@ -40,27 +40,17 @@ class TestPlanMemo:
         assert len(memo) == 0
         assert memo.stats_snapshot().misses == 1
 
-    def test_lru_eviction_bound(self):
-        memo = PlanMemo(capacity=3)
-        keys = [Key() for _ in range(5)]
+    def test_holds_every_live_entry(self):
+        # No capacity: an entry lives exactly as long as its key.
+        memo = PlanMemo()
+        keys = [Key() for _ in range(300)]
         for i, k in enumerate(keys):
             memo.put(k, TOKEN, i)
-        assert len(memo) == 3
-        assert memo.stats_snapshot().evictions == 2
-        # Oldest two evicted, newest three retained.
-        assert memo.get(keys[0], TOKEN) is None
-        assert memo.get(keys[1], TOKEN) is None
-        assert memo.get(keys[4], TOKEN) == 4
-
-    def test_get_refreshes_lru_order(self):
-        memo = PlanMemo(capacity=2)
-        k1, k2, k3 = Key(), Key(), Key()
-        memo.put(k1, TOKEN, 1)
-        memo.put(k2, TOKEN, 2)
-        assert memo.get(k1, TOKEN) == 1  # k1 becomes most-recent
-        memo.put(k3, TOKEN, 3)  # evicts k2, not k1
-        assert memo.get(k1, TOKEN) == 1
-        assert memo.get(k2, TOKEN) is None
+        assert len(memo) == 300
+        assert [memo.get(k, TOKEN) for k in keys] == list(range(300))
+        del keys[:100]
+        gc.collect()
+        assert len(memo) == 200
 
     def test_dead_key_purged_by_weakref(self):
         memo = PlanMemo()
@@ -95,11 +85,7 @@ class TestPlanMemo:
         assert len(memo) == 0
         assert memo.stats_snapshot().hits == 1
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            PlanMemo(capacity=0)
-
-    def test_stats_as_dict(self):
-        stats = MemoStats(hits=2, misses=3, evictions=1)
-        assert stats.as_dict() == {"hits": 2, "misses": 3, "evictions": 1}
-
+    def test_capacity_is_not_a_parameter(self):
+        # The plan caches bound what the memo holds; it has no knob.
+        with pytest.raises(TypeError):
+            PlanMemo(capacity=4)

@@ -5,11 +5,13 @@ import pytest
 
 from repro.core.framework import CoordinatedFramework
 from repro.core.problem import Gemm, GemmBatch
+from repro.kernels import ExecutionPolicy
 from repro.kernels.strided import (
     execute_schedule_strided,
     random_strided_operands,
     split_strided,
 )
+from repro.reliability import FaultInjector, FaultPlan, RetryPolicy
 
 
 @pytest.fixture
@@ -62,3 +64,38 @@ class TestExecution:
             np.testing.assert_allclose(
                 out[i], 2.0 * (a[i] @ b[i]) + c[i], rtol=1e-3, atol=1e-3
             )
+
+    def test_engine_policy_selects_engine(self, uniform, rng):
+        plan = CoordinatedFramework().plan(uniform, heuristic="binary")
+        a, b, c = random_strided_operands(uniform, rng)
+        compiled = execute_schedule_strided(
+            plan.schedule, uniform, a, b, c,
+            policy=ExecutionPolicy(engine="compiled"),
+        )
+        assert np.array_equal(
+            compiled, execute_schedule_strided(plan.schedule, uniform, a, b, c)
+        )
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"fallback": True},
+            {"retry": RetryPolicy()},
+            {
+                "injector": FaultInjector(
+                    FaultPlan.parse(["engine_error:engine=compiled,every=1"])
+                )
+            },
+            {"precision": "fp16"},
+            {"verify": True},
+        ],
+        ids=["fallback", "retry", "injector", "precision", "verify"],
+    )
+    def test_policy_field_beyond_engine_rejected(self, uniform, rng, field):
+        # The adapter runs only the named engine: a field it would drop
+        # is refused, never silently ignored.
+        plan = CoordinatedFramework().plan(uniform, heuristic="binary")
+        a, b, c = random_strided_operands(uniform, rng)
+        policy = ExecutionPolicy(engine="compiled", **field)
+        with pytest.raises(ValueError, match="only a policy's engine"):
+            execute_schedule_strided(plan.schedule, uniform, a, b, c, policy=policy)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.plancache import PlanCache
 from repro.core.problem import Gemm
+from repro.reliability import FaultPlan, RetryPolicy
+from repro.serve import ReliabilityConfig
 from repro.serve.admission import AdmissionConfig
 from repro.serve.batcher import BatcherConfig
 from repro.serve.config import ServeConfig
@@ -56,6 +58,70 @@ class TestBasicReplay:
     def test_results_cover_every_request(self, framework, threshold):
         report = replay_trace(uniform_trace(9), framework, small_config(threshold))
         assert [r.request_id for r in report.results] == list(range(9))
+
+
+def pinned_replay(framework, threshold, rate_rps, reliability=ReliabilityConfig()):
+    """The pinned Poisson serve workload, replayed at ``rate_rps``.
+
+    0.2 s of Poisson arrivals (trace seed 7, 50 ms deadlines) through
+    two workers, batches of up to 16 requests within 2 ms, a 64-deep
+    queue and the threshold heuristic.
+    """
+    trace = poisson_trace(rate_rps, duration_s=0.2, seed=7, deadline_us=50_000.0)
+    config = small_config(
+        threshold,
+        batcher=BatcherConfig(max_batch_size=16, max_wait_us=2000.0),
+        admission=AdmissionConfig(queue_capacity=64),
+        reliability=reliability,
+    )
+    return replay_trace(trace, framework, config)
+
+
+def n_settled(report) -> int:
+    return (
+        report.n_completed
+        + report.n_rejected_queue
+        + report.n_shed_deadline
+        + report.n_rejected_other
+        + report.n_timed_out
+    )
+
+
+class TestPinnedPoissonLoad:
+    """One pinned workload below and one near saturation, plus chaos."""
+
+    def test_below_saturation_settles_with_ordered_tail(self, framework, threshold):
+        report = pinned_replay(framework, threshold, 500.0)
+        assert n_settled(report) == report.n_requests
+        assert report.n_completed > 0
+        assert report.latency.p99_us >= report.latency.p50_us
+
+    def test_near_saturation_settles_and_fills_batches(self, framework, threshold):
+        report = pinned_replay(framework, threshold, 2000.0)
+        assert n_settled(report) == report.n_requests
+        assert report.n_completed > 0
+        assert report.mean_occupancy >= 1.0
+
+    def test_reliability_layer_is_free_without_faults(self, framework, threshold):
+        # An eager retry policy never engages without a fault plan, so
+        # no backoff reaches virtual time and the report is unchanged.
+        eager = ReliabilityConfig(
+            retry=RetryPolicy(max_attempts=6, base_delay_ms=25.0, max_delay_ms=500.0),
+            breaker_failure_threshold=1,
+        )
+        report = pinned_replay(framework, threshold, 500.0, eager)
+        assert report.reliability is None
+        assert report.to_dict() == pinned_replay(framework, threshold, 500.0).to_dict()
+
+    def test_retries_keep_goodput_under_planner_faults(self, framework, threshold):
+        chaos = ReliabilityConfig(
+            fault_plan=FaultPlan.parse(["planner_error:rate=0.05"], seed=11)
+        )
+        report = pinned_replay(framework, threshold, 2000.0, chaos)
+        assert n_settled(report) == report.n_requests
+        assert report.reliability["faults_injected"] > 0
+        assert report.reliability["retries"] > 0
+        assert report.n_completed / report.n_requests >= 0.9
 
 
 class TestDeterminism:
