@@ -11,7 +11,9 @@ it is timed with its artifact warm; the walk has no artifact.
 
 Bit-identity is asserted before timing: a perf benchmark that silently
 drifts numerically is worthless.  The artifact's staging need -- one
-thread arena sized by the largest GEMM -- is pinned on this batch by
+thread arena sized by the largest GEMM's accumulator, ``beta * C``
+buffer and one 128-deep K-slab of its operands, 999,424 bytes here --
+is pinned on this batch by
 ``tests/kernels/test_compiled.py::TestCompiledContract::test_scratch_is_the_largest_gemm``.
 A compile allocates no staging: a thread binds an artifact to its
 arena on its first run, so the one-off cost timed here is a compile

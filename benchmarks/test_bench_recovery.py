@@ -1,34 +1,31 @@
-"""Chaos-recovery benchmark: supervised respawn + failover vs a dead shard.
+"""Chaos-recovery gates: supervised respawn + failover vs a dead shard.
 
 The cluster benchmark (``BENCH_cluster.json``) kills one of 4 shards
 mid-run *without* supervision and completes ~78% of the trace: the
 victim's held work settles as ``error:ShardKilled`` and its capacity is
-gone for the back half of the run.  This benchmark reruns the identical
+gone for the back half of the run.  These gates rerun the identical
 workload under :class:`~repro.cluster.supervisor.SupervisorConfig` --
 the shard respawns warm from its predecessor's plan-cache manifest and
-the kill's casualties fail over along the ring -- and records how much
-of the lost completion supervision buys back (acceptance: >= 95%
-completed, 100% typed settlement, byte-identical reruns).
+the kill's casualties fail over along the ring -- and require that
+supervision buys back the lost completion: >= 95% completed, 100%
+typed settlement, and byte-identical reruns.
 
-The measurements land in ``BENCH_recovery.json`` at the repository
-root so committed snapshots track recovery across revisions.
+They are plain tests that write no snapshot.  The 10^5-request replay
+takes about 90 s on a 2-vCPU host, so CI runs this file as its own
+step ("Recovery gates"), outside the tier-1 suite::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_recovery.py -q
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from pathlib import Path
 
-from repro.analysis.export import write_bench_json
 from repro.cluster import ClusterConfig, SupervisorConfig, replay_cluster_trace
 from repro.core.framework import CoordinatedFramework
 from repro.gpu.specs import VOLTA_V100
 from repro.serve import BatcherConfig, ServeConfig
 from repro.serve.loadgen import poisson_trace
-
-#: The committed recovery snapshot (repo root).
-BENCH_RECOVERY_PATH = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
 
 #: Identical workload to ``benchmarks/test_bench_cluster.py`` so the
 #: supervised completion share is directly comparable to the committed
@@ -39,9 +36,6 @@ TRACE_SEED = 7
 DEADLINE_US = 50_000.0
 HEAVY_SHAPES = ((512, 512, 512), (768, 768, 768), (1024, 512, 256))
 KILL_SHARD, KILL_AT_US = 1, 250_000.0
-
-#: Accumulated across tests; the last test writes the JSON snapshot.
-_RESULTS: dict = {}
 
 
 def _framework():
@@ -67,7 +61,7 @@ def _config(supervisor=None) -> ClusterConfig:
     )
 
 
-def test_recovery_completion(benchmark):
+def test_recovery_completion():
     """Supervision recovers a killed shard's lost completion share.
 
     Same 10^5-request overload trace and mid-run kill as the cluster
@@ -76,84 +70,36 @@ def test_recovery_completion(benchmark):
     settling every ticket with a typed outcome.
     """
     trace = _trace()
-    supervised = benchmark.pedantic(
-        functools.partial(
-            replay_cluster_trace,
-            trace,
-            _framework(),
-            _config(SupervisorConfig()),
-            kill=[(KILL_SHARD, KILL_AT_US)],
-        ),
-        rounds=1,
-        iterations=1,
+    kill = [(KILL_SHARD, KILL_AT_US)]
+    supervised = replay_cluster_trace(
+        trace, _framework(), _config(SupervisorConfig()), kill=kill
     )
-    bare = replay_cluster_trace(
-        trace, _framework(), _config(), kill=[(KILL_SHARD, KILL_AT_US)]
-    )
+    bare = replay_cluster_trace(trace, _framework(), _config(), kill=kill)
 
     assert supervised.settlement_share == 1.0 and supervised.n_stranded == 0
     assert supervised.completed_share >= 0.95
     assert supervised.completed_share > bare.completed_share
-    sup = supervised.supervisor
-    assert sup["restarts"] >= 1
+    assert supervised.supervisor["restarts"] >= 1
     victim = next(s for s in supervised.shards if s.shard_id == KILL_SHARD)
     assert victim.state == "active"  # respawned and rejoined
 
-    benchmark.extra_info["completed_share"] = round(
-        supervised.completed_share, 3
-    )
-    benchmark.extra_info["completed_share_unsupervised"] = round(
-        bare.completed_share, 3
-    )
-    benchmark.extra_info["restarts"] = sup["restarts"]
-    _RESULTS["recovery"] = {
-        "workload": (
-            f"poisson {RATE_RPS:.0f} rps x {N_REQUESTS} requests "
-            f"(seed {TRACE_SEED}), deadline {DEADLINE_US:.0f} us, "
-            f"kill shard {KILL_SHARD} at {KILL_AT_US:.0f} us"
-        ),
-        "n_requests": N_REQUESTS,
-        "completed_share_supervised": round(supervised.completed_share, 3),
-        "completed_share_unsupervised": round(bare.completed_share, 3),
-        "settlement_share": supervised.settlement_share,
-        "goodput_supervised_rps": round(supervised.goodput_rps, 1),
-        "goodput_unsupervised_rps": round(bare.goodput_rps, 1),
-        "p99_supervised_us": round(supervised.latency.p99_us, 1),
-        "supervisor": sup,
-    }
 
-
-def test_recovery_deterministic(benchmark):
+def test_recovery_deterministic():
     """Supervised recovery replays to byte-identical reports.
 
     Respawn scheduling, failover resubmission, and budget settlement
     are all functions of the trace and config alone -- two replays of
-    the same supervised kill must serialize identically.  Runs last
-    and writes the accumulated ``BENCH_recovery.json`` snapshot.
+    the same supervised kill must serialize identically.
     """
     trace = _trace(n=10_000)
-    run = functools.partial(
-        replay_cluster_trace,
-        trace,
-        _framework(),
-        _config(SupervisorConfig()),
-        kill=[(2, 20_000.0)],
-    )
-    first = benchmark.pedantic(run, rounds=1, iterations=1)
-    second = run()
+
+    def run():
+        return replay_cluster_trace(
+            trace, _framework(), _config(SupervisorConfig()), kill=[(2, 20_000.0)]
+        )
+
+    first, second = run(), run()
     a = json.dumps(first.to_dict(), sort_keys=True)
     b = json.dumps(second.to_dict(), sort_keys=True)
     assert a == b
     assert first.supervisor["restarts"] >= 1
-    _RESULTS["recovery_deterministic"] = True
-
-    write_bench_json(
-        BENCH_RECOVERY_PATH,
-        {
-            "workload": (
-                f"poisson {RATE_RPS:.0f} rps (seed {TRACE_SEED}), "
-                f"4 shards supervised, deadline {DEADLINE_US:.0f} us"
-            ),
-            **_RESULTS,
-        },
-    )

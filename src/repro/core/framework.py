@@ -267,13 +267,15 @@ class CoordinatedFramework:
                 candidates.append((time_ms, name, report))
             candidates.sort(key=lambda c: c[0])
             tracer.counter("plan_candidates_tried", len(candidates))
-            logger.debug(
-                "plan(%s): %s -> %s (candidates: %s)",
-                requested.value,
-                decision.threads,
-                candidates[0][1].value,
-                ", ".join(f"{n.value}={t:.4f}ms" for t, n, _ in candidates),
-            )
+            # The summary formats every candidate: build it only to log it.
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "plan(%s): %s -> %s (candidates: %s)",
+                    requested.value,
+                    decision.threads,
+                    candidates[0][1].value,
+                    ", ".join(f"{n.value}={t:.4f}ms" for t, n, _ in candidates),
+                )
             return candidates[0][2]
         report = self._assemble(batch, decision, tiles, heuristic, opts)
         logger.debug(

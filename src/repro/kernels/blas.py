@@ -4,7 +4,10 @@ The compiled engine multiplies a GEMM the way the tile kernel of
 Figure 2 does (lines 12-24): the K dimension is walked in ascending
 ``BK``-deep chunks, and each chunk's product is added to a float64
 accumulator that starts at zero.  This module owns that loop, so one
-place decides how a chunk is multiplied and accumulated.
+place decides how a chunk is multiplied and accumulated.  A loop adds
+to the accumulator and never zeroes it: its owner zeroes it once, then
+may run loops over successive K ranges of the operands into it, as the
+compiled engine runs one per staged K-slab.
 
 **The BLAS path.**  At import the module looks for a CBLAS ``dgemm`` in
 the BLAS library NumPy loaded: it scans the shared objects mapped into
@@ -69,7 +72,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["DGEMM_SYMBOL", "SMALL_CALL", "ChunkLoop", "chunk_ranges", "row_panels"]
+__all__ = [
+    "DGEMM_SYMBOL",
+    "SMALL_CALL",
+    "ChunkLoop",
+    "chunk_ranges",
+    "loop_calls",
+    "row_panels",
+]
 
 #: CBLAS dgemm entry points with 64-bit integer arguments, in lookup
 #: order: the scipy-openblas64 build NumPy's wheels bundle, then a plain
@@ -146,13 +156,28 @@ def row_panels(m: int, n: int, depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds[:-1], bounds[1:]))
 
 
+def _loop_panels(m: int, n: int, chunks: Sequence[tuple[int, int]]):
+    """The row panels of an ``m x n`` loop: each call fits its deepest chunk."""
+    deepest = max((k_hi - k0 for k0, k_hi in chunks), default=1)
+    return row_panels(m, n, deepest)
+
+
+def loop_calls(m: int, n: int, chunks: Sequence[tuple[int, int]]) -> int:
+    """Calls one run of an ``m x n`` :class:`ChunkLoop` over ``chunks`` makes.
+
+    One per chunk and row panel, on the dgemm path and the fallback alike.
+    """
+    return len(chunks) * len(_loop_panels(m, n, chunks))
+
+
 class ChunkLoop:
     """One accumulator's BK main loop over fixed buffers, bound once.
 
-    :meth:`run` overwrites ``acc`` (``m x n``) with
-    ``sum(a[:, k0:k_hi] @ b[k0:k_hi, :] for k0, k_hi in chunks)``,
-    added in the given order to a zeroed accumulator.  ``a`` is the
-    ``m x k`` and ``b`` the ``k x n`` operand; all three must be
+    :meth:`run` adds ``a[:, k0:k_hi] @ b[k0:k_hi, :]`` to ``acc``
+    (``m x n``) for each ``(k0, k_hi)`` of ``chunks``, in the given
+    order; it does not zero ``acc`` first, so its owner zeroes it once
+    and may then run loops over successive K ranges into it.  ``a`` is
+    the ``m x k`` and ``b`` the ``k x n`` operand; all three must be
     C-contiguous 2-D float64 arrays, and ``acc`` writeable.  Each chunk
     product is computed in the row panels of :func:`row_panels`, which
     leaves every element's sum unchanged.  On the ``np.matmul``
@@ -197,8 +222,7 @@ class ChunkLoop:
         for k0, k_hi in self.chunks:
             if not 0 <= k0 < k_hi <= k:
                 raise ValueError(f"chunk ({k0}, {k_hi}) outside 0..{k}")
-        deepest = max((k_hi - k0 for k0, k_hi in self.chunks), default=1)
-        self._panels = row_panels(m, n, deepest)
+        self._panels = _loop_panels(m, n, self.chunks)
         self._dgemm = _DGEMM
         if self._dgemm is None:
             self._arrays = (acc, a, b, scratch)
@@ -228,14 +252,13 @@ class ChunkLoop:
         )
 
     def run(self) -> None:
-        """Overwrite the accumulator with the chunk-accumulated product."""
-        acc, a, b, tmp = self._arrays
-        acc.fill(0.0)
+        """Add the chunk products to the accumulator, in chunk order."""
         dgemm = self._dgemm
         if dgemm is not None:
             for args in self._calls:
                 dgemm(*args)
             return
+        acc, a, b, tmp = self._arrays
         for k0, k_hi in self.chunks:
             for r0, r1 in self._panels:
                 np.matmul(a[r0:r1, k0:k_hi], b[k0:k_hi, :], out=tmp[r0:r1])

@@ -22,7 +22,17 @@ thread structure of §4), so once the slots tile each output exactly
 once, a GEMM's result does not depend on which strategies tile it.  An
 artifact keeps what the schedule and the shapes fix: per GEMM, its
 ``(m, n, k)``, its ascending ``(k0, k_hi)`` chunk table and its
-staging need, ``m*k + k*n + 2*m*n`` float64 elements.
+staging need, ``min(k, STAGING_SLAB) * (m + n) + 2*m*n`` float64
+elements.
+
+**Operands are staged one K-slab at a time.**  The paper's tile kernel
+(Figure 2, lines 12-24) stages one BK-deep slice of A and B per
+main-loop iteration, so a block's staging is fixed by its tile, never
+by K.  The host does the same at a coarser grain: a GEMM's K is
+walked in ascending slabs of :data:`STAGING_SLAB` = ``16 * BATCHED_BK``
+columns, and only one slab of ``op(A)`` and ``op(B)`` is staged at a
+time, so a GEMM's staging is its accumulator, its ``beta * C`` buffer
+and one slab -- it scales with the output, not with K.
 
 **The staging lives with the executing thread, not the artifact.**
 Each thread that runs artifacts owns one float64 **arena**, grown to
@@ -33,25 +43,29 @@ host, and as in Stream-K's partial-sum workspace it scales with the
 executors, not with the problems -- so resident staging is
 ``threads x largest GEMM``, however many artifacts the memo holds.  A
 thread's first run of an artifact binds it to the arena: each GEMM's
-staging -- the ``op(A)`` / ``op(B)`` copies ``a64`` / ``b64``, the
-accumulator ``acc`` and the ``beta * C`` buffer ``c64`` -- becomes a
-set of C-contiguous views into the front of the arena, and its BK main
-loop (:class:`~repro.kernels.blas.ChunkLoop`) is bound over them, the
-arguments of every BLAS call built once.  The thread caches those
+staging -- the accumulator ``acc``, the ``beta * C`` buffer ``c64``
+and the slab copies ``a64`` / ``b64`` of ``op(A)`` / ``op(B)`` --
+becomes a set of C-contiguous views into the front of the arena, and
+BK main loops (:class:`~repro.kernels.blas.ChunkLoop`) are bound over
+them, the arguments of every BLAS call built once: one loop for a full
+slab and one for the ``k mod STAGING_SLAB`` remainder, whose views sit
+at the front of the full slab's.  The thread caches those
 bindings, weakly keyed by artifact; growing the arena drops them all,
 so the old buffer is freed and each artifact rebinds on its next run
 there.  Two threads never share staging, so runs need no lock.
 
 Execution (:meth:`CompiledPlan.run`) is then a fixed sequence per GEMM:
-copy the operands in, make the bound calls, and run the epilogue in
-three passes -- ``acc *= alpha`` in place, ``c64 = beta * C`` in
-float64, and one ``np.add`` of the two cast straight into the fresh
-output -- **zero Python plan-walking and zero per-call allocation**
-once bound, except the returned output arrays themselves (callers own
-the results, so they must be fresh).  Each GEMM rewrites its staging,
-zeroes its accumulator and overwrites ``c64`` before reading them, so
-nothing an earlier GEMM -- of this artifact or another -- left in the
-arena reaches an output.  Where NumPy's BLAS exports a CBLAS dgemm
+zero the accumulator; for each slab, copy its columns of ``op(A)`` and
+rows of ``op(B)`` in and make that slab's bound calls, which add to
+the accumulator; and run the epilogue in three passes -- ``acc *=
+alpha`` in place, ``c64 = beta * C`` in float64, and one ``np.add`` of
+the two cast straight into the fresh output -- **zero Python
+plan-walking and zero per-call allocation** once bound, except the
+returned output arrays themselves (callers own the results, so they
+must be fresh).  Each GEMM zeroes its accumulator, rewrites each slab
+and overwrites ``c64`` before reading them, so nothing an earlier GEMM
+-- of this artifact or another -- left in the arena reaches an output.
+Where NumPy's BLAS exports a CBLAS dgemm
 (:data:`repro.kernels.blas.DGEMM_SYMBOL` names it), each call is one
 ``acc += A[:, k0:k_hi] @ B[k0:k_hi, :]`` dgemm (per row panel) with
 alpha = beta = 1: the chunk product is added to the accumulator inside
@@ -68,7 +82,9 @@ the reference walk, :func:`repro.kernels.persistent.execute_schedule`:
   casts make, so BLAS sees the walk's values;
 * the K reduction keeps the walk's chunk order -- one product per
   ``BK`` chunk, accumulated in float64 in ascending ``k0`` order (a
-  single full-K matmul would associate the sum differently) -- and
+  single full-K matmul would associate the sum differently); slab
+  edges are multiples of ``BK``, so slabbing adds the same chunk sums
+  in the same order -- and
   runs each product through the :mod:`repro.kernels.blas` loop, whose
   dgemm calls compute every element as the same ascending-``k`` FMA
   sequence as the walk's zero-padded per-tile products, interior and
@@ -86,8 +102,9 @@ the reference walk, :func:`repro.kernels.persistent.execute_schedule`:
 
 The equivalence suites pin this bitwise across all twelve Table-2
 strategies, transposed operands, alpha/beta epilogues, ragged edges,
-mixed-strategy GEMMs, and one-row and one-column float64 GEMMs, on the
-dgemm path and the ``np.matmul`` fallback.
+K on either side of every BK and slab edge, mixed-strategy GEMMs, and
+one-row and one-column float64 GEMMs, on the dgemm path and the
+``np.matmul`` fallback.
 
 Artifacts are memoized in a weak identity
 :class:`~repro.kernels.memo.PlanMemo` keyed by the schedule, one entry
@@ -116,11 +133,12 @@ import numpy as np
 from repro.core.problem import GemmBatch, batch_signature, validate_operands
 from repro.core.schedule import BatchSchedule, check_schedule
 from repro.core.tiling import BATCHED_BK
-from repro.kernels.blas import ChunkLoop, chunk_ranges
+from repro.kernels.blas import ChunkLoop, chunk_ranges, loop_calls
 from repro.kernels.memo import MemoStats, PlanMemo
 from repro.telemetry import get_tracer
 
 __all__ = [
+    "STAGING_SLAB",
     "CompiledGemm",
     "CompiledPlan",
     "compile_plan",
@@ -131,13 +149,19 @@ __all__ = [
 ]
 
 
+#: Columns of ``op(A)`` (rows of ``op(B)``) a run stages at a time: a
+#: multiple of the BK depth, so slab edges are chunk edges.
+STAGING_SLAB = 16 * BATCHED_BK
+
+
 @dataclass(frozen=True)
 class CompiledGemm:
     """One GEMM of an artifact: its shape and its BK chunk table.
 
     ``chunks`` are the ascending ``(k0, k_hi)`` ranges of the GEMM's BK
-    main loop, one chunk product each; :attr:`staging` is the share of
-    a thread's arena it stages in.
+    main loop, one chunk product each; :attr:`slabs` groups them into
+    the K-slabs a run stages one at a time, and :attr:`staging` is the
+    share of a thread's arena it stages in.
     """
 
     m: int
@@ -146,9 +170,22 @@ class CompiledGemm:
     chunks: tuple[tuple[int, int], ...]
 
     @property
+    def slabs(self) -> tuple[tuple[int, int], ...]:
+        """The ascending ``(k0, k_hi)`` K-slabs of :data:`STAGING_SLAB` columns."""
+        return chunk_ranges(self.k, STAGING_SLAB)
+
+    @property
     def staging(self) -> int:
-        """Float64 elements of ``op(A)``, ``op(B)``, ``acc`` and ``beta * C``."""
-        return self.m * self.k + self.k * self.n + 2 * self.m * self.n
+        """Float64 elements of ``acc``, ``beta * C`` and one slab of each operand."""
+        return min(self.k, STAGING_SLAB) * (self.m + self.n) + 2 * self.m * self.n
+
+    @property
+    def calls(self) -> int:
+        """BLAS calls one run makes: each slab's loop, run once per slab."""
+        return sum(
+            loop_calls(self.m, self.n, chunk_ranges(k_hi - k0, BATCHED_BK))
+            for k0, k_hi in self.slabs
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +209,16 @@ class CompiledPlan:
     def num_chunks(self) -> int:
         """Total BK chunk products one execution computes."""
         return sum(len(g.chunks) for g in self.gemms)
+
+    @property
+    def num_calls(self) -> int:
+        """BLAS calls one execution makes (dgemm, or ``np.matmul`` on the fallback).
+
+        Each chunk product is one call per row panel
+        (:func:`~repro.kernels.blas.loop_calls`), so this is at least
+        :attr:`num_chunks`.
+        """
+        return sum(g.calls for g in self.gemms)
 
     @property
     def scratch_bytes(self) -> int:
@@ -203,14 +250,16 @@ class CompiledPlan:
         validate_operands(batch, operands)
         staged = _ARENA.bindings.get(self) or _ARENA.bind(self)
         outputs: list[np.ndarray] = []
-        for (a64, b64, acc, c64, loop), gemm, (a, b, c) in zip(
-            staged, batch, operands
-        ):
-            # Exact float64 widening into the arena's contiguous views,
-            # as the reference walk's per-tile staging casts widen.
-            np.copyto(a64, gemm.op_a(a))
-            np.copyto(b64, gemm.op_b(b))
-            loop.run()
+        for (acc, c64, slabs), gemm, (a, b, c) in zip(staged, batch, operands):
+            a_op, b_op = gemm.op_a(a), gemm.op_b(b)
+            acc.fill(0.0)
+            for ks, a64, b64, loop in slabs:
+                # Exact float64 widening of one K-slab into the arena's
+                # contiguous views, as the reference walk's per-tile
+                # staging casts widen; the loop adds its chunks to acc.
+                np.copyto(a64, a_op[:, ks])
+                np.copyto(b64, b_op[ks])
+                loop.run()
             # Elementwise alpha/beta epilogue in float64, in place; the
             # per-element arithmetic and the final cast match the
             # reference walk bit for bit.  The output is the one
@@ -224,26 +273,37 @@ class CompiledPlan:
 
 
 class _Staging(NamedTuple):
-    """One GEMM's views into a thread's arena, and its loop bound over them."""
+    """One GEMM's views into a thread's arena, and its slab loops bound over them.
 
-    a64: np.ndarray
-    b64: np.ndarray
+    ``slabs`` holds, per K-slab in ascending order, the slab's K range
+    as a slice, the ``a64`` / ``b64`` views it is staged in and the loop
+    bound over them; slabs of one width share their views and loop.
+    """
+
     acc: np.ndarray
     c64: np.ndarray
-    loop: ChunkLoop
+    slabs: tuple[tuple[slice, np.ndarray, np.ndarray, ChunkLoop], ...]
 
 
 def _stage(gemm: CompiledGemm, arena: np.ndarray) -> _Staging:
     """Bind one GEMM at the front of ``arena``."""
-    m, n, k = gemm.m, gemm.n, gemm.k
-    mk, kn, mn = m * k, k * n, m * n
-    a64 = arena[:mk].reshape(m, k)
-    b64 = arena[mk : mk + kn].reshape(k, n)
-    acc = arena[mk + kn : mk + kn + mn].reshape(m, n)
-    c64 = arena[mk + kn + mn : mk + kn + 2 * mn].reshape(m, n)
-    # c64 is written only after the loop, so the np.matmul fallback
-    # takes its chunk temporary there.
-    return _Staging(a64, b64, acc, c64, ChunkLoop(acc, a64, b64, gemm.chunks, c64))
+    m, n = gemm.m, gemm.n
+    mn, depth = m * n, min(gemm.k, STAGING_SLAB)
+    acc = arena[:mn].reshape(m, n)
+    c64 = arena[mn : 2 * mn].reshape(m, n)
+    a_slab = arena[2 * mn : 2 * mn + m * depth]
+    b_slab = arena[2 * mn + m * depth : gemm.staging]
+    bound = {}
+    for width in {k_hi - k0 for k0, k_hi in gemm.slabs}:
+        # A full slab and the remainder both stage at the slab front.
+        a64 = a_slab[: m * width].reshape(m, width)
+        b64 = b_slab[: width * n].reshape(width, n)
+        # c64 is written only after the loops, so the np.matmul
+        # fallback takes its chunk temporary there.
+        loop = ChunkLoop(acc, a64, b64, chunk_ranges(width, BATCHED_BK), c64)
+        bound[width] = (a64, b64, loop)
+    slabs = tuple((slice(k0, k_hi), *bound[k_hi - k0]) for k0, k_hi in gemm.slabs)
+    return _Staging(acc, c64, slabs)
 
 
 class _Arena(threading.local):
@@ -306,6 +366,7 @@ def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
         tracer.counter("compile.plans", 1)
         if span.enabled:
             span.set_attr("chunks", artifact.num_chunks)
+            span.set_attr("calls", artifact.num_calls)
             span.set_attr("scratch_bytes", artifact.scratch_bytes)
     return artifact
 

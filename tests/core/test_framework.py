@@ -1,5 +1,7 @@
 """Tests for the CoordinatedFramework facade."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ class TestPlanning:
         t = framework.simulate(uniform_batch, heuristic="threshold").time_ms
         b = framework.simulate(uniform_batch, heuristic="binary").time_ms
         assert best <= min(t, b) + 1e-12
+
+    def test_best_logs_its_candidates_only_at_debug(
+        self, framework, uniform_batch, caplog
+    ):
+        """The candidates summary is built and logged when DEBUG is on."""
+        with caplog.at_level(logging.INFO, logger="repro.framework"):
+            framework.plan(uniform_batch, heuristic="best")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="repro.framework"):
+            report = framework.plan(uniform_batch, heuristic="best")
+        messages = [r.getMessage() for r in caplog.records]
+        (message,) = [text for text in messages if "candidates" in text]
+        head = f"plan(best): 256 -> {report.heuristic_used} (candidates: "
+        assert message.startswith(head)
+        assert "threshold=" in message and "binary=" in message
 
     def test_auto_without_selector_falls_back_to_best(self, framework, uniform_batch):
         report = framework.plan(uniform_batch, heuristic="auto")

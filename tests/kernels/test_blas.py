@@ -2,8 +2,9 @@
 
 ``repro.kernels.blas`` runs each chunk as dgemm calls (alpha = beta
 = 1), one per row panel, when NumPy's BLAS exports a CBLAS dgemm, and
-as ``np.matmul`` plus ``np.add`` otherwise.  Both must give the bits of
-the parent loop, and the compiled engine must match the reference walk
+as ``np.matmul`` plus ``np.add`` otherwise, adding each product to an
+accumulator it never zeroes.  Both must give the bits of the parent
+loop, and the compiled engine must match the reference walk
 bit for bit -- including on one-row and one-column GEMMs, which
 ``np.matmul`` sends to gemv, and on GEMMs whose full-width chunk calls
 would leave OpenBLAS's small-matrix kernel.
@@ -25,10 +26,14 @@ from repro.kernels.persistent import execute_schedule
 from .test_compiled import make_schedule
 
 
-def numpy_loop(a: np.ndarray, b: np.ndarray, bk: int) -> np.ndarray:
-    """The chunk loop every engine ran before the helper existed."""
+def numpy_loop(a: np.ndarray, b: np.ndarray, bk: int, start=None) -> np.ndarray:
+    """The chunk loop every engine ran before the helper existed.
+
+    Adds the chunk products, in order, to a copy of ``start`` (zeros by
+    default).
+    """
     m, k = a.shape
-    acc = np.zeros((m, b.shape[1]))
+    acc = np.zeros((m, b.shape[1])) if start is None else start.copy()
     tmp = np.empty_like(acc)
     for k0 in range(0, k, bk):
         np.matmul(a[:, k0 : k0 + bk], b[k0 : k0 + bk, :], out=tmp)
@@ -56,7 +61,7 @@ class TestResolution:
 
     def test_loop_takes_the_path_resolved_when_bound(self, path):
         """The dgemm path leaves the scratch untouched; the fallback fills it."""
-        a, b, acc = np.ones((3, 4)), np.ones((4, 5)), np.empty((3, 5))
+        a, b, acc = np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5))
         scratch = np.full((3, 5), np.nan)
         ChunkLoop(acc, a, b, chunk_ranges(4, 2), scratch).run()
         assert np.array_equal(acc, np.full((3, 5), 4.0))
@@ -70,7 +75,11 @@ class TestChunkLoop:
         assert chunk_ranges(8, 8) == ((0, 8),)
 
     def test_matches_the_numpy_loop_bitwise(self, path, rng):
-        """Random shapes with at least two rows and columns, signed zeros."""
+        """Random shapes with at least two rows and columns, signed zeros.
+
+        The loop adds to the accumulator it is given: a zeroed one on
+        the trials with signed zeros, random values on the others.
+        """
         for trial in range(60):
             m, n = rng.integers(2, 90, size=2)
             k = int(rng.integers(1, 70))
@@ -78,10 +87,11 @@ class TestChunkLoop:
             b = rng.standard_normal((k, n))
             if trial % 2:
                 a[rng.random(a.shape) < 0.3] = -0.0
-            acc = np.full((m, n), np.nan)  # run must overwrite, not add
+            start = np.zeros((m, n)) if trial % 2 else rng.standard_normal((m, n))
+            acc = start.copy()
             scratch = np.full((m, n), np.nan)
             ChunkLoop(acc, a, b, chunk_ranges(k, 8), scratch).run()
-            want = numpy_loop(a, b, 8)
+            want = numpy_loop(a, b, 8, start)
             assert np.array_equal(acc, want), (m, n, k)
             assert np.array_equal(np.signbit(acc), np.signbit(want)), (m, n, k)
 
@@ -99,8 +109,28 @@ class TestChunkLoop:
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
             scratch = np.full((m, n), np.nan)
-            acc = np.full((m, n), np.nan)
+            start = rng.standard_normal((m, n))
+            acc = start.copy()
             ChunkLoop(acc, a, b, chunk_ranges(k, 8), scratch).run()
+            assert np.array_equal(acc, numpy_loop(a, b, 8, start)), (m, n, k)
+
+    def test_loops_over_successive_k_ranges_add_like_one_loop(self, path, rng):
+        """Loops over consecutive K ranges of copies, into one accumulator.
+
+        This is how the compiled engine runs a GEMM one staged K-slab at
+        a time: with range edges on chunk edges, every element adds the
+        same chunk products in the same order as one loop over all of K.
+        """
+        for m, n, k, edge in [(9, 13, 300, 128), (40, 3, 129, 128), (5, 70, 24, 16)]:
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            acc = np.zeros((m, n))
+            scratch = np.empty((m, n))
+            for k0, k_hi in chunk_ranges(k, edge):
+                a_part = np.ascontiguousarray(a[:, k0:k_hi])
+                b_part = np.ascontiguousarray(b[k0:k_hi])
+                chunks = chunk_ranges(k_hi - k0, 8)
+                ChunkLoop(acc, a_part, b_part, chunks, scratch).run()
             assert np.array_equal(acc, numpy_loop(a, b, 8)), (m, n, k)
 
     @pytest.mark.parametrize(
@@ -117,11 +147,15 @@ class TestChunkLoop:
 
     def test_rerun_gives_the_same_bits(self, path, rng):
         a, b = rng.standard_normal((17, 40)), rng.standard_normal((40, 23))
-        acc = np.empty((17, 23))
+        acc = np.zeros((17, 23))
         loop = ChunkLoop(acc, a, b, chunk_ranges(40, 8), np.empty((17, 23)))
         loop.run()
         first = acc.copy()
+        assert np.array_equal(first, numpy_loop(a, b, 8))
+        loop.run()  # a second run adds to what the first left
+        assert np.array_equal(acc, numpy_loop(a, b, 8, first))
         a[:] = rng.standard_normal(a.shape)  # the loop reads the live buffers
+        acc.fill(0.0)
         loop.run()
         assert np.array_equal(acc, numpy_loop(a, b, 8))
         assert not np.array_equal(acc, first)

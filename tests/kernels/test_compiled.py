@@ -46,6 +46,7 @@ from repro.kernels.persistent import execute_schedule
 from repro.kernels.reference import reference_batched_gemm
 from repro.nn.googlenet import GOOGLENET_INCEPTIONS, inception_branch_batch
 from repro.telemetry import tracing
+from repro.workloads.synthetic import random_cases
 
 
 #: The GoogLeNet inception4a branch batch (Figure 10 style).
@@ -119,8 +120,12 @@ def mixed_strategy_schedule() -> tuple[GemmBatch, BatchSchedule]:
 
 
 def arena_bytes(batch: GemmBatch) -> int:
-    """The arena size: float64 staging for the largest GEMM."""
-    return 8 * max(g.m * g.k + g.k * g.n + 2 * g.m * g.n for g in batch)
+    """The arena size: float64 staging for the largest GEMM.
+
+    A GEMM stages its accumulator, its ``beta * C`` buffer and one
+    K-slab of ``op(A)`` and ``op(B)``, at most 128 deep.
+    """
+    return 8 * max(min(g.k, 128) * (g.m + g.n) + 2 * g.m * g.n for g in batch)
 
 
 def byte_range(arr: np.ndarray) -> tuple[int, int]:
@@ -151,7 +156,11 @@ def in_new_thread(fn):
 
 def bound_views(artifact):
     """The calling thread's staging views of ``artifact`` (bound by a run)."""
-    return [view for staged in _ARENA.bindings[artifact] for view in staged[:4]]
+    return [
+        view
+        for acc, c64, slabs in _ARENA.bindings[artifact]
+        for view in (acc, c64, *(v for _, a64, b64, _ in slabs for v in (a64, b64)))
+    ]
 
 
 def hammer_in_threads(jobs, rounds=30):
@@ -302,6 +311,32 @@ class TestBitExactEquivalence:
         oracle = reference_batched_gemm(batch, ops)
         np.testing.assert_allclose(got[0], oracle[0], rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 7, 8, 127, 128, 129, 255, 256, 257, 1000])
+    def test_slab_edges_and_deep_k(self, rng, k, dtype):
+        """K below BK, off a BK edge, one slab, two, and a remainder of one.
+
+        A run stages 128 columns of ``op(A)`` at a time, so these
+        depths cover a lone remainder slab, exactly one slab, full slabs
+        followed by a remainder, and many slabs -- on transposed
+        operands, with alpha/beta, and with NaN, -inf and -0.0 in C.
+        """
+        batch = GemmBatch(
+            [
+                Gemm(33, 47, k, trans_a=True, alpha=1.5, beta=-0.5),
+                Gemm(20, 9, k, trans_b=True, alpha=-0.75, beta=0.0),
+                Gemm(16, 16, k, trans_a=True, trans_b=True, beta=1.0),
+            ]
+        )
+        ops = TestEpilogueCast.operands(batch, rng, dtype)
+        sched = make_schedule(batch, "binary")
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+            got = execute_compiled(sched, batch, ops)
+            want = execute_schedule(sched, batch, ops)
+        for gi, (have, expect) in enumerate(zip(got, want)):
+            assert have.dtype == expect.dtype == dtype
+            assert have.tobytes() == expect.tobytes(), f"GEMM {gi}"
+
 
 @pytest.mark.usefixtures("blas_fallback")
 class TestBitExactEquivalenceFallback(TestBitExactEquivalence):
@@ -363,13 +398,13 @@ class TestBoundBuffers:
             artifact = compile_plan(make_schedule(small_batch), small_batch)
             artifact.run(small_batch, small_batch.random_operands(rng))
             staged = _ARENA.bindings[artifact][0]
-            loop = staged.loop
-            refs = [weakref.ref(buf) for buf in (staged.acc, staged.a64, staged.b64)]
+            _, a64, b64, loop = staged.slabs[0]
+            refs = [weakref.ref(buf) for buf in (staged.acc, a64, b64)]
             refs.append(weakref.ref(_ARENA.buffer))
             # Grow the arena: the thread drops every binding and its buffer.
             big = GemmBatch.from_shapes([(128, 128, 64)])
             compile_plan(make_schedule(big), big).run(big, big.random_operands(rng))
-            del artifact, staged
+            del artifact, staged, a64, b64
             gc.collect()
             alive = all(ref() is not None for ref in refs)
             del loop
@@ -511,6 +546,8 @@ class TestArenaReuse:
     ORDERS = {
         "large_then_small": [(96, 80, 40), (17, 23, 9), (40, 40, 40)],
         "small_then_large": [(17, 23, 9), (40, 40, 40), (96, 80, 40)],
+        # Full slabs, then remainders of 1 and 44 staged at the slab front.
+        "slab_remainders": [(40, 24, 257), (17, 23, 129), (33, 20, 300)],
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -735,28 +772,76 @@ class TestCompiledContract:
             [(1, 200, 64), (200, 1, 64), (8, 8, 8)],
             [(64, 64, 64)] * 4,
             pytest.param(INCEPTION_4A, id="inception4a"),
+            pytest.param([(64, 64, 4096)], id="deep-k"),
         ],
     )
     def test_scratch_is_the_largest_gemm(self, request, shapes, rng):
         """A fresh thread's arena is the largest GEMM's, on both loop paths.
 
         On both it is all the scratch: the ``np.matmul`` fallback takes
-        its chunk temporary from the arena too.  The last case is the
-        batch ``benchmarks/test_bench_execute.py`` times.
+        its chunk temporary from the arena too.  A GEMM stages one
+        K-slab at a time, so the arena equals the one of the same batch
+        with K clipped to one slab: (64, 64, 4096) stages as
+        (64, 64, 128).  The inception4a case is the batch
+        ``benchmarks/test_bench_execute.py`` times.
         """
         batch = GemmBatch.from_shapes(shapes)
-        sched = make_schedule(batch)
-        ops = batch.random_operands(rng)
+        one_slab = GemmBatch.from_shapes([(m, n, min(k, 128)) for m, n, k in shapes])
 
-        def arena_after_a_run():
-            artifact = compile_plan(sched, batch)
-            artifact.run(batch, ops)
-            return artifact.scratch_bytes, _ARENA.buffer.nbytes
+        def arena_after_a_run(batch):
+            def run():
+                artifact = compile_plan(make_schedule(batch), batch)
+                artifact.run(batch, batch.random_operands(rng))
+                return artifact.scratch_bytes, _ARENA.buffer.nbytes
 
+            return in_new_thread(run)
+
+        want = (arena_bytes(batch),) * 2
         if blas.DGEMM_SYMBOL is not None:
-            assert in_new_thread(arena_after_a_run) == (arena_bytes(batch),) * 2
+            assert arena_after_a_run(batch) == want == arena_after_a_run(one_slab)
         request.getfixturevalue("blas_fallback")
-        assert in_new_thread(arena_after_a_run) == (arena_bytes(batch),) * 2
+        assert arena_after_a_run(batch) == want == arena_after_a_run(one_slab)
+
+    def test_num_calls_is_the_calls_a_run_makes(self, request, monkeypatch, rng):
+        """Row panels counted, per slab, on both loop paths.
+
+        The first GEMM's full slabs split each chunk call into three row
+        panels, while its one-deep remainder fits one call.
+        """
+        batch = GemmBatch.from_shapes([(1000, 300, 257), (331, 381, 73), (17, 23, 9)])
+        artifact = compile_plan(make_schedule(batch), batch)
+        ops = batch.random_operands(rng)
+        calls: list = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return call
+
+        assert (artifact.num_chunks, artifact.num_calls) == (33 + 10 + 2, 97 + 20 + 2)
+        if blas.DGEMM_SYMBOL is not None:
+            monkeypatch.setattr(blas, "_DGEMM", counted(blas._DGEMM))
+            in_new_thread(lambda: artifact.run(batch, ops))
+            assert len(calls) == artifact.num_calls
+        request.getfixturevalue("blas_fallback")
+        calls.clear()
+        monkeypatch.setattr(np, "matmul", counted(np.matmul))
+        in_new_thread(lambda: artifact.run(batch, ops))
+        assert len(calls) == artifact.num_calls
+
+    def test_ragged_cold_pool_calls_and_chunks(self):
+        """Over perfbench's ``ragged_cold`` pool: 173.1 calls, 169.5 chunks per op.
+
+        Six of the pool's GEMMs split their chunk calls in two row
+        panels, so a run makes more BLAS calls than chunk products.
+        """
+        pool = random_cases(64, seed=0, max_batch=8)
+        artifacts = [compile_plan(make_schedule(batch), batch) for batch in pool]
+        calls = sum(a.num_calls for a in artifacts) / len(pool)
+        chunks = sum(a.num_chunks for a in artifacts) / len(pool)
+        assert (round(calls, 1), round(chunks, 1)) == (173.1, 169.5)
 
     def test_artifact_introspection(self, small_batch):
         sched = make_schedule(small_batch)
@@ -910,6 +995,13 @@ class TestArtifactMemo:
         assert tracer.metrics.counter("compile.cache_misses").value == 1
         assert tracer.metrics.counter("compile.cache_hits").value == 2
         assert tracer.metrics.counter("compile.plans").value == 1
+        (span,) = [s for s in tracer.walk() if s.name == "compile.plan"]
+        artifact = compiled_plan_for(sched, small_batch)
+        assert (
+            span.attrs["chunks"],
+            span.attrs["calls"],
+            span.attrs["scratch_bytes"],
+        ) == (artifact.num_chunks, artifact.num_calls, artifact.scratch_bytes)
 
     def test_memo_stats_snapshot(self, small_batch):
         clear_compiled_memo()
