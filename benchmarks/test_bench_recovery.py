@@ -1,7 +1,7 @@
 """Chaos-recovery gates: supervised respawn + failover vs a dead shard.
 
-The cluster benchmark (``BENCH_cluster.json``) kills one of 4 shards
-mid-run *without* supervision and completes ~78% of the trace: the
+The cluster gates (``benchmarks/test_bench_cluster.py``) kill one of 4
+shards mid-run *without* supervision and complete ~78% of the trace: the
 victim's held work settles as ``error:ShardKilled`` and its capacity is
 gone for the back half of the run.  These gates rerun the identical
 workload under :class:`~repro.cluster.supervisor.SupervisorConfig` --
@@ -28,8 +28,8 @@ from repro.serve import BatcherConfig, ServeConfig
 from repro.serve.loadgen import poisson_trace
 
 #: Identical workload to ``benchmarks/test_bench_cluster.py`` so the
-#: supervised completion share is directly comparable to the committed
-#: unsupervised ``shard_kill`` entry in ``BENCH_cluster.json``.
+#: supervised completion share is directly comparable to the
+#: unsupervised kill arm that file pins (``completed_share`` 0.772).
 N_REQUESTS = 100_000
 RATE_RPS = 200_000.0
 TRACE_SEED = 7

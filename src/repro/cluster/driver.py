@@ -12,7 +12,8 @@ honours ``config.serve.reliability``.  Nothing reads a wall clock, so
 the same trace, config, and kill schedule always produce the
 byte-identical :class:`~repro.cluster.report.ClusterReport` --
 including identical shard assignments -- which is the contract
-``BENCH_cluster.json`` and the cluster CLI tests pin.
+the cluster gates (``benchmarks/test_bench_cluster.py``) and the
+cluster CLI tests pin.
 
 Admission is two-level, exactly as in the live tier: a request first
 passes the **global** backpressure bound (total queued work across

@@ -30,7 +30,7 @@ recording tracer is installed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -67,7 +67,10 @@ class PlanReport:
     ``heuristic_used`` remain plain strings for backward
     compatibility (``used`` is always concrete -- never ``best`` /
     ``auto``).  Reports compare field by field: the schedule and the
-    batching by value, the batch by identity.
+    batching by value, the batch by identity.  ``derived`` keeps what
+    consumers derive from the plan (the serving planner's simulation,
+    per device), so it dies with the report; like
+    :attr:`BatchSchedule.derived` it is not part of the value.
     """
 
     batch: GemmBatch
@@ -77,6 +80,7 @@ class PlanReport:
     heuristic_requested: str
     heuristic_used: str
     options: Optional[PlanOptions] = None
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernel_launch(self) -> KernelLaunch:
         """The fused kernel this plan launches, as the simulator prices it.
@@ -471,7 +475,7 @@ class CoordinatedFramework:
         at ``opts.precision``; a reliable policy runs through a
         :class:`~repro.reliability.ReliableExecutor`, any other through
         :func:`repro.kernels.get_engine` (the ``compiled`` engine finds
-        its artifact in the compiled memo, compiling on first use).
+        its artifact on the schedule, compiling on first use).
         """
         from repro.kernels import get_engine
 

@@ -35,7 +35,7 @@ view of the same columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,11 @@ class BatchSchedule:
     single static footprint.
 
     Schedules compare by value (equal arrays and footprint) and are
-    unhashable.
+    unhashable.  ``derived`` keeps what consumers derive from the
+    schedule (the compiled engine's artifact), so it dies with the
+    schedule; it is not part of the value: ``==``, ``repr`` and
+    :meth:`to_dict` leave it out, and ``dataclasses.replace`` starts it
+    empty.
     """
 
     tile_offsets: np.ndarray
@@ -69,6 +73,7 @@ class BatchSchedule:
     threads_per_block: int
     shared_memory_bytes: int
     registers_per_thread: int
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         offsets = self.tile_offsets

@@ -14,7 +14,8 @@ answer, not just a wrong simulated time.
   ``reference`` execution engine, and the oracle).
 * :mod:`repro.kernels.compiled` -- the compiled-plan engine: the
   schedule checked once and compiled into a flat :class:`CompiledPlan`
-  artifact -- each GEMM's shape and BK chunk table, no buffers --
+  artifact, which the schedule keeps -- each GEMM's shape and BK chunk
+  table, no buffers --
   executed by a minimal allocation-free loop in the executing thread's
   one staging arena, to which each thread binds an artifact on its
   first run (the ``compiled`` execution engine and the default;
@@ -53,8 +54,6 @@ _EXPORTS = {
     "compiled_plan_for": ("repro.kernels.compiled", "compiled_plan_for"),
     "CompiledPlan": ("repro.kernels.compiled", "CompiledPlan"),
     "CompiledGemm": ("repro.kernels.compiled", "CompiledGemm"),
-    "PlanMemo": ("repro.kernels.memo", "PlanMemo"),
-    "MemoStats": ("repro.kernels.memo", "MemoStats"),
     "verify_outputs": ("repro.kernels.verify", "verify_outputs"),
     "VerificationError": ("repro.kernels.verify", "VerificationError"),
     "VerificationReport": ("repro.kernels.verify", "VerificationReport"),

@@ -41,7 +41,7 @@ block (Figure 7) reuses one staging footprint, sized by the largest
 strategy, for every tile it takes; the arena is that footprint on the
 host, and as in Stream-K's partial-sum workspace it scales with the
 executors, not with the problems -- so resident staging is
-``threads x largest GEMM``, however many artifacts the memo holds.  A
+``threads x largest GEMM``, however many artifacts are alive.  A
 thread's first run of an artifact binds it to the arena: each GEMM's
 staging -- the accumulator ``acc``, the ``beta * C`` buffer ``c64``
 and the slab copies ``a64`` / ``b64`` of ``op(A)`` / ``op(B)`` --
@@ -106,15 +106,14 @@ K on either side of every BK and slab edge, mixed-strategy GEMMs, and
 one-row and one-column float64 GEMMs, on the dgemm path and the
 ``np.matmul`` fallback.
 
-Artifacts are memoized in a weak identity
-:class:`~repro.kernels.memo.PlanMemo` keyed by the schedule, one entry
-per schedule, valid for the batch shapes it was compiled for.  The memo
-has no capacity: an artifact lives exactly as long as its schedule, so
-the plan caches that hold schedules bound the artifacts, and a schedule
-that dies takes its artifact, and every thread's binding of it, with
-it.  Memo traffic is observable via the ``compile.cache_hits`` /
-``compile.cache_misses`` counters and each compilation runs under a
-``compile.plan`` span.
+A schedule keeps its artifact in
+:attr:`~repro.core.schedule.BatchSchedule.derived`, one per schedule,
+valid for the batch shapes it was compiled for.  So an artifact lives
+exactly as long as its schedule: the plan caches that hold schedules
+bound the artifacts, and a schedule that dies takes its artifact, and
+every thread's binding of it, with it.  Lookups are observable via the
+``compile.cache_hits`` / ``compile.cache_misses`` counters and each
+compilation runs under a ``compile.plan`` span.
 
 This module does not import :mod:`repro.kernels.persistent`: it
 shares only the schedule contract in :mod:`repro.core.schedule` with
@@ -134,7 +133,6 @@ from repro.core.problem import GemmBatch, batch_signature, validate_operands
 from repro.core.schedule import BatchSchedule, check_schedule
 from repro.core.tiling import BATCHED_BK
 from repro.kernels.blas import ChunkLoop, chunk_ranges, loop_calls
-from repro.kernels.memo import MemoStats, PlanMemo
 from repro.telemetry import get_tracer
 
 __all__ = [
@@ -143,8 +141,6 @@ __all__ = [
     "CompiledPlan",
     "compile_plan",
     "compiled_plan_for",
-    "compiled_memo_stats",
-    "clear_compiled_memo",
     "execute_compiled",
 ]
 
@@ -371,39 +367,26 @@ def compile_plan(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
     return artifact
 
 
-#: Process-wide memo of compiled artifacts, keyed weakly by schedule.
-_COMPILED_MEMO = PlanMemo()
-
-
 def compiled_plan_for(schedule: BatchSchedule, batch: GemmBatch) -> CompiledPlan:
-    """The memoized compiled artifact of a schedule (compile on miss).
+    """The compiled artifact the schedule keeps (compile on miss).
 
-    Held in a weak identity :class:`~repro.kernels.memo.PlanMemo`, one
-    entry per schedule, valid for the batch shapes it was compiled for:
-    every schedule held by a :class:`~repro.core.plancache.PlanCache`
-    keeps its artifact warm, and an evicted schedule releases its
-    artifact when it dies.  Emits ``compile.cache_hits`` /
-    ``compile.cache_misses`` counters, so a serve test can assert a warm
-    hot path does zero compilation.
+    The schedule keeps one artifact, valid for the batch shapes it was
+    compiled for; a batch of other shapes compiles one that replaces it.
+    Every schedule held by a :class:`~repro.core.plancache.PlanCache`
+    keeps its artifact warm, and an evicted schedule takes its artifact
+    with it when it dies.  Two threads missing on one schedule both
+    compile, and the later artifact is kept (they are identical).  Emits
+    ``compile.cache_hits`` / ``compile.cache_misses`` counters, so a
+    serve test can assert a warm hot path does zero compilation.
     """
-    token = batch_signature(batch)
     tracer = get_tracer()
-    cached = _COMPILED_MEMO.get(schedule, token)
-    if cached is not None:
+    artifact = schedule.derived.get("compiled")
+    if artifact is not None and artifact.batch_token == batch_signature(batch):
         tracer.counter("compile.cache_hits")
-        return cached
+        return artifact
     tracer.counter("compile.cache_misses")
-    return _COMPILED_MEMO.put(schedule, token, compile_plan(schedule, batch))
-
-
-def compiled_memo_stats() -> MemoStats:
-    """Hit/miss counters of the compiled-artifact memo."""
-    return _COMPILED_MEMO.stats_snapshot()
-
-
-def clear_compiled_memo() -> None:
-    """Drop every memoized artifact (tests and long-lived processes)."""
-    _COMPILED_MEMO.clear()
+    artifact = schedule.derived["compiled"] = compile_plan(schedule, batch)
+    return artifact
 
 
 def execute_compiled(
@@ -417,8 +400,7 @@ def execute_compiled(
     Drop-in for :func:`repro.kernels.persistent.execute_schedule`
     (bit-identical outputs; inputs are not modified).  ``plan``
     optionally supplies a pre-compiled artifact; by default the
-    memoized artifact of the schedule is used (compiled on first
-    execution).
+    artifact the schedule keeps is used (compiled on first execution).
     """
     if plan is None or plan.batch_token != batch_signature(batch):
         plan = compiled_plan_for(schedule, batch)

@@ -390,7 +390,9 @@ def _run_live(target, trace, time_scale: float, kills=(), operands_seed=None):
 
     ``kills`` are ``(shard, time_us)`` pairs, fired before the first
     arrival at or past their time; ``operands_seed`` draws random
-    operands for every request.  Returns the summary and a health probe.
+    operands for every request.  Only unsettled tickets are kept (a
+    settled one holds its output), pruned whenever the list has doubled
+    since the last prune.  Returns the summary and a health probe.
     """
     operand_rng = None
     if operands_seed is not None:
@@ -399,7 +401,7 @@ def _run_live(target, trace, time_scale: float, kills=(), operands_seed=None):
         operand_rng = np.random.default_rng(operands_seed)
     pending_kills = sorted(kills, key=lambda kt: kt[1])
     prev_us = 0.0
-    tickets = []
+    tickets, kept = [], 1
     for tr in trace:
         gap_s = (tr.arrival_us - prev_us) / 1e6 * time_scale
         if gap_s > 0:
@@ -426,6 +428,9 @@ def _run_live(target, trace, time_scale: float, kills=(), operands_seed=None):
                 precision=tr.precision,
             )
         )
+        if len(tickets) >= 2 * kept:
+            tickets = [t for t in tickets if not t.done()]
+            kept = max(len(tickets), 1)
     for shard, _ in pending_kills:  # kills scheduled past the last arrival
         target.kill(shard)
     # Snapshot liveness while the target still accepts -- after close()
@@ -591,16 +596,6 @@ def main(argv: list[str] | None = None) -> int:
             f"settlement {report.settlement_share:.1%}, "
             f"{report.n_steals} steals, {report.n_failovers} failovers"
         )
-        sup = getattr(report, "supervisor", None)
-        if sup is not None:
-            print(
-                "supervision: "
-                f"{sup.get('restarts', 0)} restarts, "
-                f"{sup.get('resubmissions', 0)} resubmissions, "
-                f"{sup.get('budget_exhausted', 0)} budget-exhausted, "
-                f"{sup.get('failover_exhausted', 0)} failover-exhausted, "
-                f"ejected {sup.get('ejected', []) or 'none'}"
-            )
         if health is not None:
             print(
                 "cluster health: "

@@ -9,10 +9,9 @@ pays the full online planning cost (tiling + both batching heuristics
 hit pays only the lookup.  That asymmetry is exactly why the serving
 layer warms the cache for known shape mixes.
 
-Simulation results are memoized per plan, weakly by report in a
-:class:`~repro.kernels.memo.PlanMemo`, so replaying a hot mix does not
-re-run the wave model on every batch, and a plan the cache evicts
-takes its simulation with it.
+Each plan's report keeps its simulation, per device, so replaying a
+hot mix does not re-run the wave model on every batch, and a plan the
+cache evicts takes its simulation with it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from repro.core.framework import CoordinatedFramework, HeuristicLike, PlanReport
 from repro.core.plancache import PlanCache
 from repro.gpu.simulator import SimulationResult
-from repro.kernels.memo import PlanMemo
 from repro.reliability import SITE_PLANNER, FaultInjector
 from repro.serve.batcher import FormedBatch
 from repro.serve.budget import BudgetExhausted, DeadlineBudget
@@ -48,8 +46,10 @@ class PlannedBatch:
 class PlannerStage:
     """Plans formed batches through a shared cache (thread-safe).
 
-    Each plan's simulation dies with its report, so the cache's
-    capacity bounds the simulations this stage keeps.
+    Each plan's simulation is kept on its report, keyed by the device
+    it was priced on, so it dies with the report and the cache's
+    capacity bounds the simulations this stage keeps; stages of two
+    devices sharing one cache each price a plan on their own device.
     """
 
     def __init__(
@@ -73,7 +73,6 @@ class PlannerStage:
         #: evaluated on every :meth:`plan` call (error faults raise out
         #: of it, slow faults are charged into ``plan_us``).
         self.injector = injector
-        self._sims = PlanMemo()
 
     def plan(
         self, formed: FormedBatch, *, budget: DeadlineBudget | None = None
@@ -132,7 +131,8 @@ class PlannerStage:
         )
 
     def _simulate(self, report: PlanReport) -> SimulationResult:
-        sim = self._sims.get(report, ())
+        device = self.framework.device
+        sim = report.derived.get(device)
         if sim is None:
-            sim = self._sims.put(report, (), self.framework.simulate_plan(report))
+            sim = report.derived[device] = self.framework.simulate_plan(report)
         return sim

@@ -1,5 +1,6 @@
 """Tests for the CoordinatedFramework facade."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.core.options import Heuristic
 from repro.core.problem import Gemm, GemmBatch, Tile
 from repro.gpu.simulator import KernelLaunch
 from repro.kernels import ExecutionPolicy
+from repro.kernels.compiled import compiled_plan_for
 from repro.kernels.reference import reference_batched_gemm
 from repro.workloads.synthetic import random_cases
 
@@ -85,6 +87,21 @@ class TestPlanEquality:
         binary = framework.plan(uniform_batch, heuristic="binary")
         assert threshold.schedule != binary.schedule
         assert threshold != binary
+
+    @pytest.mark.parametrize("part", ["schedule", "report"])
+    def test_derived_state_is_not_part_of_the_value(self, framework, small_batch, part):
+        """An artifact or a simulation kept on a plan leaves its value alone."""
+        held = framework.plan(small_batch, heuristic="binary")
+        bare = framework.plan(small_batch, heuristic="binary")
+        compiled_plan_for(held.schedule, small_batch)
+        held.derived[framework.device] = framework.simulate_plan(held)
+        if part == "schedule":
+            held, bare = held.schedule, bare.schedule
+            assert held.to_dict() == bare.to_dict()
+        assert held.derived and not bare.derived
+        assert held == bare
+        assert repr(held) == repr(bare)
+        assert dataclasses.replace(held).derived == {}
 
 
 class TestColdPlanShape:

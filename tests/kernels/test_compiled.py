@@ -36,9 +36,7 @@ from repro.kernels.blas import chunk_ranges
 from repro.kernels.compiled import (
     _ARENA,
     CompiledPlan,
-    clear_compiled_memo,
     compile_plan,
-    compiled_memo_stats,
     compiled_plan_for,
     execute_compiled,
 )
@@ -458,7 +456,7 @@ class TestThreadArena:
         assert max(needs) <= grown < max(needs) + sum(needs) // 8, (grown, needs)
 
     def test_artifacts_dying_on_another_thread_drop_their_bindings(self, rng):
-        """Four threads run memoized artifacts while a fifth keeps dropping them.
+        """Four threads run schedules' artifacts while a fifth keeps dropping them.
 
         Each artifact dies on whichever thread lets go of it last, and its
         death removes its binding from every thread that ran it; a
@@ -483,7 +481,8 @@ class TestThreadArena:
 
         def drop():
             while not done.is_set():
-                clear_compiled_memo()
+                for schedule in schedules:
+                    schedule.derived.clear()
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -702,7 +701,7 @@ class TestCompiledContract:
             artifact.run(other, ops)
 
     def test_stale_plan_argument_recompiles(self, small_batch, rng):
-        """``plan=`` for the wrong shapes falls back to the memo."""
+        """``plan=`` for the wrong shapes falls back to the schedule's artifact."""
         stale = compile_plan(
             make_schedule(GemmBatch.from_shapes([(8, 8, 8)])),
             GemmBatch.from_shapes([(8, 8, 8)]),
@@ -973,19 +972,44 @@ class TestArtifactMemo:
             sched, small_batch
         )
 
-    def test_memo_released_when_schedule_dies(self, small_batch):
-        clear_compiled_memo()
-        sched = make_schedule(small_batch)
-        compiled_plan_for(sched, small_batch)
-        from repro.kernels.compiled import _COMPILED_MEMO
+    def test_memo_released_when_schedule_dies(self, small_batch, rng):
+        """The artifact, and the thread's binding of it, die with the schedule."""
+        ops = small_batch.random_operands(rng)
 
-        assert len(_COMPILED_MEMO) == 1
-        del sched
-        gc.collect()
-        assert len(_COMPILED_MEMO) == 0
+        def probe():
+            sched = make_schedule(small_batch)
+            execute_compiled(sched, small_batch, ops)
+            artifact = weakref.ref(compiled_plan_for(sched, small_batch))
+            bound = len(_ARENA.bindings)
+            del sched
+            gc.collect()
+            return artifact() is None, bound, len(_ARENA.bindings)
+
+        assert in_new_thread(probe) == (True, 1, 0)
+
+    def test_other_shapes_recompile_and_replace_the_artifact(self, rng):
+        """A schedule holds no K, so a batch differing only in K reuses it.
+
+        Its artifact was compiled for K = 64: the K = 128 batch misses,
+        compiles one of its own, runs bit-exact against the reference
+        walk, and replaces the first, so the next call hits.
+        """
+        shallow = GemmBatch.from_shapes([(40, 48, 64), (24, 56, 64)])
+        deep = GemmBatch.from_shapes([(40, 48, 128), (24, 56, 128)])
+        sched = make_schedule(shallow)
+        first = compiled_plan_for(sched, shallow)
+        with tracing() as tracer:
+            assert_bit_identical(sched, deep, deep.random_operands(rng))
+            second = compiled_plan_for(sched, deep)
+        counters = tracer.metrics.to_dict()["counters"]
+        assert counters["compile.cache_misses"] == 1
+        assert counters["compile.plans"] == 1
+        assert counters["compile.cache_hits"] == 1
+        assert second is not first
+        assert [g.k for g in second.gemms] == [128, 128]
+        assert sched.derived == {"compiled": second}
 
     def test_cache_telemetry_counters(self, small_batch, rng):
-        clear_compiled_memo()
         ops = small_batch.random_operands(rng)
         sched = make_schedule(small_batch)
         with tracing() as tracer:
@@ -1002,16 +1026,6 @@ class TestArtifactMemo:
             span.attrs["calls"],
             span.attrs["scratch_bytes"],
         ) == (artifact.num_chunks, artifact.num_calls, artifact.scratch_bytes)
-
-    def test_memo_stats_snapshot(self, small_batch):
-        clear_compiled_memo()
-        before = compiled_memo_stats()
-        sched = make_schedule(small_batch)
-        compiled_plan_for(sched, small_batch)
-        compiled_plan_for(sched, small_batch)
-        after = compiled_memo_stats()
-        assert after.misses == before.misses + 1
-        assert after.hits == before.hits + 1
 
 
 class TestEngineRegistry:

@@ -25,6 +25,7 @@ import pytest
 
 import repro
 import repro.kernels
+import repro.kernels.compiled
 from repro.__main__ import main as repro_main
 from repro.core.options import PlanOptions
 from repro.core.plancache import PlanCache
@@ -187,6 +188,16 @@ CASES = {
     "kernels-engine-protocol": (lambda fw: repro.kernels.Engine, NO_ATTRIBUTE),
     "kernels-coerce-policy": (lambda fw: repro.kernels.coerce_policy, NO_ATTRIBUTE),
     "repro-get-engine-object": (lambda fw: repro.get_engine_object, NO_ATTRIBUTE),
+    "kernels-plan-memo": (lambda fw: repro.kernels.PlanMemo, NO_ATTRIBUTE),
+    "kernels-memo-stats": (lambda fw: repro.kernels.MemoStats, NO_ATTRIBUTE),
+    "compiled-memo-stats": (
+        lambda fw: repro.kernels.compiled.compiled_memo_stats,
+        NO_ATTRIBUTE,
+    ),
+    "clear-compiled-memo": (
+        lambda fw: repro.kernels.compiled.clear_compiled_memo,
+        NO_ATTRIBUTE,
+    ),
     **{
         f"str-heuristic-{name}": (silently(probe), expected)
         for name, (probe, expected) in string_heuristic_probes().items()

@@ -2,10 +2,13 @@
 
 import json
 import re
+import weakref
 
 import pytest
 
-from repro.serve.cli import main
+from repro.core.problem import Gemm
+from repro.serve.cli import _run_live, main
+from repro.serve.loadgen import TraceRequest
 
 FAST = [
     "--rate", "2000", "--duration", "0.01", "--shapes", "32x32x32",
@@ -102,6 +105,73 @@ class TestLiveMode:
         assert "health" in payload
         assert "ok" in payload["health"]
         assert "breakers" in payload["health"]
+
+    def test_settled_tickets_are_not_kept(self):
+        """A settled ticket holds its output, so the pacing loop drops it."""
+        target = StubTarget()
+        _run_live(target, STUB_TRACE, time_scale=0.0)
+        assert len(target.alive) == len(STUB_TRACE)
+        assert max(target.alive) <= 2
+
+    def test_unsettled_tickets_are_awaited_after_close(self):
+        target = StubTarget(hold=3)
+        _run_live(target, STUB_TRACE, time_scale=0.0)
+        assert len(target.held) == len(STUB_TRACE) // 3
+        assert [t for t in target.awaited if not t.settled] == target.held
+
+
+#: Arrivals at one instant, so ``_run_live`` never sleeps.
+STUB_TRACE = [TraceRequest(arrival_us=0.0, gemm=Gemm(8, 8, 8))] * 200
+
+
+class StubTicket:
+    """A ticket of :class:`StubTarget`; records each wait on it."""
+
+    def __init__(self, target: "StubTarget"):
+        self.target = target
+        self.settled = False
+
+    def done(self) -> bool:
+        return self.settled
+
+    def result(self, timeout=None):
+        assert self.target.closed
+        self.target.awaited.append(self)
+
+
+class StubTarget:
+    """A ``_run_live`` target whose tickets settle as they are submitted.
+
+    With ``hold``, every ``hold``-th ticket never settles instead.  Each
+    submit records how many settled tickets are still alive.
+    """
+
+    def __init__(self, hold: int = 0):
+        self.hold = hold
+        self.settled: list = []  # weak references to settled tickets
+        self.held: list = []  # the unsettled tickets, in submission order
+        self.awaited: list = []
+        self.alive: list = []
+        self.closed = False
+
+    def submit(self, gemm, **kwargs) -> StubTicket:
+        self.alive.append(sum(ref() is not None for ref in self.settled))
+        ticket = StubTicket(self)
+        if self.hold and len(self.alive) % self.hold == 0:
+            self.held.append(ticket)
+        else:
+            ticket.settled = True
+            self.settled.append(weakref.ref(ticket))
+        return ticket
+
+    def health(self) -> dict:
+        return {}
+
+    def close(self, drain: bool) -> None:
+        self.closed = True
+
+    def summary(self):
+        return None
 
 
 CLUSTER = FAST + ["--shards", "2", "--max-batch", "4"]
@@ -205,6 +275,15 @@ class TestClusterSmoke:
             s for s in rep["shards"] if str(s["shard_id"]) in sup["per_shard_restarts"]
         ]
         assert any(s["state"] == "active" for s in respawned)
+
+    def test_supervised_text_report_prints_supervision_once(self, capsys):
+        assert main([
+            "--shards", "4", "--rate", "4000", "--duration", "0.1",
+            "--kill-shard", "1@50000", "--supervise",
+        ]) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("supervision:")]
+        assert len(lines) == 1, lines
 
     def test_planner_faults_are_injected_on_every_shard(self, capsys):
         rep = self.run_json(capsys, [

@@ -78,7 +78,7 @@ class TestLiveServer:
         assert np.array_equal(values["compiled"], values["reference"])
 
     def test_repeat_requests_reuse_the_artifact(self, framework, rng):
-        """A hot shape mix compiles once and then only hits the memo."""
+        """A hot shape mix compiles once and then only hits its artifact."""
         config = compiled_config(
             batcher=BatcherConfig(max_batch_size=1, max_wait_us=10.0)
         )
